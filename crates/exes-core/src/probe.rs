@@ -693,12 +693,14 @@ pub struct BatchStats {
     /// Probes that went through an attached cache and missed (always 0
     /// without a cache; equal to `probed` with one).
     pub cache_misses: usize,
-    /// Overlay probes answered through the incremental (delta-localized)
-    /// rescoring path of an attached [`BaselinePlan`] (always 0 without one).
+    /// Overlay probes answered from an attached [`BaselinePlan`] (always 0
+    /// without one) — by rescoring only the delta's neighbourhood, or, for a
+    /// ranker that can, everyone from the plan's stored state when the delta
+    /// reaches too far to localize.
     pub incremental_rescores: usize,
     /// Overlay probes that fell back to a full re-rank — no plan attached,
-    /// the model has no incremental path, the query itself was perturbed, or
-    /// the delta's neighbourhood exceeded the localization cap.
+    /// the model has no planned path, or the model declined the delta (a
+    /// perturbed query, or a delta its plan cannot rescore exactly).
     /// `incremental_rescores + full_rescores == probed`.
     pub full_rescores: usize,
     /// Baseline-plan acquisitions served from the [`ProbeCache`] plan memo

@@ -10,13 +10,33 @@
 //! seeded RNG (made non-negative so the readout is monotone in the relevance
 //! features, as a trained ranker's would be).
 
-use crate::ranker::{smoothed_idf, ExpertRanker};
+use crate::ranker::{counted_rank, person_scores, smoothed_idf, with_scratch, ExpertRanker};
 use crate::RankedList;
 use exes_graph::{GraphView, PersonId, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 
 const INPUT_DIM: usize = 4;
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// The forward pass's reusable row-major buffers, sized on use.
+#[derive(Default)]
+struct Scratch {
+    /// `d_p + 1` per person.
+    degrees: Vec<f64>,
+    /// Node features, `INPUT_DIM` per person.
+    x: Vec<f64>,
+    /// Layer-1 aggregation and activation, then layer-2 aggregation.
+    agg1: Vec<f64>,
+    h1: Vec<f64>,
+    agg2: Vec<f64>,
+    /// One score per person.
+    scores: Vec<f64>,
+}
 
 /// "Pre-trained" two-layer GCN expert ranker with seeded deterministic weights.
 #[derive(Debug, Clone)]
@@ -56,9 +76,9 @@ impl GcnRanker {
         GcnRanker { hidden_dim, w1, w2 }
     }
 
-    /// Query-dependent node features:
-    /// `[idf-weighted match, match fraction, log-degree, bias]`.
-    fn features<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Vec<[f64; INPUT_DIM]> {
+    /// Query-dependent node features, one row-major `INPUT_DIM` row per
+    /// person: `[idf-weighted match, match fraction, log-degree, bias]`.
+    fn features_into<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, x: &mut Vec<f64>) {
         let idfs: Vec<(exes_graph::SkillId, f64)> = query
             .skills()
             .iter()
@@ -66,90 +86,100 @@ impl GcnRanker {
             .collect();
         let idf_total: f64 = idfs.iter().map(|&(_, v)| v).sum::<f64>().max(1e-9);
         let qlen = query.len().max(1) as f64;
-        graph
-            .people_ids()
-            .map(|p| {
-                let matched: Vec<&(exes_graph::SkillId, f64)> = idfs
-                    .iter()
-                    .filter(|&&(s, _)| graph.person_has_skill(p, s))
-                    .collect();
-                let idf_match: f64 = matched.iter().map(|&&(_, v)| v).sum();
-                [
-                    idf_match / idf_total,
-                    matched.len() as f64 / qlen,
-                    (1.0 + graph.degree(p) as f64).ln() / 8.0,
-                    1.0,
-                ]
-            })
-            .collect()
+        x.clear();
+        for p in graph.people_ids() {
+            let mut matched = 0usize;
+            let idf_match: f64 = idfs
+                .iter()
+                .filter(|&&(s, _)| graph.person_has_skill(p, s))
+                .inspect(|_| matched += 1)
+                .map(|&(_, v)| v)
+                .sum();
+            x.extend([
+                idf_match / idf_total,
+                matched as f64 / qlen,
+                (1.0 + graph.degree(p) as f64).ln() / 8.0,
+                1.0,
+            ]);
+        }
     }
 
-    /// One symmetric-normalised propagation step with self-loops:
-    /// `out_p = Σ_{n ∈ N(p) ∪ {p}} in_n / sqrt((d_p+1)(d_n+1))`.
-    fn propagate<G: GraphView + ?Sized>(
-        graph: &G,
-        neighbor_lists: &[&[PersonId]],
-        input: &[Vec<f64>],
-    ) -> Vec<Vec<f64>> {
-        let dim = input.first().map(Vec::len).unwrap_or(0);
-        let mut out = vec![vec![0.0; dim]; input.len()];
-        for p in graph.people_ids() {
-            let dp = (neighbor_lists[p.index()].len() + 1) as f64;
-            // Self-loop.
-            for j in 0..dim {
-                out[p.index()][j] += input[p.index()][j] / dp;
-            }
-            for &n in neighbor_lists[p.index()] {
-                let dn = (neighbor_lists[n.index()].len() + 1) as f64;
-                let norm = (dp * dn).sqrt();
-                for j in 0..dim {
-                    out[p.index()][j] += input[n.index()][j] / norm;
+    /// The full forward pass over `s`'s row-major buffers, leaving one score
+    /// per person in `s.scores`.
+    fn forward_into<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, s: &mut Scratch) {
+        let hidden = self.hidden_dim;
+        s.degrees.clear();
+        s.degrees.extend(
+            graph
+                .people_ids()
+                .map(|p| (graph.neighbors(p).len() + 1) as f64),
+        );
+        self.features_into(graph, query, &mut s.x);
+        // Layer 1: propagate, then linear + ReLU.
+        propagate(graph, &s.degrees, &s.x, INPUT_DIM, &mut s.agg1);
+        s.h1.clear();
+        for row in s.agg1.chunks_exact(INPUT_DIM) {
+            s.h1.extend((0..hidden).map(|h| {
+                let mut v = 0.0;
+                for (i, &xi) in row.iter().enumerate() {
+                    v += xi * self.w1[i * hidden + h];
                 }
-            }
+                v.max(0.0)
+            }));
         }
-        out
+        // Layer 2: propagate, then linear readout.
+        propagate(graph, &s.degrees, &s.h1, hidden, &mut s.agg2);
+        s.scores.clear();
+        s.scores.extend(
+            s.agg2
+                .chunks_exact(hidden)
+                .map(|row| row.iter().zip(&self.w2).map(|(a, w)| a * w).sum::<f64>()),
+        );
     }
 
     /// Full forward pass, returning one score per person.
     pub fn forward<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Vec<f64> {
-        let n = graph.num_people();
-        if n == 0 {
-            return Vec::new();
+        with_scratch(&SCRATCH, |s| {
+            self.forward_into(graph, query, s);
+            s.scores.clone()
+        })
+    }
+}
+
+/// One symmetric-normalised propagation step with self-loops over row-major
+/// `dim`-wide rows: `out_p = Σ_{n ∈ N(p) ∪ {p}} in_n / sqrt((d_p+1)(d_n+1))`,
+/// where `degrees` holds each `d + 1`.
+fn propagate<G: GraphView + ?Sized>(
+    graph: &G,
+    degrees: &[f64],
+    input: &[f64],
+    dim: usize,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(input.len(), 0.0);
+    for p in graph.people_ids() {
+        let dp = degrees[p.index()];
+        let row = &mut out[p.index() * dim..][..dim];
+        // Self-loop.
+        for (o, &v) in row.iter_mut().zip(&input[p.index() * dim..][..dim]) {
+            *o += v / dp;
         }
-        let neighbor_lists: Vec<&[PersonId]> =
-            graph.people_ids().map(|p| graph.neighbors(p)).collect();
-        let x: Vec<Vec<f64>> = self
-            .features(graph, query)
-            .into_iter()
-            .map(|f| f.to_vec())
-            .collect();
-        // Layer 1: propagate, then linear + ReLU.
-        let agg1 = Self::propagate(graph, &neighbor_lists, &x);
-        let h1: Vec<Vec<f64>> = agg1
-            .iter()
-            .map(|row| {
-                (0..self.hidden_dim)
-                    .map(|h| {
-                        let mut v = 0.0;
-                        for (i, &xi) in row.iter().enumerate() {
-                            v += xi * self.w1[i * self.hidden_dim + h];
-                        }
-                        v.max(0.0)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Layer 2: propagate, then linear readout.
-        let agg2 = Self::propagate(graph, &neighbor_lists, &h1);
-        agg2.iter()
-            .map(|row| row.iter().zip(self.w2.iter()).map(|(a, w)| a * w).sum())
-            .collect()
+        for &n in graph.neighbors(p) {
+            let norm = (dp * degrees[n.index()]).sqrt();
+            for (o, &v) in row.iter_mut().zip(&input[n.index() * dim..][..dim]) {
+                *o += v / norm;
+            }
+        }
     }
 }
 
 impl ExpertRanker for GcnRanker {
     fn score<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, person: PersonId) -> f64 {
-        self.forward(graph, query)[person.index()]
+        with_scratch(&SCRATCH, |s| {
+            self.forward_into(graph, query, s);
+            s.scores[person.index()]
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -164,13 +194,17 @@ impl ExpertRanker for GcnRanker {
     }
 
     fn rank_all<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> RankedList {
-        RankedList::from_scores(
-            self.forward(graph, query)
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| (PersonId::from_index(i), s))
-                .collect(),
-        )
+        with_scratch(&SCRATCH, |s| {
+            self.forward_into(graph, query, s);
+            RankedList::from_scores(person_scores(&s.scores))
+        })
+    }
+
+    fn rank_of<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, person: PersonId) -> usize {
+        with_scratch(&SCRATCH, |s| {
+            self.forward_into(graph, query, s);
+            counted_rank(&s.scores, person)
+        })
     }
 }
 

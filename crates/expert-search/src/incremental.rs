@@ -4,13 +4,13 @@
 //! perturbed overlay without walking the whole graph again: the full ranking
 //! of the unperturbed snapshot, the person-indexed score vector behind it,
 //! and per-ranker working state (TF-IDF document statistics, propagation base
-//! relevances, PageRank iterate trajectories). Each ranker's
+//! relevances and two-hop rows, PageRank iterate trajectories). Each ranker's
 //! [`crate::ExpertRanker::incremental_rank_of`] then rescores only the
 //! delta's affected neighbourhood and derives the subject's new rank by
 //! *counting corrections* against the baseline order — O(affected + log n)
 //! instead of O(n log n).
 
-use crate::ranker::idf_from_count;
+use crate::ranker::{idf_from_count, orders_before};
 use crate::RankedList;
 use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query, SkillId};
 
@@ -50,13 +50,16 @@ impl RankerBaseline {
 pub(crate) enum BaselineKind {
     /// TF-IDF: per-term document statistics.
     TfIdf(TermStats),
-    /// Expertise propagation: term statistics plus the person-indexed base
-    /// (0-hop) relevance the neighbourhood averages draw from.
+    /// Expertise propagation: term statistics, the person-indexed base
+    /// (0-hop) relevance the neighbourhood averages draw from, and every
+    /// person's strict two-hop set.
     Propagation {
         /// Per-term document statistics.
         terms: TermStats,
         /// Person-indexed base relevance scores.
         base: Vec<f64>,
+        /// Strict two-hop rows of the snapshot.
+        two_hop: TwoHopRows,
     },
     /// Personalized PageRank: the pre-final power iterates `r_0 .. r_{T-1}`
     /// (with `r_0` the restart vector), which the localized delta-push
@@ -102,12 +105,76 @@ impl TermStats {
     }
 }
 
+/// Every person's strict two-hop set — the people two hops away who are
+/// neither the person nor a collaborator — as one CSR index with each row in
+/// ascending id order.
+#[derive(Debug, Clone)]
+pub(crate) struct TwoHopRows {
+    /// Row `p` spans `ids[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<u32>,
+    ids: Vec<PersonId>,
+}
+
+impl TwoHopRows {
+    /// An index with no rows yet; append them in person order with
+    /// [`TwoHopRows::push_row`].
+    pub(crate) fn new() -> Self {
+        TwoHopRows {
+            offsets: vec![0],
+            ids: Vec::new(),
+        }
+    }
+
+    /// Appends the next person's row.
+    pub(crate) fn push_row(&mut self, row: &[PersonId]) {
+        self.ids.extend_from_slice(row);
+        let end = u32::try_from(self.ids.len()).expect("two-hop index exceeds u32::MAX ids");
+        self.offsets.push(end);
+    }
+
+    /// The strict two-hop set of `p`, ascending.
+    pub(crate) fn row(&self, p: PersonId) -> &[PersonId] {
+        let i = p.index();
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// Writes the per-term holder counts and IDFs after the view's skill delta
+/// into `counts` and `idfs`. The IDFs are bitwise what a full recount over
+/// the view would produce: terms whose holder count did not move keep the
+/// stored value untouched.
+pub(crate) fn shifted_idfs(
+    query: &[SkillId],
+    stats: &TermStats,
+    view: &PerturbedGraph<'_>,
+    counts: &mut Vec<usize>,
+    idfs: &mut Vec<f64>,
+) {
+    counts.clear();
+    counts.extend_from_slice(&stats.counts);
+    for (_, s) in view.skill_additions() {
+        if let Some(i) = query.iter().position(|&t| t == s) {
+            counts[i] += 1;
+        }
+    }
+    for (_, s) in view.skill_removals() {
+        if let Some(i) = query.iter().position(|&t| t == s) {
+            counts[i] -= 1;
+        }
+    }
+    idfs.clear();
+    idfs.extend_from_slice(&stats.idfs);
+    for (i, (&new_count, &old_count)) in counts.iter().zip(&stats.counts).enumerate() {
+        if new_count != old_count {
+            idfs[i] = idf_from_count(view.num_people(), new_count);
+        }
+    }
+}
+
 /// How a skill delta moves the per-term statistics: the adjusted IDF vector
 /// plus everyone whose score can change through it.
 pub(crate) struct SkillDeltaEffect {
-    /// Adjusted per-term IDFs (bitwise what a full recount over the view
-    /// would produce; terms with unchanged holder counts keep the stored
-    /// value untouched).
+    /// Adjusted per-term IDFs, as [`shifted_idfs`] computes them.
     pub(crate) idfs: Vec<f64>,
     /// Sorted, deduped union of the skill-delta people and the base holders
     /// of every term whose IDF moved.
@@ -120,37 +187,22 @@ pub(crate) fn skill_delta_effect(
     stats: &TermStats,
     view: &PerturbedGraph<'_>,
 ) -> SkillDeltaEffect {
-    let mut counts = stats.counts.clone();
-    let mut affected: Vec<PersonId> = Vec::new();
-    for (p, s) in view.skill_additions() {
-        affected.push(p);
-        if let Some(i) = query.iter().position(|&t| t == s) {
-            counts[i] += 1;
-        }
-    }
-    for (p, s) in view.skill_removals() {
-        affected.push(p);
-        if let Some(i) = query.iter().position(|&t| t == s) {
-            counts[i] -= 1;
-        }
-    }
-    let n = view.num_people();
-    let mut idfs = stats.idfs.clone();
-    for (i, (&new_count, &old_count)) in counts.iter().zip(stats.counts.iter()).enumerate() {
+    let mut counts = Vec::new();
+    let mut idfs = Vec::new();
+    shifted_idfs(query, stats, view, &mut counts, &mut idfs);
+    let mut affected: Vec<PersonId> = view
+        .skill_additions()
+        .chain(view.skill_removals())
+        .map(|(p, _)| p)
+        .collect();
+    for (i, (&new_count, &old_count)) in counts.iter().zip(&stats.counts).enumerate() {
         if new_count != old_count {
-            idfs[i] = idf_from_count(n, new_count);
             affected.extend_from_slice(&stats.holders[i]);
         }
     }
     affected.sort_unstable();
     affected.dedup();
     SkillDeltaEffect { idfs, affected }
-}
-
-/// Whether entry `a` orders strictly before entry `b` under the
-/// [`RankedList::from_scores`] comparator (descending score, ascending id).
-fn orders_before(a: (PersonId, f64), b: (PersonId, f64)) -> bool {
-    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)).is_lt()
 }
 
 /// The subject's 1-based rank after the delta, derived by correcting a count

@@ -2,7 +2,57 @@
 
 use crate::incremental::RankerBaseline;
 use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query};
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
+use std::thread::LocalKey;
+
+/// The ranking order: descending score, ties broken by ascending person id.
+/// A total order, since person ids are unique.
+pub(crate) fn rank_order(a: &(PersonId, f64), b: &(PersonId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Whether entry `a` orders strictly before entry `b` under [`rank_order`].
+pub(crate) fn orders_before(a: (PersonId, f64), b: (PersonId, f64)) -> bool {
+    rank_order(&a, &b).is_lt()
+}
+
+/// The 1-based rank of `subject` within the person-indexed `scores`: one
+/// plus the people ordering before it. O(n), and exactly the position
+/// [`RankedList::from_scores`] would give it.
+pub(crate) fn counted_rank(scores: &[f64], subject: PersonId) -> usize {
+    let key = (subject, scores[subject.index()]);
+    1 + scores
+        .iter()
+        .enumerate()
+        .filter(|&(i, &s)| orders_before((PersonId::from_index(i), s), key))
+        .count()
+}
+
+/// Person-indexed scores as `(person, score)` entries.
+pub(crate) fn person_scores(scores: &[f64]) -> Vec<(PersonId, f64)> {
+    scores
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (PersonId::from_index(i), s))
+        .collect()
+}
+
+/// Runs `f` on this thread's scratch value in `slot`. The value is moved out
+/// for the call, so a re-entrant call finds an empty one of its own instead
+/// of a live borrow.
+pub(crate) fn with_scratch<T: Default, R>(
+    slot: &'static LocalKey<Cell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    slot.with(|cell| {
+        let mut scratch = cell.take();
+        let out = f(&mut scratch);
+        cell.set(scratch);
+        out
+    })
+}
 
 /// A ranked list of people with their scores, sorted by descending score
 /// (ties broken by ascending person id for determinism).
@@ -25,7 +75,7 @@ impl PartialEq for RankedList {
 impl RankedList {
     /// Builds a ranked list from unsorted `(person, score)` pairs.
     pub fn from_scores(mut scores: Vec<(PersonId, f64)>) -> Self {
-        scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        scores.sort_by(rank_order);
         RankedList {
             entries: scores,
             index: OnceLock::new(),
@@ -130,6 +180,10 @@ pub trait ExpertRanker {
     }
 
     /// 1-based rank of `person` for `query` (`R_{p_i}(q, G)` in the paper).
+    ///
+    /// The default sorts a whole [`ExpertRanker::rank_all`]; rankers that can
+    /// score everyone cheaply override it with an O(n) count of the people
+    /// ordering before `person`.
     fn rank_of<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, person: PersonId) -> usize {
         self.rank_all(graph, query)
             .rank_of(person)

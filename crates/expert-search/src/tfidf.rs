@@ -4,8 +4,8 @@ use crate::incremental::{
     affected_cap, corrected_rank, person_indexed_scores, skill_delta_effect, BaselineKind,
     RankerBaseline, TermStats,
 };
-use crate::ranker::{smoothed_idf, ExpertRanker};
-use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query};
+use crate::ranker::{orders_before, smoothed_idf, ExpertRanker};
+use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query, SkillId};
 
 /// Ranks experts by the IDF-weighted overlap between their own skills and the
 /// query, with a mild length normalisation — a faithful stand-in for the
@@ -26,19 +26,41 @@ impl Default for TfIdfRanker {
     }
 }
 
-impl ExpertRanker for TfIdfRanker {
-    fn score<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, person: PersonId) -> f64 {
+impl TfIdfRanker {
+    /// `p`'s score given each query term's IDF over `graph`.
+    fn score_with<G: GraphView + ?Sized>(
+        &self,
+        graph: &G,
+        terms: &[SkillId],
+        idfs: &[f64],
+        p: PersonId,
+    ) -> f64 {
         let mut score = 0.0;
-        for &s in query.skills() {
-            if graph.person_has_skill(person, s) {
-                score += smoothed_idf(graph, s);
+        for (&s, &idf) in terms.iter().zip(idfs) {
+            if graph.person_has_skill(p, s) {
+                score += idf;
             }
         }
-        if score == 0.0 {
-            return 0.0;
+        if score > 0.0 {
+            let len = graph.person_skills(p).len() as f64;
+            score /= (1.0 + len).powf(self.length_norm);
         }
-        let len = graph.person_skills(person).len() as f64;
-        score / (1.0 + len).powf(self.length_norm)
+        score
+    }
+}
+
+/// The IDF of each query term over `graph`, in query order.
+fn query_idfs<G: GraphView + ?Sized>(graph: &G, query: &Query) -> Vec<f64> {
+    query
+        .skills()
+        .iter()
+        .map(|&s| smoothed_idf(graph, s))
+        .collect()
+}
+
+impl ExpertRanker for TfIdfRanker {
+    fn score<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, person: PersonId) -> f64 {
+        self.score_with(graph, query.skills(), &query_idfs(graph, query), person)
     }
 
     fn name(&self) -> &'static str {
@@ -52,28 +74,25 @@ impl ExpertRanker for TfIdfRanker {
     fn rank_all<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> crate::RankedList {
         // Precompute the IDF of each query term once per ranking call instead of
         // once per (person, term) pair.
-        let idfs: Vec<(exes_graph::SkillId, f64)> = query
-            .skills()
-            .iter()
-            .map(|&s| (s, smoothed_idf(graph, s)))
-            .collect();
+        let idfs = query_idfs(graph, query);
         let scores = graph
             .people_ids()
-            .map(|p| {
-                let mut score = 0.0;
-                for &(s, idf) in &idfs {
-                    if graph.person_has_skill(p, s) {
-                        score += idf;
-                    }
-                }
-                if score > 0.0 {
-                    let len = graph.person_skills(p).len() as f64;
-                    score /= (1.0 + len).powf(self.length_norm);
-                }
-                (p, score)
-            })
+            .map(|p| (p, self.score_with(graph, query.skills(), &idfs, p)))
             .collect();
         crate::RankedList::from_scores(scores)
+    }
+
+    /// Counts the people ordering before `person`: O(n), no sort.
+    fn rank_of<G: GraphView + ?Sized>(&self, graph: &G, query: &Query, person: PersonId) -> usize {
+        let idfs = query_idfs(graph, query);
+        let key = (
+            person,
+            self.score_with(graph, query.skills(), &idfs, person),
+        );
+        1 + graph
+            .people_ids()
+            .filter(|&p| orders_before((p, self.score_with(graph, query.skills(), &idfs, p)), key))
+            .count()
     }
 
     fn build_baseline(&self, graph: &CollabGraph, query: &Query) -> Option<RankerBaseline> {
@@ -110,20 +129,7 @@ impl ExpertRanker for TfIdfRanker {
         let changed: Vec<(PersonId, f64)> = effect
             .affected
             .iter()
-            .map(|&p| {
-                // Replicates `rank_all`'s per-person loop bit for bit.
-                let mut score = 0.0;
-                for (&s, &idf) in baseline.query.iter().zip(effect.idfs.iter()) {
-                    if view.person_has_skill(p, s) {
-                        score += idf;
-                    }
-                }
-                if score > 0.0 {
-                    let len = view.person_skills(p).len() as f64;
-                    score /= (1.0 + len).powf(self.length_norm);
-                }
-                (p, score)
-            })
+            .map(|&p| (p, self.score_with(view, &baseline.query, &effect.idfs, p)))
             .collect();
         Some(corrected_rank(baseline, person, &changed))
     }

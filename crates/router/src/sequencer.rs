@@ -368,6 +368,18 @@ impl Sequencer {
         observed_fingerprint: u64,
     ) -> bool {
         let mut inner = self.lock();
+        // The observation was taken before this lock, so a commit may have
+        // landed since. Before believing a position *behind* our acked
+        // record, look again: lowering the record on a stale observation
+        // would replay a commit the worker already applied.
+        let (observed_epoch, observed_fingerprint) = if observed_epoch < inner.acked[worker] {
+            match pool.get(worker).observe() {
+                crate::backend::Observation::Ready(health) => (health.epoch, health.fingerprint),
+                _ => return false,
+            }
+        } else {
+            (observed_epoch, observed_fingerprint)
+        };
         if observed_epoch > inner.committed {
             // Ahead of the sequencer: something committed around the router.
             // Its history cannot be trusted to match the sequenced one.

@@ -291,16 +291,16 @@ fn counterfactual_json(result: &CounterfactualResult, graph: &CollabGraph) -> St
     }
     let _ = write!(
         out,
-        "],\"probes\":{},\"cache_hits\":{},\"cache_misses\":{},\
-         \"incremental_rescores\":{},\"full_rescores\":{},\"completeness\":{},\
-         \"timed_out\":{}}}}}",
+        "],\"completeness\":{},\"timed_out\":{},\"accounting\":{{\"probes\":{},\
+         \"cache_hits\":{},\"cache_misses\":{},\"incremental_rescores\":{},\
+         \"full_rescores\":{}}}}}}}",
+        completeness_json(result.completeness),
+        result.timed_out,
         result.probes,
         result.cache_hits,
         result.cache_misses,
         result.incremental_rescores,
-        result.full_rescores,
-        completeness_json(result.completeness),
-        result.timed_out
+        result.full_rescores
     );
     out
 }
@@ -329,21 +329,29 @@ fn factual_json(explanation: &FactualExplanation, graph: &CollabGraph) -> String
     }
     let _ = write!(
         out,
-        "],\"base_value\":{},\"full_value\":{},\"probes\":{},\"cache_hits\":{},\
-         \"incremental_rescores\":{},\"full_rescores\":{},\"completeness\":{}}}}}",
+        "],\"base_value\":{},\"full_value\":{},\"completeness\":{},\
+         \"accounting\":{{\"probes\":{},\"cache_hits\":{},\"incremental_rescores\":{},\
+         \"full_rescores\":{}}}}}}}",
         json::fmt_f64(explanation.shap_values().base_value()),
         json::fmt_f64(explanation.shap_values().full_value()),
+        completeness_json(explanation.completeness()),
         explanation.probes(),
         explanation.cache_hits(),
         explanation.incremental_rescores(),
-        explanation.full_rescores(),
-        completeness_json(explanation.completeness())
+        explanation.full_rescores()
     );
     out
 }
 
 /// Serialises one explanation as its wire entry: a
 /// `{"counterfactual":{…}}` or `{"factual":{…}}` object.
+///
+/// The explanation's own fields come first; the object ends with an
+/// `"accounting":{…}` object of per-request probe counters (`probes`,
+/// `cache_hits`, `incremental_rescores`, `full_rescores`, and for a
+/// counterfactual `cache_misses`). Those depend on what else shared the
+/// probe cache, not on the explanation, so equal explanations compare equal
+/// once `accounting` is removed.
 pub fn explanation_json(explanation: &Explanation, graph: &CollabGraph) -> String {
     match explanation {
         Explanation::Counterfactual(r) => counterfactual_json(r, graph),
@@ -674,15 +682,17 @@ mod tests {
             text,
             "{\"counterfactual\":{\"explanations\":[{\"kind\":\"skill_removal\",\
              \"size\":1,\"new_signal\":2.5,\"perturbations\":[{\"op\":\"remove_skill\",\
-             \"person\":0,\"skill\":\"db\"}]}],\"probes\":7,\"cache_hits\":1,\
-             \"cache_misses\":6,\"incremental_rescores\":5,\"full_rescores\":2,\
-             \"completeness\":\"exhaustive\",\"timed_out\":false}}"
+             \"person\":0,\"skill\":\"db\"}]}],\"completeness\":\"exhaustive\",\
+             \"timed_out\":false,\"accounting\":{\"probes\":7,\"cache_hits\":1,\
+             \"cache_misses\":6,\"incremental_rescores\":5,\"full_rescores\":2}}}"
         );
         // And it parses back as valid JSON.
         let parsed = json::parse(&text).unwrap();
         assert_eq!(
             parsed
                 .get("counterfactual")
+                .unwrap()
+                .get("accounting")
                 .unwrap()
                 .get("probes")
                 .unwrap()

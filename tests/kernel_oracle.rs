@@ -1,0 +1,396 @@
+//! The ranker kernels against frozen reference implementations.
+//!
+//! `reference_propagation` and `reference_gcn` are the straightforward
+//! per-person formulations of the propagation aggregation and the GCN
+//! forward pass: a freshly sorted and deduped two-hop `Vec` per person, and
+//! one `Vec` per node row. The library's kernels reorganise that work for
+//! speed and must keep every score bitwise identical and every rank equal —
+//! on the full path, and on propagation's planned (baseline-backed) path,
+//! both localized and dense. The incremental differentials elsewhere compare
+//! the library against itself, so they could not catch a kernel change that
+//! moved both sides together; these tests can. TF-IDF's counted `rank_of` is
+//! checked against its own sorted ranking.
+
+mod common;
+
+use common::arbitrary_graph;
+use exes::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+fn smoothed_idf<G: GraphView + ?Sized>(graph: &G, skill: SkillId) -> f64 {
+    let holders = graph
+        .people_ids()
+        .filter(|&p| graph.person_has_skill(p, skill))
+        .count();
+    let n = graph.num_people() as f64;
+    ((n + 1.0) / (holders as f64 + 1.0)).ln() + 1.0
+}
+
+fn mean(iter: impl Iterator<Item = f64>) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for v in iter {
+        sum += v;
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// Person-indexed propagation scores, one person at a time.
+fn reference_propagation<G: GraphView + ?Sized>(
+    ranker: &PropagationRanker,
+    graph: &G,
+    query: &Query,
+) -> Vec<f64> {
+    let idfs: Vec<(SkillId, f64)> = query
+        .skills()
+        .iter()
+        .map(|&s| (s, smoothed_idf(graph, s)))
+        .collect();
+    let base: Vec<f64> = graph
+        .people_ids()
+        .map(|p| {
+            idfs.iter()
+                .filter(|&&(s, _)| graph.person_has_skill(p, s))
+                .map(|&(_, idf)| idf)
+                .sum()
+        })
+        .collect();
+    graph
+        .people_ids()
+        .map(|p| {
+            let ns = graph.neighbors(p);
+            let one_hop = mean(ns.iter().map(|&x| base[x.index()]));
+            let mut two_hop_nodes = Vec::new();
+            for &nb in ns {
+                for &m in graph.neighbors(nb) {
+                    if m != p && !ns.contains(&m) {
+                        two_hop_nodes.push(m);
+                    }
+                }
+            }
+            two_hop_nodes.sort_unstable();
+            two_hop_nodes.dedup();
+            let two_hop = mean(two_hop_nodes.iter().map(|&m| base[m.index()]));
+            base[p.index()] + ranker.alpha * one_hop + ranker.beta * two_hop
+        })
+        .collect()
+}
+
+/// Person-indexed scores of `GcnRanker::default()`, one `Vec` per node row.
+fn reference_gcn<G: GraphView + ?Sized>(graph: &G, query: &Query) -> Vec<f64> {
+    const INPUT_DIM: usize = 4;
+    let hidden = 8;
+    let mut rng = StdRng::seed_from_u64(0x6C1);
+    let a1 = (6.0 / (INPUT_DIM + hidden) as f64).sqrt();
+    let w1: Vec<f64> = (0..INPUT_DIM * hidden)
+        .map(|_| rng.gen_range(-a1..a1).abs())
+        .collect();
+    let a2 = (6.0 / (hidden + 1) as f64).sqrt();
+    let w2: Vec<f64> = (0..hidden).map(|_| rng.gen_range(-a2..a2).abs()).collect();
+
+    let n = graph.num_people();
+    if n == 0 {
+        return Vec::new();
+    }
+    let neighbor_lists: Vec<&[PersonId]> = graph.people_ids().map(|p| graph.neighbors(p)).collect();
+    let propagate = |input: &[Vec<f64>]| -> Vec<Vec<f64>> {
+        let dim = input.first().map(Vec::len).unwrap_or(0);
+        let mut out = vec![vec![0.0; dim]; input.len()];
+        for p in graph.people_ids() {
+            let dp = (neighbor_lists[p.index()].len() + 1) as f64;
+            for j in 0..dim {
+                out[p.index()][j] += input[p.index()][j] / dp;
+            }
+            for &nb in neighbor_lists[p.index()] {
+                let dn = (neighbor_lists[nb.index()].len() + 1) as f64;
+                let norm = (dp * dn).sqrt();
+                for j in 0..dim {
+                    out[p.index()][j] += input[nb.index()][j] / norm;
+                }
+            }
+        }
+        out
+    };
+    let idfs: Vec<(SkillId, f64)> = query
+        .skills()
+        .iter()
+        .map(|&s| (s, smoothed_idf(graph, s)))
+        .collect();
+    let idf_total: f64 = idfs.iter().map(|&(_, v)| v).sum::<f64>().max(1e-9);
+    let qlen = query.len().max(1) as f64;
+    let x: Vec<Vec<f64>> = graph
+        .people_ids()
+        .map(|p| {
+            let matched: Vec<&(SkillId, f64)> = idfs
+                .iter()
+                .filter(|&&(s, _)| graph.person_has_skill(p, s))
+                .collect();
+            let idf_match: f64 = matched.iter().map(|&&(_, v)| v).sum();
+            vec![
+                idf_match / idf_total,
+                matched.len() as f64 / qlen,
+                (1.0 + graph.degree(p) as f64).ln() / 8.0,
+                1.0,
+            ]
+        })
+        .collect();
+    let agg1 = propagate(&x);
+    let h1: Vec<Vec<f64>> = agg1
+        .iter()
+        .map(|row| {
+            (0..hidden)
+                .map(|h| {
+                    let mut v = 0.0;
+                    for (i, &xi) in row.iter().enumerate() {
+                        v += xi * w1[i * hidden + h];
+                    }
+                    v.max(0.0)
+                })
+                .collect()
+        })
+        .collect();
+    let agg2 = propagate(&h1);
+    agg2.iter()
+        .map(|row| row.iter().zip(w2.iter()).map(|(a, w)| a * w).sum())
+        .collect()
+}
+
+fn ranked(scores: &[f64]) -> RankedList {
+    RankedList::from_scores(
+        scores
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (PersonId::from_index(i), s))
+            .collect(),
+    )
+}
+
+/// Asserts `ranker`'s full path bitwise equal to `reference` on `graph`:
+/// `rank_all` scores, `score`, and the `rank_of` of every subject.
+fn check_full_path<R: ExpertRanker, G: GraphView + ?Sized>(
+    ranker: &R,
+    graph: &G,
+    query: &Query,
+    reference: &[f64],
+    subjects: &[PersonId],
+    label: &str,
+) {
+    let list = ranker.rank_all(graph, query);
+    assert_eq!(list, ranked(reference), "{label}: rank_all order");
+    for &(p, s) in list.entries() {
+        assert_eq!(
+            s.to_bits(),
+            reference[p.index()].to_bits(),
+            "{label}: rank_all score of {p}"
+        );
+    }
+    let expected = ranked(reference);
+    for &p in subjects {
+        assert_eq!(
+            ranker.score(graph, query, p).to_bits(),
+            reference[p.index()].to_bits(),
+            "{label}: score of {p}"
+        );
+        assert_eq!(
+            Some(ranker.rank_of(graph, query, p)),
+            expected.rank_of(p),
+            "{label}: rank_of {p}"
+        );
+    }
+}
+
+/// The singleton overlays cold probes are made of, named: the identity, a
+/// query skill removed (its IDF shifts), a non-query skill added, a hub's
+/// edge removed, and a long-range edge added.
+fn overlays(graph: &CollabGraph, query: &Query) -> Vec<(&'static str, PerturbationSet)> {
+    let n = graph.num_people();
+    let term = query.skills()[0];
+    let mut out = vec![("identity", PerturbationSet::new())];
+    if let Some(p) = graph.people().find(|&p| graph.person_has_skill(p, term)) {
+        out.push((
+            "query skill removed",
+            PerturbationSet::singleton(Perturbation::RemoveSkill {
+                person: p,
+                skill: term,
+            }),
+        ));
+    }
+    let absent = graph.people().find_map(|p| {
+        graph
+            .vocab()
+            .ids()
+            .find(|&s| !query.contains(s) && !graph.person_has_skill(p, s))
+            .map(|skill| Perturbation::AddSkill { person: p, skill })
+    });
+    if let Some(add) = absent {
+        out.push(("non-query skill added", PerturbationSet::singleton(add)));
+    }
+    let hub = graph
+        .people()
+        .max_by_key(|&p| (graph.degree(p), std::cmp::Reverse(p)))
+        .expect("graphs have people");
+    if let Some(&other) = graph.neighbors(hub).first() {
+        out.push((
+            "hub edge removed",
+            PerturbationSet::singleton(Perturbation::RemoveEdge { a: hub, b: other }),
+        ));
+    }
+    let far = (0..n).find_map(|i| {
+        let (a, b) = (
+            PersonId::from_index(i),
+            PersonId::from_index((i + n / 2) % n),
+        );
+        (a != b && !graph.has_edge(a, b)).then_some(Perturbation::AddEdge { a, b })
+    });
+    if let Some(add) = far {
+        out.push(("long-range edge added", PerturbationSet::singleton(add)));
+    }
+    out
+}
+
+/// A 400-person `github_sim` graph and a query over its two most widely
+/// held skills, so removing the first one shifts an IDF held across most of
+/// the graph.
+fn github_400() -> (CollabGraph, Query) {
+    let base = DatasetConfig::github_sim();
+    let factor = 400.0 / base.num_people as f64;
+    let graph = SyntheticDataset::generate(&base.scaled(factor).with_seed(7)).graph;
+    let mut skills: Vec<SkillId> = graph.vocab().ids().collect();
+    skills.sort_by_key(|&s| std::cmp::Reverse(graph.holders_of(s).len()));
+    let query = Query::new(skills[..2].iter().copied()).unwrap();
+    (graph, query)
+}
+
+/// Every few people plus the top of the reference ranking: enough subjects
+/// to cover both sides of any top-k cutoff without a rank per person.
+fn subjects(graph: &CollabGraph, reference: &[f64]) -> Vec<PersonId> {
+    let mut subjects: Vec<PersonId> = ranked(reference).top_k(12);
+    subjects.extend(graph.people().step_by(7));
+    subjects
+}
+
+#[test]
+fn full_paths_match_the_frozen_reference() {
+    let mut cases: Vec<(String, CollabGraph, Query)> = (0..24u64)
+        .map(|case| {
+            let (graph, query) = arbitrary_graph(case);
+            (format!("case {case}"), graph, query)
+        })
+        .collect();
+    let (graph, query) = github_400();
+    cases.push(("github_400".to_string(), graph, query));
+    let propagation = PropagationRanker::default();
+    let gcn = GcnRanker::default();
+    let tfidf = TfIdfRanker::default();
+    for (name, graph, query) in &cases {
+        for (overlay, set) in overlays(graph, query) {
+            let view = set.apply_to_graph(graph);
+            let label = format!("{name}, {overlay}");
+            let reference = reference_propagation(&propagation, &view, query);
+            let people = subjects(graph, &reference);
+            check_full_path(
+                &propagation,
+                &view,
+                query,
+                &reference,
+                &people,
+                &format!("propagation, {label}"),
+            );
+            let reference = reference_gcn(&view, query);
+            let forward = gcn.forward(&view, query);
+            assert_eq!(
+                forward.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                "gcn, {label}: forward"
+            );
+            check_full_path(
+                &gcn,
+                &view,
+                query,
+                &reference,
+                &people,
+                &format!("gcn, {label}"),
+            );
+            // TF-IDF's counted rank_of against its own sorted ranking.
+            let mut reference = vec![0.0; graph.num_people()];
+            for &(p, s) in tfidf.rank_all(&view, query).entries() {
+                reference[p.index()] = s;
+            }
+            check_full_path(
+                &tfidf,
+                &view,
+                query,
+                &reference,
+                &people,
+                &format!("tfidf, {label}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn planned_propagation_ranks_match_the_frozen_reference() {
+    let ranker = PropagationRanker::default();
+    let mut cases: Vec<(String, CollabGraph, Query)> = (0..24u64)
+        .map(|case| {
+            let (graph, query) = arbitrary_graph(case);
+            (format!("case {case}"), graph, query)
+        })
+        .collect();
+    let (graph, query) = github_400();
+    cases.push(("github_400".to_string(), graph, query));
+    for (name, graph, query) in &cases {
+        let baseline = ranker.build_baseline(graph, query).expect("plan-capable");
+        let people = subjects(graph, &reference_propagation(&ranker, graph, query));
+        for (overlay, set) in overlays(graph, query) {
+            let view = set.apply_to_graph(graph);
+            let reference = ranked(&reference_propagation(&ranker, &view, query));
+            for &p in &people {
+                if let Some(rank) = ranker.incremental_rank_of(&baseline, &view, query, p) {
+                    assert_eq!(
+                        Some(rank),
+                        reference.rank_of(p),
+                        "{name}, {overlay}: planned rank of {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    // On the github graph, say which planned path each overlay takes, and
+    // that each one answers: the IDF shift moves base relevances all over the
+    // graph (dense); the others move no base relevance, and the rows a
+    // flipped edge changes stay under the cap (localized).
+    let (_, graph, query) = cases.pop().expect("the github case");
+    let n = graph.num_people();
+    let cap = n / 2;
+    let baseline = ranker.build_baseline(&graph, &query).unwrap();
+    for (overlay, set) in overlays(&graph, &query) {
+        let view = set.apply_to_graph(&graph);
+        let holders = graph.holders_of(query.skills()[0]);
+        match overlay {
+            "query skill removed" => assert!(
+                view.expand_frontier(holders, 2, cap).is_none(),
+                "the IDF shift must take the dense path"
+            ),
+            _ => assert!(
+                view.touched_frontier(1, cap).is_some(),
+                "{overlay} must stay local"
+            ),
+        }
+        for p in graph.people().step_by(5) {
+            assert!(
+                ranker
+                    .incremental_rank_of(&baseline, &view, &query, p)
+                    .is_some(),
+                "{overlay}: the planned path must answer for {p}"
+            );
+        }
+    }
+}
