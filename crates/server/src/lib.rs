@@ -15,11 +15,22 @@
 //! | `GET /metrics` | Cumulative serving counters, queue/cache gauges, last batch report |
 //! | `GET /healthz` | Liveness, current epoch, registered model count |
 //!
+//! ## One connection skeleton
+//!
+//! [`serve`] owns everything between the socket and an endpoint: a blocking
+//! acceptor feeding a bounded pending-connection queue, the connection
+//! workers with their keep-alive loop, the route table and its error bytes
+//! (400, 404, 405, 413), the `"http"` counters and the connection drain at
+//! shutdown.
+//! This crate's [`server`] and the `exes-router` front both run it, each
+//! supplying its four endpoint bodies through [`serve::Endpoints`].
+//!
 //! ## The micro-batching scheduler
 //!
-//! Connections never run a search themselves. Parsed requests enter a
-//! **bounded admission queue** ([`queue::AdmissionQueue`]); one batcher
-//! thread drains up to `max_batch` requests — or whatever arrived within
+//! Connections never run a search themselves. Parsed requests enter one of
+//! two **bounded admission queues** ([`queue::AdmissionQueue`]): a fast lane
+//! for cache-warm work and a slow lane for cold. Each lane's batcher thread
+//! drains up to `max_batch` requests — or whatever arrived within
 //! `batch_window` of the first — into a single
 //! [`exes_core::ExesService::try_explain_batch`] call. That is what makes
 //! concurrent duplicate-heavy traffic cheap: requests from *different*
@@ -50,6 +61,7 @@ pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod queue;
+pub mod serve;
 pub mod server;
 pub mod wire;
 

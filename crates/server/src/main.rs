@@ -16,7 +16,6 @@
 //! * `--queue-depth N`  admission-queue capacity in requests (default 1024)
 //! * `--max-batch N`    micro-batch target size (default 64)
 //! * `--batch-window-ms N`  straggler window per micro-batch (default 2)
-//! * `--single-lane`    disable the slow admission lane (all traffic rides one queue)
 //! * `--slow-queue-depth N`  slow-lane capacity in requests (default 256)
 //! * `--slow-max-batch N`    slow-lane micro-batch target size (default 16)
 //! * `--slow-batch-window-ms N`  slow-lane straggler window (default 4)
@@ -52,7 +51,6 @@ struct Args {
     queue_depth: usize,
     max_batch: usize,
     batch_window_ms: u64,
-    dual_lane: bool,
     slow_queue_depth: usize,
     slow_max_batch: usize,
     slow_batch_window_ms: u64,
@@ -71,7 +69,6 @@ fn parse_args() -> Args {
         queue_depth: 1024,
         max_batch: 64,
         batch_window_ms: 2,
-        dual_lane: true,
         slow_queue_depth: 256,
         slow_max_batch: 16,
         slow_batch_window_ms: 4,
@@ -100,7 +97,6 @@ fn parse_args() -> Args {
             "--batch-window-ms" => {
                 args.batch_window_ms = value("ms").parse().expect("--batch-window-ms: not ms")
             }
-            "--single-lane" => args.dual_lane = false,
             "--slow-queue-depth" => {
                 args.slow_queue_depth = value("count")
                     .parse()
@@ -219,7 +215,6 @@ fn main() {
         queue_depth: args.queue_depth,
         max_batch: args.max_batch,
         batch_window: Duration::from_millis(args.batch_window_ms),
-        dual_lane: args.dual_lane,
         slow_queue_depth: args.slow_queue_depth,
         slow_max_batch: args.slow_max_batch,
         slow_batch_window: Duration::from_millis(args.slow_batch_window_ms),

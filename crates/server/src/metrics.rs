@@ -8,6 +8,7 @@
 //! ([`LatencyHistogram`]) recorded by connection workers around the
 //! enqueue-to-answer span of each admitted job.
 
+use crate::serve::HttpMetrics;
 use crate::wire;
 use exes_core::ServiceReport;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,8 +158,8 @@ pub struct MetricsGauges {
     pub models: usize,
     /// Fast-lane occupancy.
     pub fast: LaneGauges,
-    /// Slow-lane occupancy; `None` when the server runs single-lane.
-    pub slow: Option<LaneGauges>,
+    /// Slow-lane occupancy.
+    pub slow: LaneGauges,
     /// Probe-cache entries.
     pub cache_entries: usize,
     /// Lifetime probe-cache hits.
@@ -178,14 +179,6 @@ pub struct MetricsGauges {
 /// Cumulative counters for one server's lifetime.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// TCP connections accepted.
-    pub connections: AtomicU64,
-    /// Connections dropped because the pending-connection queue was full.
-    pub connections_rejected: AtomicU64,
-    /// HTTP requests parsed successfully (any endpoint).
-    pub http_requests: AtomicU64,
-    /// Bodies or request framing rejected as malformed (HTTP 400/413).
-    pub parse_errors: AtomicU64,
     /// Well-formed `POST /explain` bodies received — including bodies later
     /// shed with 503 (subtract `shed_requests` for admitted work).
     pub explain_batches: AtomicU64,
@@ -225,7 +218,7 @@ pub struct ServerMetrics {
     pub commit_failures: AtomicU64,
     /// Fast-lane counters.
     pub fast_lane: LaneMetrics,
-    /// Slow-lane counters (all-zero while the server runs single-lane).
+    /// Slow-lane counters.
     pub slow_lane: LaneMetrics,
     /// The most recent micro-batch's report.
     last_report: Mutex<Option<ServiceReport>>,
@@ -266,33 +259,26 @@ impl ServerMetrics {
         *self.last_report.lock().expect("metrics lock poisoned")
     }
 
-    /// Renders the `/metrics` payload. The caller supplies the live-state
-    /// gauges (epoch, model count, lane occupancy, cache totals) it can see.
+    /// Renders the `/metrics` payload. The caller supplies the connection
+    /// counters (the `"http"` group) and the live-state gauges (epoch, model
+    /// count, lane occupancy, cache totals) it can see.
     ///
-    /// The aggregate `"queue"` section sums both lanes (capacity and depth),
-    /// preserving the shape single-lane dashboards already scrape; the
-    /// `"lanes"` section carries the per-lane split, with `"slow"` rendered
-    /// `null` on a single-lane server.
-    pub fn to_json(&self, gauges: &MetricsGauges) -> String {
+    /// The aggregate `"queue"` section sums both lanes (capacity and depth);
+    /// the `"lanes"` section carries the per-lane split.
+    pub fn to_json(&self, http: &HttpMetrics, gauges: &MetricsGauges) -> String {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let last = match self.last_report() {
             Some(report) => wire::report_json(&report),
             None => "null".to_string(),
         };
-        let queue_capacity = gauges.fast.capacity + gauges.slow.map_or(0, |lane| lane.capacity);
-        let queue_depth = gauges.fast.depth + gauges.slow.map_or(0, |lane| lane.depth);
-        let slow = match gauges.slow {
-            Some(lane) => self.slow_lane.json(&lane),
-            None => "null".to_string(),
-        };
+        let queue_capacity = gauges.fast.capacity + gauges.slow.capacity;
+        let queue_depth = gauges.fast.depth + gauges.slow.depth;
         let durability = match &gauges.durability {
             Some(d) => d.json(),
             None => "null".to_string(),
         };
         format!(
-            "{{\"epoch\":{},\"models\":{},\
-             \"http\":{{\"connections\":{},\"connections_rejected\":{},\
-             \"requests\":{},\"parse_errors\":{}}},\
+            "{{\"epoch\":{},\"models\":{},\"http\":{},\
              \"explain\":{{\"batches\":{},\"requests\":{},\"request_errors\":{},\
              \"shed_requests\":{},\"micro_batches\":{},\"probes\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"duplicate_requests\":{},\
@@ -308,10 +294,7 @@ impl ServerMetrics {
              \"last_report\":{last}}}",
             gauges.epoch,
             gauges.models,
-            get(&self.connections),
-            get(&self.connections_rejected),
-            get(&self.http_requests),
-            get(&self.parse_errors),
+            http.json(),
             get(&self.explain_batches),
             get(&self.explain_requests),
             get(&self.request_errors),
@@ -327,7 +310,7 @@ impl ServerMetrics {
             get(&self.commits),
             get(&self.commit_failures),
             self.fast_lane.json(&gauges.fast),
-            slow,
+            self.slow_lane.json(&gauges.slow),
             gauges.plan_hits,
             gauges.plan_misses,
             gauges.cache_entries,
@@ -351,10 +334,10 @@ mod tests {
                 capacity: 256,
                 depth: 0,
             },
-            slow: Some(LaneGauges {
+            slow: LaneGauges {
                 capacity: 64,
                 depth: 3,
-            }),
+            },
             cache_entries: 42,
             cache_hits: 7,
             cache_misses: 5,
@@ -402,7 +385,7 @@ mod tests {
         assert_eq!(metrics.budgeted_results.load(Ordering::Relaxed), 4);
         assert_eq!(metrics.last_report(), Some(report));
 
-        let text = metrics.to_json(&gauges());
+        let text = metrics.to_json(&HttpMetrics::default(), &gauges());
         let parsed = json::parse(&text).expect("metrics must be valid JSON");
         assert_eq!(parsed.get("epoch").unwrap().as_u64(), Some(2));
         let explain = parsed.get("explain").unwrap();
@@ -440,31 +423,18 @@ mod tests {
             Some(report),
             "last_report must roundtrip as a ServiceReport"
         );
-        // Before any batch, last_report renders as null, a single-lane
-        // server renders a null slow lane, and a memory-only server renders
-        // a null durability group.
-        let fresh = ServerMetrics::new().to_json(&MetricsGauges {
-            slow: None,
-            durability: None,
-            ..gauges()
-        });
+        // Before any batch, last_report renders as null, and a memory-only
+        // server renders a null durability group.
+        let fresh = ServerMetrics::new().to_json(
+            &HttpMetrics::default(),
+            &MetricsGauges {
+                durability: None,
+                ..gauges()
+            },
+        );
         let fresh = json::parse(&fresh).unwrap();
         assert_eq!(fresh.get("last_report"), Some(&json::Json::Null));
-        assert_eq!(
-            fresh.get("lanes").unwrap().get("slow"),
-            Some(&json::Json::Null)
-        );
         assert_eq!(fresh.get("durability"), Some(&json::Json::Null));
-        assert_eq!(
-            fresh
-                .get("queue")
-                .unwrap()
-                .get("capacity")
-                .unwrap()
-                .as_u64(),
-            Some(256),
-            "single-lane aggregate capacity is the fast lane alone"
-        );
     }
 
     #[test]

@@ -1,48 +1,44 @@
-//! The serving loop: accept, route, micro-batch, respond, shut down cleanly.
+//! The worker tier's serving loop: admit, micro-batch, respond, shut down
+//! cleanly.
 //!
-//! Thread anatomy (all plain `std::thread` — the build is offline, so there
-//! is no async runtime; CPU parallelism comes from the `exes-parallel` pool
-//! *inside* `ExesService::try_explain_batch`, which shards each micro-batch's
-//! unique requests across cores):
+//! Connections are served by the skeleton in [`crate::serve`]; this module
+//! supplies its four endpoint bodies and the engine side behind them. CPU
+//! parallelism comes from the `exes-parallel` pool *inside*
+//! `ExesService::try_explain_batch`, which shards each micro-batch's unique
+//! requests across cores.
 //!
-//! * **acceptor** — non-blocking `accept` loop feeding a *bounded*
-//!   connection queue (beyond `max_pending_connections`, new sockets are
-//!   dropped rather than buffered);
-//! * **workers** (`ServerConfig::workers`) — pop connections, speak
-//!   HTTP/1.1 keep-alive, parse bodies with the wire codec, enqueue
-//!   [`Job`]s, and write responses. Workers run no searches themselves, but
-//!   a worker does block on its own job's outcome (synchronous HTTP), so the
-//!   pool saturates at `workers` concurrent explain requests — size it above
-//!   the expected in-flight count if `/healthz` and `/metrics` must stay
-//!   responsive under full explanation load;
-//! * **batchers** (one per admission lane) — drain their lane in
-//!   micro-batches and run one `try_explain_batch` call per batch (see
-//!   [`crate::queue`]). With `ServerConfig::dual_lane` (the default) there
-//!   are two lanes: requests are routed at admission by the service's
-//!   pre-probe cost estimate — jobs whose requests the warm probe cache can
-//!   mostly answer ride the **fast** lane, jobs containing any cold request
-//!   ride the **slow** lane — so one expensive cold search never
-//!   head-of-line-blocks a burst of cache-warm lookups.
+//! Connection workers run no searches themselves, but a worker does block on
+//! its own job's outcome (synchronous HTTP), so the pool saturates at
+//! `ServerConfig::workers` concurrent explain requests — size it above the
+//! expected in-flight count if `/healthz` and `/metrics` must stay responsive
+//! under full explanation load.
+//!
+//! Two **batchers**, one per admission lane, drain their lane in
+//! micro-batches and run one `try_explain_batch` call per batch (see
+//! [`crate::queue`]). Requests are routed at admission by the service's
+//! pre-probe cost estimate — jobs whose requests the warm probe cache can
+//! mostly answer ride the **fast** lane, jobs containing any cold request
+//! ride the **slow** lane — so one expensive cold search never
+//! head-of-line-blocks a burst of cache-warm lookups.
 //!
 //! Shutdown ([`ServerHandle::shutdown`]) is graceful by construction: the
-//! admission queue closes first and the batcher answers everything already
-//! admitted before it exits, then idle keep-alive readers are unblocked by
-//! shutting down the read half of their sockets, and every thread is joined.
+//! lanes close first and each batcher answers everything already admitted
+//! before it exits, then the connections drain and every thread is joined.
 
-use crate::http::{self, HttpError, HttpRequest};
-use crate::json;
-use crate::metrics::{DurabilityGauges, LaneGauges, MetricsGauges, ServerMetrics};
+use crate::http::HttpRequest;
+use crate::metrics::{DurabilityGauges, LaneGauges, LaneMetrics, MetricsGauges, ServerMetrics};
 use crate::queue::{AdmissionQueue, Job, Lane, PushError};
+use crate::serve::{self, Connections, Endpoints, HttpMetrics, Limits, Response};
 use crate::wire::{self, WireError};
 use exes_core::{ExesService, ServiceReport};
 use exes_durability::{CacheLoad, DurabilityError, DurableStore};
 use exes_linkpred::LinkPredictor;
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -55,8 +51,7 @@ pub struct ServerConfig {
     /// Connection-handling worker threads.
     pub workers: usize,
     /// Fast-lane admission-queue capacity, in requests; beyond it, warm
-    /// `POST /explain` traffic sheds with 503 + `Retry-After`. (With
-    /// `dual_lane` off this is the only queue.)
+    /// `POST /explain` traffic sheds with 503 + `Retry-After`.
     pub queue_depth: usize,
     /// Most connections allowed to wait for a worker; beyond it the acceptor
     /// drops new sockets instead of buffering them without bound.
@@ -77,16 +72,6 @@ pub struct ServerConfig {
     /// client; once this budget elapses the request is answered 400 and the
     /// connection dropped.
     pub request_budget: Duration,
-    /// Keep the service's probe cache warm across micro-batches. `true` in
-    /// production; `false` reproduces the naive one-shot serving stack
-    /// (every batch starts cold) for benchmarking.
-    pub persistent_cache: bool,
-    /// Route admission by pre-probe cost estimate: jobs containing any
-    /// cold-estimated request queue in a separate slow lane with its own
-    /// batcher thread, so cold searches never head-of-line-block cache-warm
-    /// traffic. `false` reproduces the single-queue server (for A/B
-    /// benchmarking and for deployments that prefer one FIFO).
-    pub dual_lane: bool,
     /// Slow-lane admission capacity, in requests. Deliberately smaller than
     /// the fast lane: queueing many cold searches just converts memory into
     /// latency, and a shed cold request retries against a warmer cache.
@@ -113,8 +98,6 @@ impl Default for ServerConfig {
             max_body_bytes: 1 << 20,
             read_timeout: Duration::from_secs(10),
             request_budget: Duration::from_secs(30),
-            persistent_cache: true,
-            dual_lane: true,
             slow_queue_depth: 256,
             slow_max_batch: 16,
             slow_batch_window: Duration::from_millis(4),
@@ -122,74 +105,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// A bounded queue of accepted connections awaiting a worker.
-///
-/// The bound matters: admission control on *requests* only keeps memory
-/// bounded if the layer in front of it — accepted sockets — is bounded too.
-/// Beyond `capacity` pending connections, [`ConnQueue::push`] refuses and
-/// the acceptor drops the socket (the peer sees a closed connection and can
-/// retry), so a connection flood cannot grow the deque or exhaust file
-/// descriptors.
-struct ConnQueue {
-    state: Mutex<(VecDeque<TcpStream>, bool)>,
-    arrived: Condvar,
-    capacity: usize,
-}
-
-impl ConnQueue {
-    fn new(capacity: usize) -> Self {
-        ConnQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            arrived: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// True when the connection was enqueued; false sheds it (queue full or
-    /// shutting down — the caller drops the stream, closing the socket).
-    fn push(&self, stream: TcpStream) -> bool {
-        let mut state = self.state.lock().expect("conn queue poisoned");
-        if state.1 || state.0.len() >= self.capacity {
-            return false;
-        }
-        state.0.push_back(stream);
-        drop(state);
-        self.arrived.notify_one();
-        true
-    }
-
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.state.lock().expect("conn queue poisoned");
-        loop {
-            // Shutdown wins over remaining entries: connections never picked
-            // up by a worker are dropped wholesale (their sockets close), so
-            // no worker starts serving *after* the shutdown sequence already
-            // swept the active-connection list.
-            if state.1 {
-                state.0.clear();
-                return None;
-            }
-            if let Some(stream) = state.0.pop_front() {
-                return Some(stream);
-            }
-            state = self.arrived.wait(state).expect("conn queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("conn queue poisoned").1 = true;
-        self.arrived.notify_all();
-    }
-}
-
 struct Inner<L> {
     service: ExesService<L>,
     config: ServerConfig,
-    /// Warm/incremental traffic. With `dual_lane` off, all traffic.
+    /// Warm/incremental traffic.
     fast_queue: AdmissionQueue,
-    /// Cold traffic; absent on a single-lane server.
-    slow_queue: Option<AdmissionQueue>,
-    conns: ConnQueue,
+    /// Cold traffic.
+    slow_queue: AdmissionQueue,
     metrics: ServerMetrics,
     /// The durable store wrapping `service`'s graph store, when started via
     /// [`start_durable`]. Commits route through it so every epoch is WAL'd
@@ -199,11 +121,16 @@ struct Inner<L> {
     /// `/healthz` answers 503 `{"status":"recovering"}` meanwhile, so load
     /// balancers hold traffic until WAL replay and cache import complete.
     ready: AtomicBool,
-    shutting_down: AtomicBool,
-    /// Read halves of live connections, shut down to unblock idle keep-alive
-    /// readers at shutdown time.
-    active: Mutex<Vec<(u64, TcpStream)>>,
-    next_conn_id: AtomicU64,
+}
+
+impl<L> Inner<L> {
+    /// A lane's admission queue and counters.
+    fn lane(&self, lane: Lane) -> (&AdmissionQueue, &LaneMetrics) {
+        match lane {
+            Lane::Fast => (&self.fast_queue, &self.metrics.fast_lane),
+            Lane::Slow => (&self.slow_queue, &self.metrics.slow_lane),
+        }
+    }
 }
 
 /// A running server. Dropping the handle without calling
@@ -211,17 +138,15 @@ struct Inner<L> {
 /// process's life (what the `exes-server` binary wants); tests and benches
 /// call `shutdown` to drain and join.
 pub struct ServerHandle<L> {
-    addr: SocketAddr,
     inner: Arc<Inner<L>>,
-    acceptor: Option<JoinHandle<()>>,
+    connections: Connections,
     batchers: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl<L> ServerHandle<L> {
     /// The bound address (resolves `:0` to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.connections.addr()
     }
 
     /// True once `/healthz` answers 200: immediately for a memory-only
@@ -254,33 +179,25 @@ impl<L> ServerHandle<L> {
     /// the warm probe cache, so the next boot on the same data directory
     /// recovers instantly and answers its first repeat batch without a
     /// single black-box probe.
-    pub fn shutdown(mut self)
+    pub fn shutdown(self)
     where
         L: LinkPredictor + Clone + Sync,
     {
-        let inner = &self.inner;
-        inner.shutting_down.store(true, Ordering::SeqCst);
+        let ServerHandle {
+            inner,
+            connections,
+            batchers,
+        } = self;
+        connections.begin_shutdown();
         // 1. No new explanation work: each batcher drains its lane and exits.
         inner.fast_queue.close();
-        if let Some(slow) = &inner.slow_queue {
-            slow.close();
-        }
-        for batcher in self.batchers.drain(..) {
+        inner.slow_queue.close();
+        for batcher in batchers {
             let _ = batcher.join();
         }
-        // 2. No new connections: close the pending queue first (unserved
-        // sockets are dropped, and no worker starts a connection after the
-        // sweep below), then unblock idle keep-alive readers.
-        inner.conns.close();
-        for (_, stream) in inner.active.lock().expect("active list poisoned").iter() {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        // 2. No new connections: unserved sockets are dropped, idle
+        // keep-alive readers unblocked, every connection thread joined.
+        connections.shutdown();
         // 3. Drain-time durability flush. This runs with every batcher and
         // worker already joined, so the snapshot covers every commit the
         // server ever answered and the cache export holds every probe the
@@ -348,81 +265,37 @@ where
     L: LinkPredictor + Clone + Send + Sync + 'static,
 {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let queue_depth = config.queue_depth;
-    let slow_queue = config
-        .dual_lane
-        .then(|| AdmissionQueue::new(config.slow_queue_depth));
-    let config_pending = config.max_pending_connections;
-    let workers = config.workers.max(1);
+    let limits = Limits {
+        workers: config.workers,
+        max_pending_connections: config.max_pending_connections,
+        max_body_bytes: config.max_body_bytes,
+        read_timeout: config.read_timeout,
+        request_budget: config.request_budget,
+    };
     let inner = Arc::new(Inner {
         service,
+        fast_queue: AdmissionQueue::new(config.queue_depth),
+        slow_queue: AdmissionQueue::new(config.slow_queue_depth),
         config,
-        fast_queue: AdmissionQueue::new(queue_depth),
-        slow_queue,
-        conns: ConnQueue::new(config_pending),
         metrics: ServerMetrics::new(),
         // A durable server starts recovering; start() servers have nothing
         // to recover and are born ready.
         ready: AtomicBool::new(durability.is_none()),
         durability,
-        shutting_down: AtomicBool::new(false),
-        active: Mutex::new(Vec::new()),
-        next_conn_id: AtomicU64::new(0),
     });
-
-    let acceptor = {
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || accept_loop(&inner, listener))
-    };
-    let mut batchers = vec![{
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || batch_loop(&inner, Lane::Fast))
-    }];
-    if inner.slow_queue.is_some() {
-        let inner = Arc::clone(&inner);
-        batchers.push(std::thread::spawn(move || batch_loop(&inner, Lane::Slow)));
-    }
-    let workers = (0..workers)
-        .map(|_| {
+    let connections = serve::start(listener, Arc::clone(&inner), limits)?;
+    let batchers = [Lane::Fast, Lane::Slow]
+        .into_iter()
+        .map(|lane| {
             let inner = Arc::clone(&inner);
-            std::thread::spawn(move || worker_loop(&inner))
+            std::thread::spawn(move || batch_loop(&inner, lane))
         })
         .collect();
-
     Ok(ServerHandle {
-        addr,
         inner,
-        acceptor: Some(acceptor),
+        connections,
         batchers,
-        workers,
     })
-}
-
-fn accept_loop<L>(inner: &Inner<L>, listener: TcpListener) {
-    while !inner.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if inner.conns.push(stream) {
-                    inner.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                } else if !inner.shutting_down.load(Ordering::SeqCst) {
-                    // Bounded pending-connection queue: shed by dropping the
-                    // socket (closes it); the peer can reconnect and retry.
-                    // Drops racing a shutdown are not overflow and stay out
-                    // of the gauge.
-                    inner
-                        .metrics
-                        .connections_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
 }
 
 /// The micro-batching engine loop for one lane: one `try_explain_batch` per
@@ -440,13 +313,7 @@ fn batch_loop<L>(inner: &Inner<L>, lane: Lane)
 where
     L: LinkPredictor + Clone + Sync,
 {
-    let queue = match lane {
-        Lane::Fast => &inner.fast_queue,
-        Lane::Slow => inner
-            .slow_queue
-            .as_ref()
-            .expect("slow batcher only runs on dual-lane servers"),
-    };
+    let (queue, _) = inner.lane(lane);
     let (max_batch, batch_window) = lane_drain_params(&inner.config, lane);
     while let Some(jobs) = queue.next_batch(max_batch, batch_window) {
         let merged: Vec<_> = jobs
@@ -468,9 +335,6 @@ where
             }
         };
         inner.metrics.record_batch(&report);
-        if !inner.config.persistent_cache {
-            inner.service.probe_cache().clear();
-        }
         let mut results = VecDeque::from(results);
         for job in jobs {
             let slice: Vec<_> = results.drain(..job.requests.len()).collect();
@@ -500,404 +364,234 @@ fn retry_after_secs(depth: usize, max_batch: usize, batch_window: Duration) -> u
     secs.clamp(1, 30)
 }
 
-fn worker_loop<L>(inner: &Inner<L>)
+impl<L> Endpoints for Inner<L>
 where
-    L: LinkPredictor + Clone + Sync,
+    L: LinkPredictor + Clone + Send + Sync + 'static,
 {
-    while let Some(stream) = inner.conns.pop() {
-        let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        // A connection that cannot be registered must not be served: the
-        // shutdown sweep could never unblock its idle reads. try_clone only
-        // fails under FD pressure, where shedding is the right call anyway.
-        match stream.try_clone() {
-            Ok(read_half) => inner
-                .active
-                .lock()
-                .expect("active list poisoned")
-                .push((conn_id, read_half)),
-            Err(_) => continue,
+    fn healthz(&self) -> Response {
+        if !self.ready.load(Ordering::SeqCst) {
+            return (
+                503,
+                Vec::new(),
+                "{\"status\":\"recovering\",\"ready\":false}".to_string(),
+            );
         }
-        // Register *before* checking the flag: either this check sees the
-        // shutdown and drops the connection, or the shutdown's sweep of
-        // `active` (which runs after the flag is set) sees the registration
-        // and unblocks the read — no window where an idle connection can
-        // stall shutdown for a full read_timeout.
-        if !inner.shutting_down.load(Ordering::SeqCst) {
-            let _ = serve_connection(inner, stream);
-        }
-        inner
-            .active
-            .lock()
-            .expect("active list poisoned")
-            .retain(|(id, _)| *id != conn_id);
+        // Epoch and fingerprint must come from the *same* snapshot: a commit
+        // racing this probe must not make a healthy replica look divergent.
+        let snapshot = self.service.snapshot();
+        let body = wire::healthz_json(&wire::WorkerHealth {
+            ready: true,
+            epoch: snapshot.epoch(),
+            fingerprint: snapshot.graph().fingerprint(),
+            models: self.service.registry().len(),
+        });
+        (200, Vec::new(), body)
     }
-}
 
-/// Speaks HTTP/1.1 keep-alive on one connection until EOF, error, or
-/// shutdown.
-fn serve_connection<L>(inner: &Inner<L>, mut stream: TcpStream) -> io::Result<()>
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(inner.config.read_timeout))
-        .ok();
-    // The write timeout is what bounds a write-side slowloris (a client that
-    // sends requests but never reads responses): each blocked write errors
-    // within the timeout, freeing the worker — and bounding shutdown, since
-    // Shutdown::Read cannot unblock a thread parked in send.
-    stream
-        .set_write_timeout(Some(inner.config.read_timeout))
-        .ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    loop {
-        let request = match http::read_request(
-            &mut reader,
-            inner.config.max_body_bytes,
-            inner.config.request_budget,
-        ) {
-            Ok(request) => request,
-            Err(HttpError::Eof) | Err(HttpError::IdleTimeout) => return Ok(()),
-            Err(HttpError::Io(_)) => return Ok(()),
-            Err(HttpError::Malformed(message)) => {
-                inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let body = WireError::new("bad_request", message).to_json();
-                return http::write_response(&mut stream, 400, &[], &body, true);
-            }
-            Err(HttpError::BodyTooLarge { limit }) => {
-                inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let body = WireError::new(
-                    "body_too_large",
-                    format!("request body exceeds the {limit}-byte limit"),
-                )
-                .to_json();
-                return http::write_response(&mut stream, 413, &[], &body, true);
-            }
-        };
-        inner.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-        let close = request.wants_close() || inner.shutting_down.load(Ordering::SeqCst);
-        let (status, extra_headers, body) = route(inner, &request);
-        http::write_response(&mut stream, status, &extra_headers, &body, close)?;
-        if close {
-            return Ok(());
-        }
-    }
-}
-
-type Response = (u16, Vec<(&'static str, String)>, String);
-
-fn route<L>(inner: &Inner<L>, request: &HttpRequest) -> Response
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    // Route on the path alone: load balancers and probes routinely append
-    // query strings (`/healthz?verbose=1`), which no endpoint here consumes.
-    let path = request
-        .target
-        .split_once('?')
-        .map_or(request.target.as_str(), |(path, _)| path);
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => healthz(inner),
-        ("GET", "/metrics") => metrics(inner),
-        ("POST", "/explain") => explain(inner, request),
-        ("POST", "/commit") => commit(inner, request),
-        (_, "/healthz" | "/metrics") => method_not_allowed("GET"),
-        (_, "/explain" | "/commit") => method_not_allowed("POST"),
-        _ => (
-            404,
-            Vec::new(),
-            WireError::new("not_found", format!("no route for {}", request.target)).to_json(),
-        ),
-    }
-}
-
-fn method_not_allowed(allow: &'static str) -> Response {
-    (
-        405,
-        vec![("Allow", allow.to_string())],
-        WireError::new("method_not_allowed", format!("use {allow}")).to_json(),
-    )
-}
-
-fn healthz<L>(inner: &Inner<L>) -> Response
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    if !inner.ready.load(Ordering::SeqCst) {
-        return (
-            503,
-            Vec::new(),
-            "{\"status\":\"recovering\",\"ready\":false}".to_string(),
-        );
-    }
-    // Epoch and fingerprint must come from the *same* snapshot: a commit
-    // racing this probe must not make a healthy replica look divergent.
-    let snapshot = inner.service.snapshot();
-    let body = wire::healthz_json(&wire::WorkerHealth {
-        ready: true,
-        epoch: snapshot.epoch(),
-        fingerprint: snapshot.graph().fingerprint(),
-        models: inner.service.registry().len(),
-    });
-    (200, Vec::new(), body)
-}
-
-fn metrics<L>(inner: &Inner<L>) -> Response
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    let cache = inner.service.probe_cache();
-    let body = inner.metrics.to_json(&MetricsGauges {
-        epoch: inner.service.store().epoch(),
-        models: inner.service.registry().len(),
-        fast: LaneGauges {
-            capacity: inner.fast_queue.capacity(),
-            depth: inner.fast_queue.depth(),
-        },
-        slow: inner.slow_queue.as_ref().map(|queue| LaneGauges {
+    fn metrics(&self, http: &HttpMetrics) -> Response {
+        let cache = self.service.probe_cache();
+        let gauges_of = |queue: &AdmissionQueue| LaneGauges {
             capacity: queue.capacity(),
             depth: queue.depth(),
-        }),
-        cache_entries: cache.len(),
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        cache_evictions: cache.evicted(),
-        plan_hits: cache.plan_hits(),
-        plan_misses: cache.plan_misses(),
-        durability: inner.durability.as_ref().map(|durable| {
-            let stats = durable.stats();
-            DurabilityGauges {
-                wal_appends: stats.wal_appends,
-                wal_bytes: stats.wal_bytes,
-                snapshots_written: stats.snapshots_written,
-                last_recovery_ms: stats.last_recovery_ms,
-                recovered_epoch: stats.recovered_epoch,
-            }
-        }),
-    });
-    (200, Vec::new(), body)
-}
-
-fn parse_body(request: &HttpRequest) -> Result<json::Json, WireError> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| WireError::new("bad_request", "body is not UTF-8"))?;
-    json::parse(text).map_err(|e| WireError::new("bad_request", e.to_string()))
-}
-
-fn explain<L>(inner: &Inner<L>, request: &HttpRequest) -> Response
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    let snapshot = inner.service.snapshot();
-    let parsed = parse_body(request).and_then(|body| {
-        wire::parse_explain_requests(&body, snapshot.graph().vocab(), |name| {
-            inner.service.model_id(name)
-        })
-    });
-    let entries = match parsed {
-        Ok(entries) => entries,
-        Err(error) => {
-            inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return (400, Vec::new(), error.to_json());
-        }
-    };
-    inner
-        .metrics
-        .explain_batches
-        .fetch_add(1, Ordering::Relaxed);
-    inner
-        .metrics
-        .explain_requests
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-
-    let valid: Vec<_> = entries
-        .iter()
-        .filter_map(|entry| entry.as_ref().ok().cloned())
-        .collect();
-
-    let (answers, report, answered) = if valid.is_empty() {
-        // Nothing to compute: every entry failed wire-level validation, and
-        // the shared assembly below renders the error slots against the
-        // parse-time snapshot with an empty batch report.
-        let report = ServiceReport {
-            epoch: snapshot.epoch(),
-            ..Default::default()
         };
-        (Vec::new(), report, snapshot.clone())
-    } else {
-        let valid_len = valid.len();
-        // Route by pre-admission cost estimate. Estimation never probes the
-        // black box — it only interrogates the probe cache and plan memo —
-        // so this is cheap per request. A job containing any cold request
-        // rides the slow lane: its micro-batch will pay a cold search, and
-        // fast-lane traffic must not queue behind it. Requests whose
-        // estimate errors (unknown model, out-of-range subject) stay fast —
-        // the engine answers those without probing anything.
-        let lane = match &inner.slow_queue {
-            Some(_) => {
-                let any_cold = valid.iter().any(|request| {
-                    matches!(
-                        inner.service.estimate_on(&snapshot, request),
-                        Ok(estimate) if estimate.is_cold()
-                    )
-                });
-                if any_cold {
-                    Lane::Slow
-                } else {
-                    Lane::Fast
+        let gauges = MetricsGauges {
+            epoch: self.service.store().epoch(),
+            models: self.service.registry().len(),
+            fast: gauges_of(&self.fast_queue),
+            slow: gauges_of(&self.slow_queue),
+            cache_entries: cache.len(),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_evictions: cache.evicted(),
+            plan_hits: cache.plan_hits(),
+            plan_misses: cache.plan_misses(),
+            durability: self.durability.as_ref().map(|durable| {
+                let stats = durable.stats();
+                DurabilityGauges {
+                    wal_appends: stats.wal_appends,
+                    wal_bytes: stats.wal_bytes,
+                    snapshots_written: stats.snapshots_written,
+                    last_recovery_ms: stats.last_recovery_ms,
+                    recovered_epoch: stats.recovered_epoch,
+                }
+            }),
+        };
+        (200, Vec::new(), self.metrics.to_json(http, &gauges))
+    }
+
+    fn explain(&self, request: &HttpRequest) -> Result<Response, WireError> {
+        let snapshot = self.service.snapshot();
+        let (_, body) = serve::json_body(request)?;
+        let entries = wire::parse_explain_requests(&body, snapshot.graph().vocab(), |name| {
+            self.service.model_id(name)
+        })?;
+        self.metrics.explain_batches.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .explain_requests
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
+
+        let valid: Vec<_> = entries
+            .iter()
+            .filter_map(|entry| entry.as_ref().ok().cloned())
+            .collect();
+
+        let (answers, report, answered) = if valid.is_empty() {
+            // Nothing to compute: every entry failed wire-level validation,
+            // and the shared assembly below renders the error slots against
+            // the parse-time snapshot with an empty batch report.
+            let report = ServiceReport {
+                epoch: snapshot.epoch(),
+                ..Default::default()
+            };
+            (Vec::new(), report, snapshot.clone())
+        } else {
+            let valid_len = valid.len();
+            // Route by pre-admission cost estimate. Estimation never probes
+            // the black box — it only interrogates the probe cache and plan
+            // memo — so this is cheap per request. A job containing any cold
+            // request rides the slow lane: its micro-batch will pay a cold
+            // search, and fast-lane traffic must not queue behind it.
+            // Requests whose estimate errors (unknown model, out-of-range
+            // subject) stay fast — the engine answers those without probing
+            // anything.
+            let any_cold = valid.iter().any(|request| {
+                matches!(
+                    self.service.estimate_on(&snapshot, request),
+                    Ok(estimate) if estimate.is_cold()
+                )
+            });
+            let lane = if any_cold { Lane::Slow } else { Lane::Fast };
+            let (queue, lane_metrics) = self.lane(lane);
+            let (respond, outcome) = mpsc::channel();
+            let job = Job {
+                requests: valid,
+                respond,
+            };
+            let enqueued_at = std::time::Instant::now();
+            match queue.push(job) {
+                Err(PushError::Full) => {
+                    self.metrics
+                        .shed_requests
+                        .fetch_add(valid_len as u64, Ordering::Relaxed);
+                    lane_metrics
+                        .shed_requests
+                        .fetch_add(valid_len as u64, Ordering::Relaxed);
+                    let (max_batch, window) = lane_drain_params(&self.config, lane);
+                    let retry = retry_after_secs(queue.depth(), max_batch, window);
+                    return Ok((
+                        503,
+                        vec![("Retry-After", retry.to_string())],
+                        WireError::new(
+                            "overloaded",
+                            format!(
+                                "{} admission lane is full (capacity {} requests); \
+                                 retry in ~{retry}s",
+                                lane.tag(),
+                                queue.capacity()
+                            ),
+                        )
+                        .to_json(),
+                    ));
+                }
+                Err(PushError::Closed) => {
+                    return Ok((
+                        503,
+                        vec![("Retry-After", "1".to_string())],
+                        WireError::new("shutting_down", "server is draining; retry elsewhere")
+                            .to_json(),
+                    ));
+                }
+                Ok(()) => {
+                    lane_metrics
+                        .admitted_requests
+                        .fetch_add(valid_len as u64, Ordering::Relaxed);
                 }
             }
-            None => Lane::Fast,
-        };
-        let queue = match lane {
-            Lane::Fast => &inner.fast_queue,
-            Lane::Slow => inner
-                .slow_queue
-                .as_ref()
-                .expect("slow lane routed only when present"),
-        };
-        let lane_metrics = match lane {
-            Lane::Fast => &inner.metrics.fast_lane,
-            Lane::Slow => &inner.metrics.slow_lane,
-        };
-        let (respond, outcome) = mpsc::channel();
-        let job = Job {
-            requests: valid,
-            respond,
-        };
-        let enqueued_at = std::time::Instant::now();
-        match queue.push(job) {
-            Err(PushError::Full) => {
-                inner
-                    .metrics
-                    .shed_requests
-                    .fetch_add(valid_len as u64, Ordering::Relaxed);
-                lane_metrics
-                    .shed_requests
-                    .fetch_add(valid_len as u64, Ordering::Relaxed);
-                let (max_batch, window) = lane_drain_params(&inner.config, lane);
-                let retry = retry_after_secs(queue.depth(), max_batch, window);
-                return (
-                    503,
-                    vec![("Retry-After", retry.to_string())],
-                    WireError::new(
-                        "overloaded",
-                        format!(
-                            "{} admission lane is full (capacity {} requests); \
-                             retry in ~{retry}s",
-                            lane.tag(),
-                            queue.capacity()
-                        ),
-                    )
-                    .to_json(),
-                );
+            match outcome.recv() {
+                Ok(outcome) => {
+                    lane_metrics.latency.record(enqueued_at.elapsed());
+                    outcome
+                }
+                // The batcher dropped this job's sender without answering:
+                // the engine panicked on the micro-batch (or the server is
+                // tearing down). The worker survives and the connection gets
+                // a clean 500.
+                Err(_) => {
+                    return Ok((
+                        500,
+                        Vec::new(),
+                        WireError::new("internal", "the engine failed while answering this batch")
+                            .to_json(),
+                    ))
+                }
             }
-            Err(PushError::Closed) => {
-                return (
-                    503,
-                    vec![("Retry-After", "1".to_string())],
-                    WireError::new("shutting_down", "server is draining; retry elsewhere")
-                        .to_json(),
-                );
-            }
-            Ok(()) => {
-                lane_metrics
-                    .admitted_requests
-                    .fetch_add(valid_len as u64, Ordering::Relaxed);
+        };
+
+        // Re-interleave engine answers with wire-level error slots, in
+        // request order, rendering names through exactly the epoch the batch
+        // was answered against — commits racing the batch must not change
+        // the bytes.
+        let graph = answered.graph();
+        let mut answers = answers.into_iter();
+        let mut results = Vec::with_capacity(entries.len());
+        let mut request_errors = 0u64;
+        for entry in &entries {
+            match entry {
+                Ok(_) => {
+                    let answer = answers.next().expect("one answer per valid request");
+                    if answer.is_err() {
+                        request_errors += 1;
+                    }
+                    results.push(wire::result_entry_json(&answer, graph));
+                }
+                Err(error) => {
+                    request_errors += 1;
+                    results.push(error.to_json());
+                }
             }
         }
-        match outcome.recv() {
-            Ok(outcome) => {
-                lane_metrics.latency.record(enqueued_at.elapsed());
-                outcome
-            }
-            // The batcher dropped this job's sender without answering: the
-            // engine panicked on the micro-batch (or the server is tearing
-            // down). The worker survives and the connection gets a clean 500.
-            Err(_) => {
-                return (
-                    500,
+        self.metrics
+            .request_errors
+            .fetch_add(request_errors, Ordering::Relaxed);
+        let body =
+            wire::explain_response_json(report.epoch, &format!("[{}]", results.join(",")), &report);
+        Ok((200, Vec::new(), body))
+    }
+
+    fn commit(&self, request: &HttpRequest) -> Result<Response, WireError> {
+        let (_, body) = serve::json_body(request)?;
+        let batch = wire::parse_update_batch(&body)?;
+        // On a durable server the batch must hit the WAL (fsynced) before its
+        // epoch publishes, so commits route through the durable store. A
+        // batch the graph rejects stays a client error (409); an I/O failure
+        // while persisting is the server's fault (500) — the epoch was not
+        // published.
+        let committed = match &self.durability {
+            Some(durable) => durable.commit(&batch).map_err(|error| match error {
+                DurabilityError::Graph(e) => {
+                    (409, WireError::new("commit_rejected", e.to_string()))
+                }
+                other => (500, WireError::new("durability", other.to_string())),
+            }),
+            None => self
+                .service
+                .commit(&batch)
+                .map_err(|error| (409, WireError::new("commit_rejected", error.to_string()))),
+        };
+        Ok(match committed {
+            Ok(snapshot) => {
+                self.metrics.commits.fetch_add(1, Ordering::Relaxed);
+                (
+                    200,
                     Vec::new(),
-                    WireError::new("internal", "the engine failed while answering this batch")
-                        .to_json(),
+                    wire::commit_response_json(snapshot.epoch(), snapshot.graph()),
                 )
             }
-        }
-    };
-
-    // Re-interleave engine answers with wire-level error slots, in request
-    // order, rendering names through exactly the epoch the batch was
-    // answered against — commits racing the batch must not change the bytes.
-    let graph = answered.graph();
-    let mut answers = answers.into_iter();
-    let mut results = Vec::with_capacity(entries.len());
-    let mut request_errors = 0u64;
-    for entry in &entries {
-        match entry {
-            Ok(_) => {
-                let answer = answers.next().expect("one answer per valid request");
-                if answer.is_err() {
-                    request_errors += 1;
-                }
-                results.push(wire::result_entry_json(&answer, graph));
+            Err((status, error)) => {
+                self.metrics.commit_failures.fetch_add(1, Ordering::Relaxed);
+                (status, Vec::new(), error.to_json())
             }
-            Err(error) => {
-                request_errors += 1;
-                results.push(error.to_json());
-            }
-        }
-    }
-    inner
-        .metrics
-        .request_errors
-        .fetch_add(request_errors, Ordering::Relaxed);
-    let body =
-        wire::explain_response_json(report.epoch, &format!("[{}]", results.join(",")), &report);
-    (200, Vec::new(), body)
-}
-
-fn commit<L>(inner: &Inner<L>, request: &HttpRequest) -> Response
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    let batch = match parse_body(request).and_then(|body| wire::parse_update_batch(&body)) {
-        Ok(batch) => batch,
-        Err(error) => {
-            inner.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return (400, Vec::new(), error.to_json());
-        }
-    };
-    // On a durable server the batch must hit the WAL (fsynced) before its
-    // epoch publishes, so commits route through the durable store. A batch
-    // the graph rejects stays a client error (409); an I/O failure while
-    // persisting is the server's fault (500) — the epoch was not published.
-    let committed = match &inner.durability {
-        Some(durable) => durable.commit(&batch).map_err(|error| match error {
-            DurabilityError::Graph(e) => (409, WireError::new("commit_rejected", e.to_string())),
-            other => (500, WireError::new("durability", other.to_string())),
-        }),
-        None => inner
-            .service
-            .commit(&batch)
-            .map_err(|error| (409, WireError::new("commit_rejected", error.to_string()))),
-    };
-    match committed {
-        Ok(snapshot) => {
-            inner.metrics.commits.fetch_add(1, Ordering::Relaxed);
-            (
-                200,
-                Vec::new(),
-                wire::commit_response_json(snapshot.epoch(), snapshot.graph()),
-            )
-        }
-        Err((status, error)) => {
-            inner
-                .metrics
-                .commit_failures
-                .fetch_add(1, Ordering::Relaxed);
-            (status, Vec::new(), error.to_json())
-        }
+        })
     }
 }
 

@@ -108,6 +108,16 @@ fn skill_name(vocab: &SkillVocab, skill: exes_graph::SkillId) -> String {
     json::escape(vocab.name(skill).unwrap_or("<unknown>"))
 }
 
+/// The entries of a `POST /explain` body. A body that is not
+/// `{"requests":[…]}` fails whole — with the same bytes at the router, which
+/// splits bodies on this check.
+pub fn explain_entries(body: &Json) -> Result<&[Json], WireError> {
+    body.get("requests")
+        .ok_or_else(|| WireError::new("bad_request", "body must be {\"requests\": [...]}"))?
+        .as_array()
+        .ok_or_else(|| WireError::new("bad_request", "\"requests\" must be an array"))
+}
+
 /// Parses the body of a `POST /explain`: `{"requests":[{…}, …]}`.
 ///
 /// Structural problems (not an object, `requests` missing or not an array,
@@ -121,11 +131,7 @@ pub fn parse_explain_requests(
     vocab: &SkillVocab,
     resolve_model: impl Fn(&str) -> Option<ModelId>,
 ) -> Result<Vec<Result<ExplanationRequest, WireError>>, WireError> {
-    let requests = body
-        .get("requests")
-        .ok_or_else(|| WireError::new("bad_request", "body must be {\"requests\": [...]}"))?
-        .as_array()
-        .ok_or_else(|| WireError::new("bad_request", "\"requests\" must be an array"))?;
+    let requests = explain_entries(body)?;
     let mut shared_queries: HashMap<Vec<u32>, Arc<Query>> = HashMap::new();
     let mut out = Vec::with_capacity(requests.len());
     for entry in requests {

@@ -535,17 +535,18 @@ fn malformed_wire_input_never_kills_a_worker() {
 #[test]
 fn overload_sheds_with_503_and_the_queue_stays_bounded() {
     let f = fixture();
-    // A deliberately tiny, slow server: one request per micro-batch, a
-    // 2-request admission queue. Single-lane, so every request contends on
-    // that one tiny queue regardless of its cost estimate.
+    // A deliberately tiny, slow server: one request per micro-batch, and
+    // one request of admission queue in each lane, two in all.
     let handle = start(
         &f,
         ServerConfig {
             workers: 8,
-            queue_depth: 2,
+            queue_depth: 1,
             max_batch: 1,
             batch_window: Duration::ZERO,
-            dual_lane: false,
+            slow_queue_depth: 1,
+            slow_max_batch: 1,
+            slow_batch_window: Duration::ZERO,
             ..Default::default()
         },
     );
@@ -610,7 +611,9 @@ fn overload_shed_response_carries_retry_after() {
             queue_depth: 1,
             max_batch: 1,
             batch_window: Duration::ZERO,
-            dual_lane: false,
+            slow_queue_depth: 1,
+            slow_max_batch: 1,
+            slow_batch_window: Duration::ZERO,
             ..Default::default()
         },
     );
@@ -644,8 +647,8 @@ fn overload_shed_response_carries_retry_after() {
 #[test]
 fn dual_lanes_route_cold_then_warm_and_report_per_lane_metrics() {
     let f = fixture();
-    // `dual_lane` defaults to true: a cold batch rides the slow lane, a
-    // cache-warm repeat rides the fast lane.
+    // A cold batch rides the slow lane, a cache-warm repeat rides the fast
+    // lane.
     let handle = start(&f, quick_config());
     let addr = handle.addr();
     let mut client = HttpClient::connect(addr).unwrap();
