@@ -15,7 +15,7 @@
 
 use exes_bench::timing::timed;
 use exes_core::counterfactual::{beam::beam_search, CounterfactualKind};
-use exes_core::service::{ExesService, ExplanationKind, ExplanationRequest};
+use exes_core::service::{ExesService, ExplanationRequest};
 use exes_core::{Exes, ExesConfig, ExpertRelevanceTask, ModelSpec, ProbeCache};
 use exes_datasets::{DatasetConfig, QueryWorkload, SyntheticDataset};
 use exes_embedding::{EmbeddingConfig, SkillEmbedding};
@@ -149,7 +149,8 @@ fn measure(scale: &'static str, people: usize) -> Row {
     let mut traffic = requests.clone();
     traffic.extend(requests.clone());
 
-    let ((responses, report), service_time) = timed(|| service.explain_batch(&traffic));
+    let ((responses, report), service_time) =
+        timed(|| service.explain(&service.snapshot(), &traffic));
     assert_eq!(responses.len(), traffic.len());
 
     let mut solo_exes = exes.clone();
@@ -158,13 +159,9 @@ fn measure(scale: &'static str, people: usize) -> Row {
         let mut probes = 0usize;
         for request in &traffic {
             let task = ExpertRelevanceTask::new(&ranker, request.subject, cfg.k);
-            let result = match request.kind {
-                ExplanationKind::CounterfactualQuery => {
-                    solo_exes.counterfactual_query(&task, &ds.graph, &request.query)
-                }
-                _ => solo_exes.counterfactual_skills(&task, &ds.graph, &request.query),
-            };
-            probes += result.probes;
+            probes += solo_exes
+                .explain(request.kind, &task, &ds.graph, &request.query)
+                .probes();
         }
         probes
     });

@@ -67,11 +67,7 @@ fn tmp_dir(scale: &str) -> PathBuf {
 
 /// The service every scenario answers with: same model, registered the same
 /// way, so probe-cache contexts agree across restarts.
-fn service_over(
-    exes: &Exes<CommonNeighbors>,
-    store: Arc<exes_graph::GraphStore>,
-    k: usize,
-) -> ExesService<CommonNeighbors> {
+fn service_over(exes: &Exes, store: Arc<exes_graph::GraphStore>, k: usize) -> ExesService {
     let mut service = ExesService::new(exes, store);
     service
         .register("gcn", ModelSpec::expert_ranker(GcnRanker::default(), k))
@@ -103,7 +99,7 @@ fn measure(scale: &'static str, people: usize) -> Row {
     // The repeat workload every restart answers first.
     let workload = QueryWorkload::answerable(&ds.graph, QUERIES, 3, 5, 3, 0x77);
     let ranker = GcnRanker::default();
-    let model_requests = |service: &ExesService<CommonNeighbors>| -> Vec<ExplanationRequest> {
+    let model_requests = |service: &ExesService| -> Vec<ExplanationRequest> {
         let model = service.model_id("gcn").expect("registered above");
         let mut requests = Vec::new();
         for query in workload.queries() {
@@ -157,7 +153,7 @@ fn measure(scale: &'static str, people: usize) -> Row {
     assert_eq!(report.replayed_records, COMMITS as u64);
     let service = service_over(&exes, Arc::clone(durable.store()), cfg.k);
     let requests = model_requests(&service);
-    let ((_, cold), cold_time) = timed(|| service.explain_batch(&requests));
+    let ((_, cold), cold_time) = timed(|| service.explain(&service.snapshot(), &requests));
     assert!(cold.probes > 0, "a cold restart pays real probes");
     scenarios.push(Scenario {
         name: "wal_replay",
@@ -172,7 +168,7 @@ fn measure(scale: &'static str, people: usize) -> Row {
     // Graceful drain: compact the WAL into a snapshot and export the cache
     // the cold pass above just warmed.
     durable.snapshot_now().expect("drain-time snapshot");
-    let (_, warm) = service.explain_batch(&requests);
+    let (_, warm) = service.explain(&service.snapshot(), &requests);
     assert_eq!(warm.probes, 0, "the warmed cache replays without probes");
     let exported = durable
         .save_cache(service.probe_cache())
@@ -188,7 +184,7 @@ fn measure(scale: &'static str, people: usize) -> Row {
     assert!(report.had_snapshot);
     assert_eq!(report.replayed_records, 0);
     let service = service_over(&exes, Arc::clone(durable.store()), cfg.k);
-    let ((_, cold), cold_time) = timed(|| service.explain_batch(&requests));
+    let ((_, cold), cold_time) = timed(|| service.explain(&service.snapshot(), &requests));
     assert!(
         cold.probes > 0,
         "without the cache the restart is still cold"
@@ -220,7 +216,7 @@ fn measure(scale: &'static str, people: usize) -> Row {
     });
     let (durable, service, cache_entries) = loaded;
     let report = durable.recovery();
-    let ((_, first), first_time) = timed(|| service.explain_batch(&requests));
+    let ((_, first), first_time) = timed(|| service.explain(&service.snapshot(), &requests));
     assert_eq!(
         first.probes, 0,
         "the acceptance bar: a warm restart answers its first repeat batch \

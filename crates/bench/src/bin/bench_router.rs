@@ -59,7 +59,7 @@ const KINDS: [&str; 6] = [
 
 struct Workload {
     ds: SyntheticDataset,
-    exes: Exes<CommonNeighbors>,
+    exes: Exes,
     /// Single-request wire bodies over a hot set of (query, subject) pairs —
     /// the subject-skewed interactive pattern whose working set is the unit
     /// of cache pressure.

@@ -44,7 +44,7 @@ const KINDS: [&str; 6] = [
 
 struct Workload {
     ds: SyntheticDataset,
-    exes: Exes<CommonNeighbors>,
+    exes: Exes,
     /// One-request wire bodies, duplicate-heavy and deterministically
     /// interleaved.
     bodies: Vec<Arc<String>>,
@@ -110,7 +110,7 @@ fn workload(people: usize, queries: usize, subjects: usize) -> Workload {
     }
 }
 
-fn service(w: &Workload) -> ExesService<CommonNeighbors> {
+fn service(w: &Workload) -> ExesService {
     let mut service = ExesService::from_graph(&w.exes, w.ds.graph.clone());
     service
         .register(

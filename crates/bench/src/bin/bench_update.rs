@@ -151,13 +151,16 @@ fn measure(scale: &'static str, people: usize) -> Row {
         }
     }
 
-    let ((cold_responses, cold), cold_time) = timed(|| service.explain_batch(&requests));
-    let ((warm_responses, warm), warm_time) = timed(|| service.explain_batch(&requests));
+    let ((cold_responses, cold), cold_time) =
+        timed(|| service.explain(&service.snapshot(), &requests));
+    let ((warm_responses, warm), warm_time) =
+        timed(|| service.explain(&service.snapshot(), &requests));
     assert_eq!(
         warm.probes, 0,
         "an unchanged epoch must replay entirely from cache"
     );
     for (a, b) in cold_responses.iter().zip(&warm_responses) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(
             a.expect_counterfactual().explanations,
             b.expect_counterfactual().explanations,
@@ -170,12 +173,13 @@ fn measure(scale: &'static str, people: usize) -> Row {
     let stream = UpdateStream::generate(&ds.graph, &UpdateStreamConfig::churn(1, 8, 0xA17E));
     let snap = service.commit(&stream.batches()[0]).expect("commit churn");
     assert_eq!(snap.epoch(), 1);
-    let ((_, post), post_time) = timed(|| service.explain_batch(&requests));
+    let ((_, post), post_time) = timed(|| service.explain(&service.snapshot(), &requests));
     assert!(
         post.probes > 0,
         "a committed update must invalidate the warm cache"
     );
-    let ((_, post_warm), post_warm_time) = timed(|| service.explain_batch(&requests));
+    let ((_, post_warm), post_warm_time) =
+        timed(|| service.explain(&service.snapshot(), &requests));
     assert_eq!(post_warm.probes, 0);
 
     Row {

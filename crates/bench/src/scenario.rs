@@ -163,7 +163,7 @@ pub struct Scenario {
     /// The team-formation black box.
     pub former: GreedyCoverTeamFormer<GcnRanker>,
     /// The ExES explainer (embedding + link predictor + config).
-    pub exes: Exes<EmbeddingLinkPredictor>,
+    pub exes: Exes,
     /// Harness configuration this scenario was built from.
     pub harness: HarnessConfig,
 }

@@ -9,6 +9,56 @@ use exes_graph::{
     CollabGraph, GraphView, Neighborhood, PersonId, Perturbation, PerturbationSet, Query, SkillId,
 };
 use exes_linkpred::LinkPredictor;
+use std::fmt;
+
+mod sealed {
+    /// Seals [`super::ErasedLinkPredictor`]: its only implementation is the
+    /// blanket one over [`exes_linkpred::LinkPredictor`].
+    pub trait Sealed {}
+    impl<L: exes_linkpred::LinkPredictor + Send + Sync> Sealed for L {}
+}
+
+/// The object-safe erasure of [`LinkPredictor`], the model `L` behind Pruning
+/// Strategy 5. [`crate::Exes`] holds one behind an `Arc`, so neither the
+/// explainer nor anything serving it carries a link-predictor type
+/// parameter. Sealed and blanket-implemented for every thread-safe
+/// [`LinkPredictor`], exactly as [`crate::tasks::ErasedDecisionModel`]
+/// erases decision models.
+pub trait ErasedLinkPredictor: sealed::Sealed + Send + Sync {
+    /// [`LinkPredictor::top_candidates`] on the base graph.
+    fn top_candidates(
+        &self,
+        graph: &CollabGraph,
+        center: PersonId,
+        candidates: &[PersonId],
+        t: usize,
+    ) -> Vec<(PersonId, f64)>;
+
+    /// [`LinkPredictor::name`].
+    fn name(&self) -> &'static str;
+}
+
+impl<L: LinkPredictor + Send + Sync> ErasedLinkPredictor for L {
+    fn top_candidates(
+        &self,
+        graph: &CollabGraph,
+        center: PersonId,
+        candidates: &[PersonId],
+        t: usize,
+    ) -> Vec<(PersonId, f64)> {
+        LinkPredictor::top_candidates(self, graph, center, candidates, t)
+    }
+
+    fn name(&self) -> &'static str {
+        LinkPredictor::name(self)
+    }
+}
+
+impl fmt::Debug for dyn ErasedLinkPredictor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Skill-removal candidates for a currently selected subject (Section 3.3.1):
 /// for every person in the subject's radius-`d` neighbourhood, the up-to-`t` of
@@ -172,10 +222,10 @@ pub fn link_removal_candidates<D: ErasedDecisionModel + ?Sized>(
 /// neighbourhood of the subject who are not yet collaborators, ranked by the
 /// link-prediction model `L`; the top `t` become `AddEdge(subject, ·)`
 /// candidates.
-pub fn link_addition_candidates<L: LinkPredictor>(
+pub fn link_addition_candidates(
     graph: &CollabGraph,
     subject: PersonId,
-    link_predictor: &L,
+    link_predictor: &dyn ErasedLinkPredictor,
     cfg: &ExesConfig,
 ) -> Vec<Perturbation> {
     // Use a radius one larger than the skill radius so that "friends of friends"

@@ -66,14 +66,7 @@ pub fn exhaustive_search<D: ErasedDecisionModel + ?Sized>(
         }
         scored
     };
-    if initial_hit {
-        result.cache_hits += 1;
-    } else {
-        result.probes += 1;
-        if cache.is_some() {
-            result.cache_misses += 1;
-        }
-    }
+    result.count_reference(initial_hit, cache.is_some());
     let initial_relevance = initial.positive;
 
     // Scores a buffered chunk in enumeration order; returns false when the
@@ -95,11 +88,7 @@ pub fn exhaustive_search<D: ErasedDecisionModel + ?Sized>(
         }
         let (probes, stats, answered) = engine.score_counted_budgeted(chunk, budget.remaining());
         budget.charge(stats.probed);
-        result.probes += stats.probed;
-        result.cache_hits += stats.cache_hits;
-        result.cache_misses += stats.cache_misses;
-        result.incremental_rescores += stats.incremental_rescores;
-        result.full_rescores += stats.full_rescores;
+        result.count(&stats);
         let truncated = answered < chunk.len();
         for (set, probe) in chunk.drain(..).zip(probes) {
             if probe.positive != initial_relevance

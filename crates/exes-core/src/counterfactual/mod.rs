@@ -5,6 +5,7 @@ pub mod beam;
 pub mod candidates;
 pub mod exhaustive;
 
+use crate::probe::BatchStats;
 pub use crate::probe::{Completeness, ProbeBudget};
 use exes_graph::{CollabGraph, PerturbationSet};
 
@@ -121,6 +122,27 @@ impl CounterfactualResult {
     /// or the memo cache.
     pub fn probe_requests(&self) -> usize {
         self.probes + self.cache_hits
+    }
+
+    /// Adds a probe batch's accounting to this result's counters.
+    pub(crate) fn count(&mut self, stats: &BatchStats) {
+        self.probes += stats.probed;
+        self.cache_hits += stats.cache_hits;
+        self.cache_misses += stats.cache_misses;
+        self.incremental_rescores += stats.incremental_rescores;
+        self.full_rescores += stats.full_rescores;
+    }
+
+    /// Counts one reference-decision probe: free when the cache answered it
+    /// (`hit`), otherwise one black-box probe and, when a cache is attached
+    /// (`cached`), one miss.
+    pub(crate) fn count_reference(&mut self, hit: bool, cached: bool) {
+        if hit {
+            self.cache_hits += 1;
+        } else {
+            self.probes += 1;
+            self.cache_misses += usize::from(cached);
+        }
     }
 
     /// Sorts explanations by size, then by the strength of their effect.

@@ -1,9 +1,11 @@
-//! The `Exes` facade: one entry point per explanation type, pruned and exhaustive.
+//! The `Exes` facade: one method per explanation family, pruned and
+//! exhaustive, and [`Exes::explain`], the one dispatch from an
+//! [`ExplanationKind`] to its family.
 
 use crate::config::ExesConfig;
 use crate::counterfactual::{
     beam::beam_search,
-    candidates,
+    candidates::{self, ErasedLinkPredictor},
     exhaustive::{
         all_link_additions, all_link_removals, all_query_augmentations, all_skill_removals,
         exhaustive_search, skill_additions_all_people, skill_additions_all_skills,
@@ -13,10 +15,11 @@ use crate::counterfactual::{
 use crate::factual::{
     explain_collaborations, explain_query_terms, explain_skills, FactualExplanation,
 };
-use crate::probe::{BatchStats, BudgetTracker, Completeness, ProbeBatch, ProbeBudget, ProbeCache};
-use crate::tasks::{ErasedDecisionModel, Probe};
+use crate::probe::{BatchStats, Completeness, ProbeBatch, ProbeBudget, ProbeCache};
+use crate::service::{Explanation, ExplanationKind};
+use crate::tasks::ErasedDecisionModel;
 use exes_embedding::SkillEmbedding;
-use exes_graph::{CollabGraph, Query};
+use exes_graph::{CollabGraph, Perturbation, Query};
 use exes_linkpred::LinkPredictor;
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,30 +33,58 @@ pub enum SkillAdditionBaseline {
     AllSkills,
 }
 
+/// A counterfactual search over a candidate list: [`beam_search`] or
+/// [`exhaustive_search`].
+type Search<D> = fn(
+    &D,
+    &CollabGraph,
+    &Query,
+    &[Perturbation],
+    CounterfactualKind,
+    &ExesConfig,
+    Option<Instant>,
+    Option<&ProbeCache>,
+) -> CounterfactualResult;
+
+/// A search's candidate perturbations and their kind, plus the probes spent
+/// scoring them and whether the probe budget cut that scoring short (only
+/// link removals score their candidates).
+type Candidates = (Vec<Perturbation>, CounterfactualKind, BatchStats, bool);
+
+/// Candidates that cost no probes to generate.
+fn unscored(perturbations: Vec<Perturbation>, kind: CounterfactualKind) -> Candidates {
+    (perturbations, kind, BatchStats::default(), false)
+}
+
 /// The ExES explainer: bundles the configuration with the two auxiliary models
 /// the pruning strategies need — the skill embedding `W` (Pruning Strategy 4)
-/// and the link predictor `L` (Pruning Strategy 5) — plus an optional probe
-/// memo cache shared by every explanation computed through this instance.
+/// and the link predictor `L` (Pruning Strategy 5), held as an
+/// [`ErasedLinkPredictor`] — plus an optional probe memo cache shared by
+/// every explanation computed through this instance.
 ///
 /// Every method is generic over `D: ErasedDecisionModel + ?Sized` (every
 /// [`crate::tasks::DecisionModel`] qualifies, and so does the boxed
 /// `dyn ErasedDecisionModel` the model registry stores), so the same explainer
 /// instance serves expert-search relevance and team-membership questions.
 #[derive(Debug, Clone)]
-pub struct Exes<L> {
+pub struct Exes {
     config: ExesConfig,
     embedding: SkillEmbedding,
-    link_predictor: L,
+    link_predictor: Arc<dyn ErasedLinkPredictor>,
     probe_cache: Option<Arc<ProbeCache>>,
 }
 
-impl<L: LinkPredictor> Exes<L> {
+impl Exes {
     /// Assembles an explainer.
-    pub fn new(config: ExesConfig, embedding: SkillEmbedding, link_predictor: L) -> Self {
+    pub fn new<L: LinkPredictor + Send + Sync + 'static>(
+        config: ExesConfig,
+        embedding: SkillEmbedding,
+        link_predictor: L,
+    ) -> Self {
         Exes {
             config,
             embedding,
-            link_predictor,
+            link_predictor: Arc::new(link_predictor),
             probe_cache: None,
         }
     }
@@ -68,15 +99,10 @@ impl<L: LinkPredictor> Exes<L> {
     /// ([`crate::tasks::DecisionModel::model_fingerprint`]: ranker name +
     /// parameters + `k` + a team former's seed), so one cache is sound to
     /// share across many model configurations — [`crate::service::ExesService`]
-    /// serves its whole model registry from a single persistent cache.
+    /// attaches its single persistent cache here and serves its whole model
+    /// registry from it.
     pub fn with_probe_cache(mut self, cache: Arc<ProbeCache>) -> Self {
         self.probe_cache = Some(cache);
-        self
-    }
-
-    /// Detaches the stored probe cache.
-    pub fn without_probe_cache(mut self) -> Self {
-        self.probe_cache = None;
         self
     }
 
@@ -104,58 +130,35 @@ impl<L: LinkPredictor> Exes<L> {
         self.config.timeout.map(|t| Instant::now() + t)
     }
 
-    /// A copy of the configuration whose probe budget is what the
-    /// request-level `budget` has left, so the downstream search spends only
-    /// the request's remainder. With [`ProbeBudget::UNBOUNDED`] this is a
-    /// plain clone and the search path is byte-identical to the pre-budget
-    /// code.
-    fn remaining_config(&self, budget: &BudgetTracker) -> ExesConfig {
-        let remaining = match budget.remaining() {
-            Some(r) => ProbeBudget::bounded(r),
-            None => ProbeBudget::UNBOUNDED,
-        };
-        self.config.clone().with_probe_budget(remaining)
-    }
-
-    /// Rewrites a search-local [`Completeness`] marker into request-level
-    /// accounting: `spent` becomes the request's *total* black-box probes —
-    /// the initial decision probe and any candidate scoring included — against
-    /// the configured budget. `pre_search_truncated` marks requests whose
-    /// candidate scoring (not the search itself) ran out of budget.
-    fn finish_accounting(&self, result: &mut CounterfactualResult, pre_search_truncated: bool) {
-        if let Some(limit) = self.config.probe_budget.limit() {
-            if pre_search_truncated || result.completeness.is_budgeted() {
-                result.completeness = Completeness::Budgeted {
-                    spent: result.probes,
-                    budget: limit,
-                };
-            }
-        }
-    }
-
-    /// The initial (unperturbed) decision, routed through the cache when one
-    /// is attached so a warm cache answers it for free. Returns the probe and
-    /// whether it was a cache hit.
-    fn initial_probe<D: ErasedDecisionModel + ?Sized>(
+    /// Answers a `kind` explanation: the one dispatch from an
+    /// [`ExplanationKind`] to its family method, with the factual families
+    /// pruned. [`crate::service::ExesService`] answers every request through
+    /// it.
+    pub fn explain<D: ErasedDecisionModel + ?Sized>(
         &self,
+        kind: ExplanationKind,
         task: &D,
         graph: &CollabGraph,
         query: &Query,
-        cache: Option<&ProbeCache>,
-    ) -> (Probe, bool) {
-        ProbeBatch::new(task, graph, query, self.config.parallel_probes)
-            .with_cache_opt(cache)
-            .score_identity_counted()
-    }
-
-    /// Folds the initial probe into a finished search result's accounting.
-    fn account_initial(result: &mut CounterfactualResult, hit: bool, cached: bool) {
-        if hit {
-            result.cache_hits += 1;
-        } else {
-            result.probes += 1;
-            if cached {
-                result.cache_misses += 1;
+    ) -> Explanation {
+        match kind {
+            ExplanationKind::CounterfactualSkills => {
+                Explanation::Counterfactual(self.counterfactual_skills(task, graph, query))
+            }
+            ExplanationKind::CounterfactualQuery => {
+                Explanation::Counterfactual(self.counterfactual_query(task, graph, query))
+            }
+            ExplanationKind::CounterfactualLinks => {
+                Explanation::Counterfactual(self.counterfactual_links(task, graph, query))
+            }
+            ExplanationKind::FactualSkills => {
+                Explanation::Factual(self.factual_skills(task, graph, query, true))
+            }
+            ExplanationKind::FactualQueryTerms => {
+                Explanation::Factual(self.factual_query_terms(task, graph, query))
+            }
+            ExplanationKind::FactualCollaborations => {
+                Explanation::Factual(self.factual_collaborations(task, graph, query, true))
             }
         }
     }
@@ -172,22 +175,7 @@ impl<L: LinkPredictor> Exes<L> {
         query: &Query,
         pruned: bool,
     ) -> FactualExplanation {
-        self.factual_skills_with(task, graph, query, pruned, self.probe_cache())
-    }
-
-    /// [`Exes::factual_skills`] with an explicit probe cache, overriding any
-    /// cache stored on the explainer. [`crate::service::ExesService`] routes
-    /// factual requests through this so SHAP coalitions share the service's
-    /// persistent cache.
-    pub fn factual_skills_with<D: ErasedDecisionModel + ?Sized>(
-        &self,
-        task: &D,
-        graph: &CollabGraph,
-        query: &Query,
-        pruned: bool,
-        cache: Option<&ProbeCache>,
-    ) -> FactualExplanation {
-        explain_skills(task, graph, query, &self.config, pruned, cache)
+        explain_skills(task, graph, query, &self.config, pruned, self.probe_cache())
     }
 
     /// Query-term factual explanation (no pruning applies).
@@ -197,18 +185,7 @@ impl<L: LinkPredictor> Exes<L> {
         graph: &CollabGraph,
         query: &Query,
     ) -> FactualExplanation {
-        self.factual_query_terms_with(task, graph, query, self.probe_cache())
-    }
-
-    /// [`Exes::factual_query_terms`] with an explicit probe cache.
-    pub fn factual_query_terms_with<D: ErasedDecisionModel + ?Sized>(
-        &self,
-        task: &D,
-        graph: &CollabGraph,
-        query: &Query,
-        cache: Option<&ProbeCache>,
-    ) -> FactualExplanation {
-        explain_query_terms(task, graph, query, &self.config, cache)
+        explain_query_terms(task, graph, query, &self.config, self.probe_cache())
     }
 
     /// Collaboration factual explanation (Pruning Strategy 2 when `pruned`).
@@ -219,19 +196,7 @@ impl<L: LinkPredictor> Exes<L> {
         query: &Query,
         pruned: bool,
     ) -> FactualExplanation {
-        self.factual_collaborations_with(task, graph, query, pruned, self.probe_cache())
-    }
-
-    /// [`Exes::factual_collaborations`] with an explicit probe cache.
-    pub fn factual_collaborations_with<D: ErasedDecisionModel + ?Sized>(
-        &self,
-        task: &D,
-        graph: &CollabGraph,
-        query: &Query,
-        pruned: bool,
-        cache: Option<&ProbeCache>,
-    ) -> FactualExplanation {
-        explain_collaborations(task, graph, query, &self.config, pruned, cache)
+        explain_collaborations(task, graph, query, &self.config, pruned, self.probe_cache())
     }
 
     // ------------------------------------------------------------------
@@ -246,62 +211,20 @@ impl<L: LinkPredictor> Exes<L> {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        self.counterfactual_skills_with(task, graph, query, self.probe_cache())
-    }
-
-    /// [`Exes::counterfactual_skills`] with an explicit probe cache, overriding
-    /// any cache stored on the explainer. [`crate::service::ExesService`] uses
-    /// this to share one cache per (graph, query) request group.
-    pub fn counterfactual_skills_with<D: ErasedDecisionModel + ?Sized>(
-        &self,
-        task: &D,
-        graph: &CollabGraph,
-        query: &Query,
-        cache: Option<&ProbeCache>,
-    ) -> CounterfactualResult {
-        let mut budget = self.config.probe_budget.tracker();
-        let (initial, initial_hit) = self.initial_probe(task, graph, query, cache);
-        if !initial_hit {
-            budget.charge(1);
-        }
-        let initially_selected = initial.positive;
-        let (candidates, kind) = if initially_selected {
-            (
-                candidates::skill_removal_candidates(
-                    graph,
-                    query,
-                    task.subject_id(),
-                    &self.embedding,
-                    &self.config,
-                ),
-                CounterfactualKind::SkillRemoval,
-            )
-        } else {
-            (
-                candidates::skill_addition_candidates(
-                    graph,
-                    query,
-                    task.subject_id(),
-                    &self.embedding,
-                    &self.config,
-                ),
-                CounterfactualKind::SkillAddition,
-            )
-        };
-        let search_cfg = self.remaining_config(&budget);
-        let mut result = beam_search(
-            task,
-            graph,
-            query,
-            &candidates,
-            kind,
-            &search_cfg,
-            self.deadline(),
-            cache,
-        );
-        Self::account_initial(&mut result, initial_hit, cache.is_some());
-        self.finish_accounting(&mut result, false);
-        result
+        let (subject, embedding, cfg) = (task.subject_id(), &self.embedding, &self.config);
+        self.counterfactual(task, graph, query, beam_search, |selected, _| {
+            if selected {
+                unscored(
+                    candidates::skill_removal_candidates(graph, query, subject, embedding, cfg),
+                    CounterfactualKind::SkillRemoval,
+                )
+            } else {
+                unscored(
+                    candidates::skill_addition_candidates(graph, query, subject, embedding, cfg),
+                    CounterfactualKind::SkillAddition,
+                )
+            }
+        })
     }
 
     /// Query-augmentation counterfactuals (Section 3.3.2).
@@ -311,45 +234,19 @@ impl<L: LinkPredictor> Exes<L> {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        self.counterfactual_query_with(task, graph, query, self.probe_cache())
-    }
-
-    /// [`Exes::counterfactual_query`] with an explicit probe cache.
-    pub fn counterfactual_query_with<D: ErasedDecisionModel + ?Sized>(
-        &self,
-        task: &D,
-        graph: &CollabGraph,
-        query: &Query,
-        cache: Option<&ProbeCache>,
-    ) -> CounterfactualResult {
-        let mut budget = self.config.probe_budget.tracker();
-        let (initial, initial_hit) = self.initial_probe(task, graph, query, cache);
-        if !initial_hit {
-            budget.charge(1);
-        }
-        let initially_selected = initial.positive;
-        let candidates = candidates::query_augmentation_candidates(
-            graph,
-            query,
-            task.subject_id(),
-            initially_selected,
-            &self.embedding,
-            &self.config,
-        );
-        let search_cfg = self.remaining_config(&budget);
-        let mut result = beam_search(
-            task,
-            graph,
-            query,
-            &candidates,
-            CounterfactualKind::QueryAugmentation,
-            &search_cfg,
-            self.deadline(),
-            cache,
-        );
-        Self::account_initial(&mut result, initial_hit, cache.is_some());
-        self.finish_accounting(&mut result, false);
-        result
+        self.counterfactual(task, graph, query, beam_search, |selected, _| {
+            unscored(
+                candidates::query_augmentation_candidates(
+                    graph,
+                    query,
+                    task.subject_id(),
+                    selected,
+                    &self.embedding,
+                    &self.config,
+                ),
+                CounterfactualKind::QueryAugmentation,
+            )
+        })
     }
 
     /// Collaboration counterfactuals: link removals when the subject is selected,
@@ -360,66 +257,34 @@ impl<L: LinkPredictor> Exes<L> {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        self.counterfactual_links_with(task, graph, query, self.probe_cache())
-    }
-
-    /// [`Exes::counterfactual_links`] with an explicit probe cache.
-    pub fn counterfactual_links_with<D: ErasedDecisionModel + ?Sized>(
-        &self,
-        task: &D,
-        graph: &CollabGraph,
-        query: &Query,
-        cache: Option<&ProbeCache>,
-    ) -> CounterfactualResult {
-        let mut budget = self.config.probe_budget.tracker();
-        let (initial, initial_hit) = self.initial_probe(task, graph, query, cache);
-        if !initial_hit {
-            budget.charge(1);
-        }
-        let initially_selected = initial.positive;
-        let (candidates, kind, extra, candidates_truncated) = if initially_selected {
-            let (cands, stats, truncated) = candidates::link_removal_candidates(
-                task,
-                graph,
-                query,
-                &self.config,
-                cache,
-                budget.remaining(),
-            );
-            budget.charge(stats.probed);
-            (cands, CounterfactualKind::LinkRemoval, stats, truncated)
-        } else {
-            (
-                candidates::link_addition_candidates(
+        self.counterfactual(task, graph, query, beam_search, |selected, remaining| {
+            if selected {
+                let (removals, scoring, truncated) = candidates::link_removal_candidates(
+                    task,
                     graph,
-                    task.subject_id(),
-                    &self.link_predictor,
+                    query,
                     &self.config,
-                ),
-                CounterfactualKind::LinkAddition,
-                BatchStats::default(),
-                false,
-            )
-        };
-        let search_cfg = self.remaining_config(&budget);
-        let mut result = beam_search(
-            task,
-            graph,
-            query,
-            &candidates,
-            kind,
-            &search_cfg,
-            self.deadline(),
-            cache,
-        );
-        result.probes += extra.probed;
-        result.cache_hits += extra.cache_hits;
-        result.cache_misses += extra.cache_misses;
-        result.incremental_rescores += extra.incremental_rescores;
-        result.full_rescores += extra.full_rescores;
-        Self::account_initial(&mut result, initial_hit, cache.is_some());
-        self.finish_accounting(&mut result, candidates_truncated);
-        result
+                    self.probe_cache(),
+                    remaining,
+                );
+                (
+                    removals,
+                    CounterfactualKind::LinkRemoval,
+                    scoring,
+                    truncated,
+                )
+            } else {
+                unscored(
+                    candidates::link_addition_candidates(
+                        graph,
+                        task.subject_id(),
+                        self.link_predictor.as_ref(),
+                        &self.config,
+                    ),
+                    CounterfactualKind::LinkAddition,
+                )
+            }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -436,17 +301,11 @@ impl<L: LinkPredictor> Exes<L> {
         query: &Query,
         addition_baseline: SkillAdditionBaseline,
     ) -> CounterfactualResult {
-        let cache = self.probe_cache();
-        let mut budget = self.config.probe_budget.tracker();
-        let (initial, initial_hit) = self.initial_probe(task, graph, query, cache);
-        if !initial_hit {
-            budget.charge(1);
-        }
-        let initially_selected = initial.positive;
-        let (candidates, kind) = if initially_selected {
-            (all_skill_removals(graph), CounterfactualKind::SkillRemoval)
-        } else {
-            let cands = match addition_baseline {
+        self.counterfactual(task, graph, query, exhaustive_search, |selected, _| {
+            if selected {
+                return unscored(all_skill_removals(graph), CounterfactualKind::SkillRemoval);
+            }
+            let additions = match addition_baseline {
                 SkillAdditionBaseline::AllPeople => {
                     let skills = candidates::candidate_skills_for_addition(
                         query,
@@ -459,22 +318,8 @@ impl<L: LinkPredictor> Exes<L> {
                     skill_additions_all_skills(graph, task.subject_id(), self.config.skill_radius)
                 }
             };
-            (cands, CounterfactualKind::SkillAddition)
-        };
-        let search_cfg = self.remaining_config(&budget);
-        let mut result = exhaustive_search(
-            task,
-            graph,
-            query,
-            &candidates,
-            kind,
-            &search_cfg,
-            self.deadline(),
-            cache,
-        );
-        Self::account_initial(&mut result, initial_hit, cache.is_some());
-        self.finish_accounting(&mut result, false);
-        result
+            unscored(additions, CounterfactualKind::SkillAddition)
+        })
     }
 
     /// Exhaustive query-augmentation counterfactuals (every skill not in the query).
@@ -508,34 +353,74 @@ impl<L: LinkPredictor> Exes<L> {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
+        self.counterfactual(task, graph, query, exhaustive_search, |selected, _| {
+            if selected {
+                unscored(all_link_removals(graph), CounterfactualKind::LinkRemoval)
+            } else {
+                let additions = all_link_additions(graph, task.subject_id());
+                unscored(additions, CounterfactualKind::LinkAddition)
+            }
+        })
+    }
+
+    /// The request-level path shared by every counterfactual family that
+    /// first asks for the unperturbed decision.
+    ///
+    /// It starts the request's [`ExesConfig::timeout`] clock before anything
+    /// else, probes the initial decision (through the cache when one is
+    /// attached, so a warm cache answers it for free), generates the
+    /// candidates from that decision and the budget it left, and runs
+    /// `search` on what the request's [`ProbeBudget`] still allows. The
+    /// initial probe and any candidate scoring are folded into the result:
+    /// `probes` counts every black-box probe of the request, and a
+    /// [`Completeness::Budgeted`] marker reports that total against the
+    /// configured budget — set as well when candidate scoring, not the
+    /// search, ran out of budget.
+    fn counterfactual<D: ErasedDecisionModel + ?Sized>(
+        &self,
+        task: &D,
+        graph: &CollabGraph,
+        query: &Query,
+        search: Search<D>,
+        candidates: impl FnOnce(bool, Option<usize>) -> Candidates,
+    ) -> CounterfactualResult {
+        let deadline = self.deadline();
         let cache = self.probe_cache();
         let mut budget = self.config.probe_budget.tracker();
-        let (initial, initial_hit) = self.initial_probe(task, graph, query, cache);
+        let (initial, initial_hit) =
+            ProbeBatch::new(task, graph, query, self.config.parallel_probes)
+                .with_cache_opt(cache)
+                .score_identity_counted();
         if !initial_hit {
             budget.charge(1);
         }
-        let initially_selected = initial.positive;
-        let (candidates, kind) = if initially_selected {
-            (all_link_removals(graph), CounterfactualKind::LinkRemoval)
-        } else {
-            (
-                all_link_additions(graph, task.subject_id()),
-                CounterfactualKind::LinkAddition,
-            )
-        };
-        let search_cfg = self.remaining_config(&budget);
-        let mut result = exhaustive_search(
+        let (perturbations, kind, scoring, scoring_truncated) =
+            candidates(initial.positive, budget.remaining());
+        budget.charge(scoring.probed);
+        let remaining = budget
+            .remaining()
+            .map_or(ProbeBudget::UNBOUNDED, ProbeBudget::bounded);
+        let search_cfg = self.config.clone().with_probe_budget(remaining);
+        let mut result = search(
             task,
             graph,
             query,
-            &candidates,
+            &perturbations,
             kind,
             &search_cfg,
-            self.deadline(),
+            deadline,
             cache,
         );
-        Self::account_initial(&mut result, initial_hit, cache.is_some());
-        self.finish_accounting(&mut result, false);
+        result.count(&scoring);
+        result.count_reference(initial_hit, cache.is_some());
+        if let Some(limit) = self.config.probe_budget.limit() {
+            if scoring_truncated || result.completeness.is_budgeted() {
+                result.completeness = Completeness::Budgeted {
+                    spent: result.probes,
+                    budget: limit,
+                };
+            }
+        }
         result
     }
 }
@@ -544,17 +429,19 @@ impl<L: LinkPredictor> Exes<L> {
 mod tests {
     use super::*;
     use crate::config::OutputMode;
-    use crate::tasks::{DecisionModel, ExpertRelevanceTask};
+    use crate::tasks::{DecisionModel, ExpertRelevanceTask, Probe, TeamMembershipTask};
     use exes_datasets::{DatasetConfig, QueryWorkload, SyntheticDataset};
     use exes_embedding::EmbeddingConfig;
     use exes_expert_search::{ExpertRanker, PropagationRanker};
-    use exes_graph::GraphView;
-    use exes_graph::PersonId;
+    use exes_graph::{GraphView, Neighborhood, PersonId};
     use exes_linkpred::CommonNeighbors;
+    use exes_team::GreedyCoverTeamFormer;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     struct Fixture {
         ds: SyntheticDataset,
-        exes: Exes<CommonNeighbors>,
+        exes: Exes,
         ranker: PropagationRanker,
     }
 
@@ -668,6 +555,111 @@ mod tests {
         if let (Some(b), Some(p)) = (exhaustive.minimal_size(), pruned.minimal_size()) {
             assert!(b <= p);
         }
+    }
+
+    /// Asserts that `explain(kind, ...)` answers exactly what the family
+    /// method for `kind` answers, factuals pruned.
+    fn assert_explain_matches_families<D: ErasedDecisionModel + ?Sized>(
+        exes: &Exes,
+        task: &D,
+        graph: &CollabGraph,
+        query: &Query,
+    ) {
+        let families = [
+            (
+                ExplanationKind::CounterfactualSkills,
+                Explanation::Counterfactual(exes.counterfactual_skills(task, graph, query)),
+            ),
+            (
+                ExplanationKind::CounterfactualQuery,
+                Explanation::Counterfactual(exes.counterfactual_query(task, graph, query)),
+            ),
+            (
+                ExplanationKind::CounterfactualLinks,
+                Explanation::Counterfactual(exes.counterfactual_links(task, graph, query)),
+            ),
+            (
+                ExplanationKind::FactualSkills,
+                Explanation::Factual(exes.factual_skills(task, graph, query, true)),
+            ),
+            (
+                ExplanationKind::FactualQueryTerms,
+                Explanation::Factual(exes.factual_query_terms(task, graph, query)),
+            ),
+            (
+                ExplanationKind::FactualCollaborations,
+                Explanation::Factual(exes.factual_collaborations(task, graph, query, true)),
+            ),
+        ];
+        for (kind, family) in families {
+            // Uncached runs are deterministic down to every counter and
+            // float, so the debug renderings must agree byte for byte.
+            assert_eq!(
+                format!("{:?}", exes.explain(kind, task, graph, query)),
+                format!("{family:?}"),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn explain_answers_every_kind_with_its_family_method() {
+        let f = fixture();
+        let (q, inside, outside) = query_and_subjects(&f);
+        let expert = ExpertRelevanceTask::new(&f.ranker, inside, f.exes.config().k);
+        assert_explain_matches_families(&f.exes, &expert, &f.ds.graph, &q);
+        let former = GreedyCoverTeamFormer::new(f.ranker);
+        let team = TeamMembershipTask::new(&former, &f.ranker, outside, Some(inside));
+        assert_explain_matches_families(&f.exes, &team, &f.ds.graph, &q);
+    }
+
+    /// An expert-relevance decision that sleeps before every probe and
+    /// counts the probes it answers.
+    struct Sleepy<'a> {
+        task: ExpertRelevanceTask<'a, PropagationRanker>,
+        delay: Duration,
+        probes: AtomicUsize,
+    }
+
+    impl DecisionModel for Sleepy<'_> {
+        fn subject(&self) -> PersonId {
+            self.task.subject()
+        }
+
+        fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe {
+            std::thread::sleep(self.delay);
+            self.probes.fetch_add(1, Ordering::Relaxed);
+            self.task.probe(graph, query)
+        }
+    }
+
+    #[test]
+    fn the_timeout_runs_from_the_start_of_the_request() {
+        let mut f = fixture();
+        let (q, inside, _) = query_and_subjects(&f);
+        let delay = Duration::from_millis(10);
+        f.exes.config_mut().parallel_probes = false;
+        f.exes.config_mut().timeout = Some(4 * delay);
+        let task = Sleepy {
+            task: ExpertRelevanceTask::new(&f.ranker, inside, f.exes.config().k),
+            delay,
+            probes: AtomicUsize::new(0),
+        };
+        // A selected subject's link-removal candidates are scored one probe
+        // per edge of its neighbourhood: on their own, those probes outlast
+        // the timeout.
+        let scored = Neighborhood::compute(&f.ds.graph, inside, f.exes.config().collab_radius)
+            .edges_within(&f.ds.graph)
+            .len();
+        assert!(scored > 4, "only {scored} candidate edges");
+
+        let result = f.exes.counterfactual_links(&task, &f.ds.graph, &q);
+        assert!(result.timed_out);
+        assert!(result.explanations.is_empty());
+        // The initial probe, the candidate scoring and the search's own
+        // reference probe ran; no search chunk did.
+        assert_eq!(task.probes.load(Ordering::Relaxed), 1 + scored + 1);
+        assert_eq!(result.probes, 1 + scored + 1);
     }
 
     #[test]

@@ -27,7 +27,11 @@
 //!   what the evaluation tables compare against.
 //!
 //! The [`Exes`] facade bundles a configuration, an embedding and a link
-//! predictor, and exposes one method per explanation type.
+//! predictor. It exposes one method per explanation family, pruned and
+//! exhaustive, and [`Exes::explain`], which answers any [`ExplanationKind`]
+//! through the matching family method. [`ExesService`] answers batches of
+//! [`ExplanationRequest`]s with [`ExesService::explain`] over a live graph
+//! store, a registry of models and one persistent probe cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +56,7 @@ pub use metrics::{counterfactual_precision, factual_precision_at_k, PrecisionRep
 pub use model::{ModelFamilyKind, ModelId, ModelRegistry, ModelSpec, ModelSpecError, SeedPolicy};
 pub use probe::{BaselinePlan, Completeness, CostEstimate, ProbeBatch, ProbeBudget, ProbeCache};
 pub use service::{
-    ExesService, ExesServiceBuilder, Explanation, ExplanationKind, ExplanationRequest,
-    RequestError, ServiceReport,
+    ExesService, Explanation, ExplanationKind, ExplanationRequest, RequestError, ServiceReport,
 };
 pub use tasks::{
     DecisionModel, ErasedDecisionModel, ExpertRelevanceTask, Probe, TeamMembershipTask,

@@ -19,9 +19,9 @@
 //!   [`Explanation`] responses;
 //! * the service owns an [`Arc<GraphStore>`] rather than borrowing a graph,
 //!   so a single long-lived service value can interleave
-//!   [`ExesService::commit`] with [`ExesService::explain_batch`] — no
-//!   lifetime parameter, no invalidated handles; each batch pins the
-//!   **epoch** current at entry ([`GraphSnapshot`]);
+//!   [`ExesService::commit`] with [`ExesService::explain`] — no lifetime
+//!   parameter, no invalidated handles; each batch is answered against the
+//!   **epoch** snapshot ([`GraphSnapshot`]) its caller pinned;
 //! * one **persistent [`ProbeCache`]** serves every batch *and every model*:
 //!   keys carry the `(fingerprint, query, model, subject, delta)` context,
 //!   where the model component is the registered configuration's fingerprint
@@ -35,8 +35,10 @@
 //!   requests are **sharded across the `exes-parallel` pool**;
 //! * responses are **deterministic and position-stable**: response `i`
 //!   answers request `i`, byte-identical to running that request alone
-//!   through the [`Exes`] facade, because probes are pure functions and the
-//!   cache only ever returns what the black box would have said.
+//!   through [`Exes::explain`], because probes are pure functions and the
+//!   cache only ever returns what the black box would have said;
+//! * a request the service cannot answer (an unknown [`ModelId`], a subject
+//!   outside the epoch) fails alone, as a [`RequestError`] in its own slot.
 //!
 //! The per-request hit/miss *counters* (unlike the explanations) can vary
 //! slightly between runs when concurrent workers race to fill the same cache
@@ -50,7 +52,6 @@ use crate::factual::FactualExplanation;
 use crate::model::{ModelId, ModelRegistry, ModelSpec, ModelSpecError};
 use crate::probe::{Completeness, CostEstimate, ProbeCache};
 use exes_graph::{CollabGraph, GraphSnapshot, GraphStore, GraphView, PersonId, Query, UpdateBatch};
-use exes_linkpred::LinkPredictor;
 use rustc_hash::FxHashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -189,7 +190,7 @@ impl ExplanationRequest {
 /// A batch front-door serving untrusted traffic must degrade per request, not
 /// per batch: one stale [`ModelId`] or out-of-range subject in a 200-request
 /// batch yields one `Err` slot while the other 199 requests are answered
-/// normally (see [`ExesService::try_explain_batch`]). Errors are detected
+/// normally (see [`ExesService::explain`]). Errors are detected
 /// before any probing starts, so a failed request never costs a black-box
 /// probe and never poisons the shared cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -314,7 +315,7 @@ impl Explanation {
     }
 }
 
-/// Aggregate accounting for one [`ExesService::explain_batch`] call.
+/// Aggregate accounting for one [`ExesService::explain`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceReport {
     /// The graph epoch the batch was answered against.
@@ -328,8 +329,7 @@ pub struct ServiceReport {
     pub duplicate_requests: usize,
     /// Requests answered with a [`RequestError`] instead of an explanation
     /// (unknown model, out-of-range subject). Failed requests never issue
-    /// probes. Always 0 for batches answered through the panicking
-    /// [`ExesService::explain_batch`] surface.
+    /// probes.
     pub failed_requests: usize,
     /// Probe lookups answered by the service's persistent cache during this
     /// batch.
@@ -424,81 +424,55 @@ impl ServiceReport {
 /// parameters + `k` + seed), so one service = one cache = many models,
 /// isolation guaranteed.
 ///
-/// Build one with [`ExesService::builder`] (registering models up front) or
-/// [`ExesService::new`] / [`ExesService::from_graph`] plus
-/// [`ExesService::register`].
-#[derive(Debug)]
-pub struct ExesService<L> {
-    exes: Exes<L>,
-    registry: ModelRegistry,
-    store: Arc<GraphStore>,
-    cache: ProbeCache,
-}
-
-/// Step-wise construction of an [`ExesService`]: attach the explainer and
-/// store, register named models, build.
+/// Build one with [`ExesService::new`] or [`ExesService::from_graph`], then
+/// add models with [`ExesService::register`]:
 ///
 /// ```
-/// # use exes_core::{Exes, ExesConfig, ExesService, ModelSpec};
-/// # use exes_datasets::{DatasetConfig, SyntheticDataset};
+/// # use exes_core::{Exes, ExesConfig, ExesService, ExplanationRequest, ModelSpec};
+/// # use exes_datasets::{DatasetConfig, QueryWorkload, SyntheticDataset};
 /// # use exes_embedding::{EmbeddingConfig, SkillEmbedding};
 /// # use exes_expert_search::TfIdfRanker;
+/// # use exes_graph::PersonId;
 /// # use exes_linkpred::CommonNeighbors;
-/// # let ds = SyntheticDataset::generate(&DatasetConfig::tiny("builder-doc", 5));
+/// # let ds = SyntheticDataset::generate(&DatasetConfig::tiny("service-doc", 5));
 /// # let embedding = SkillEmbedding::train(
 /// #     ds.corpus.token_bags(),
 /// #     ds.graph.vocab().len(),
 /// #     &EmbeddingConfig { dim: 8, ..Default::default() },
 /// # );
+/// # let query = QueryWorkload::answerable(&ds.graph, 1, 2, 3, 3, 11).queries()[0].clone();
 /// let exes = Exes::new(ExesConfig::fast(), embedding, CommonNeighbors);
-/// let service = ExesService::builder_from_graph(&exes, ds.graph.clone())
-///     .model("tfidf@5", ModelSpec::expert_ranker(TfIdfRanker::default(), 5))
-///     .expect("valid spec")
-///     .build();
-/// assert!(service.model_id("tfidf@5").is_some());
+/// let mut service = ExesService::from_graph(&exes, ds.graph.clone());
+/// let tfidf = service
+///     .register("tfidf@5", ModelSpec::expert_ranker(TfIdfRanker::default(), 5))
+///     .expect("valid spec");
+/// assert_eq!(service.model_id("tfidf@5"), Some(tfidf));
+///
+/// let request = ExplanationRequest::factual_query_terms(tfidf, PersonId(0), query);
+/// let (results, report) = service.explain(&service.snapshot(), &[request]);
+/// assert!(results[0].is_ok());
+/// assert_eq!(report.failed_requests, 0);
 /// ```
 #[derive(Debug)]
-pub struct ExesServiceBuilder<L> {
-    service: ExesService<L>,
+pub struct ExesService {
+    exes: Exes,
+    registry: ModelRegistry,
+    store: Arc<GraphStore>,
+    cache: Arc<ProbeCache>,
 }
 
-impl<L> ExesServiceBuilder<L>
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    /// Registers `spec` under `name`; chainable. Fails with a typed
-    /// [`ModelSpecError`] on an invalid spec or duplicate name. Look the id
-    /// up after [`ExesServiceBuilder::build`] with [`ExesService::model_id`],
-    /// or register through [`ExesService::register`] to receive it directly.
-    pub fn model(
-        mut self,
-        name: impl Into<String>,
-        spec: ModelSpec,
-    ) -> Result<Self, ModelSpecError> {
-        self.service.register(name, spec)?;
-        Ok(self)
-    }
-
-    /// Finishes construction.
-    pub fn build(self) -> ExesService<L> {
-        self.service
-    }
-}
-
-impl<L> ExesService<L>
-where
-    L: LinkPredictor + Clone + Sync,
-{
-    /// Builds the service from an explainer (cloned; any stored probe cache
-    /// is detached — the service manages its own persistent cache) and the
+impl ExesService {
+    /// Builds the service from an explainer (cloned, with the service's own
+    /// persistent probe cache attached in place of any it carried) and the
     /// live store every request in this service targets. The model registry
     /// starts empty: add configurations with [`ExesService::register`].
-    pub fn new(exes: &Exes<L>, store: Arc<GraphStore>) -> Self {
-        let mut inner = exes.clone().without_probe_cache();
-        inner.config_mut().parallel_probes = false;
-        let cache = ProbeCache::for_config(inner.config());
+    pub fn new(exes: &Exes, store: Arc<GraphStore>) -> Self {
+        let mut exes = exes.clone();
+        exes.config_mut().parallel_probes = false;
+        let cache = Arc::new(ProbeCache::for_config(exes.config()));
+        let exes = exes.with_probe_cache(Arc::clone(&cache));
         ExesService {
-            exes: inner,
+            exes,
             registry: ModelRegistry::new(),
             store,
             cache,
@@ -507,26 +481,13 @@ where
 
     /// Convenience constructor wrapping a static graph in a fresh
     /// [`GraphStore`] (epoch 0) with default store tunables.
-    pub fn from_graph(exes: &Exes<L>, graph: CollabGraph) -> Self {
+    pub fn from_graph(exes: &Exes, graph: CollabGraph) -> Self {
         Self::new(exes, Arc::new(GraphStore::new(graph)))
     }
 
-    /// Starts an [`ExesServiceBuilder`] over a live store.
-    pub fn builder(exes: &Exes<L>, store: Arc<GraphStore>) -> ExesServiceBuilder<L> {
-        ExesServiceBuilder {
-            service: Self::new(exes, store),
-        }
-    }
-
-    /// Starts an [`ExesServiceBuilder`] over a static graph (epoch 0).
-    pub fn builder_from_graph(exes: &Exes<L>, graph: CollabGraph) -> ExesServiceBuilder<L> {
-        ExesServiceBuilder {
-            service: Self::from_graph(exes, graph),
-        }
-    }
-
     /// Registers a model configuration under `name`, returning the
-    /// [`ModelId`] requests address it by.
+    /// [`ModelId`] requests address it by. Fails with a typed
+    /// [`ModelSpecError`] on an invalid spec or a duplicate name.
     ///
     /// Models can be added at any point in the service's life; the persistent
     /// cache needs no flush because every entry is scoped by its model's
@@ -571,70 +532,32 @@ where
 
     /// Commits an update batch to the store, publishing a new epoch.
     ///
-    /// Subsequent [`ExesService::explain_batch`] calls answer against the new
-    /// epoch; batches already in flight finish against the epoch they pinned
-    /// at entry. The persistent cache needs no flush: the new epoch's
+    /// Batches answered against [`ExesService::snapshot`] afterwards see the
+    /// new epoch; batches already in flight finish against the snapshot they
+    /// pinned. The persistent cache needs no flush: the new epoch's
     /// fingerprint misses into fresh entries while the old epoch's entries
     /// age out.
     pub fn commit(&self, batch: &UpdateBatch) -> exes_graph::Result<Arc<GraphSnapshot>> {
         self.store.commit(batch)
     }
 
-    /// Answers a batch of requests against the epoch current at entry.
-    /// Response `i` answers request `i`.
+    /// Answers a batch of requests against `snapshot` (the current epoch's,
+    /// from [`ExesService::snapshot`], or any older one still held). Response
+    /// `i` answers request `i`.
     ///
     /// Requests are grouped by query and identical requests are computed
     /// once; all groups and all models share the service's persistent cache.
     /// Explanations are deterministic — byte-identical to answering each
-    /// request alone, in any batch composition, on any warmth of the cache.
+    /// request alone through [`Exes::explain`], in any batch composition, on
+    /// any warmth of the cache.
     ///
-    /// # Panics
-    ///
-    /// Panics when a request addresses a [`ModelId`] this service never
-    /// issued or a subject outside the epoch's graph. Servers fronting
-    /// untrusted traffic should use [`ExesService::try_explain_batch`], which
-    /// degrades per request instead.
-    pub fn explain_batch(
-        &self,
-        requests: &[ExplanationRequest],
-    ) -> (Vec<Explanation>, ServiceReport) {
-        let snapshot = self.store.snapshot();
-        self.explain_batch_on(&snapshot, requests)
-    }
-
-    /// [`ExesService::explain_batch`] against an explicit (e.g. older)
-    /// epoch's snapshot.
-    pub fn explain_batch_on(
-        &self,
-        snapshot: &GraphSnapshot,
-        requests: &[ExplanationRequest],
-    ) -> (Vec<Explanation>, ServiceReport) {
-        let (results, report) = self.try_explain_batch_on(snapshot, requests);
-        let responses = results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect();
-        (responses, report)
-    }
-
-    /// [`ExesService::explain_batch`] with per-request error handling: an
-    /// unknown [`ModelId`] or an out-of-range subject turns into an
-    /// `Err(`[`RequestError`]`)` in that request's slot instead of a panic,
-    /// and the rest of the batch is answered normally. Failed requests are
-    /// rejected before any probing, so they cost no black-box probes, cannot
-    /// poison the shared cache, and are counted in
+    /// A request addressing a [`ModelId`] this service never issued, or a
+    /// subject outside the snapshot's graph, gets an `Err(`[`RequestError`]`)`
+    /// in its slot while the rest of the batch is answered normally. Failed
+    /// requests are rejected before any probing, so they cost no black-box
+    /// probes, cannot poison the shared cache, and are counted in
     /// [`ServiceReport::failed_requests`].
-    pub fn try_explain_batch(
-        &self,
-        requests: &[ExplanationRequest],
-    ) -> (Vec<Result<Explanation, RequestError>>, ServiceReport) {
-        let snapshot = self.store.snapshot();
-        self.try_explain_batch_on(&snapshot, requests)
-    }
-
-    /// [`ExesService::try_explain_batch`] against an explicit (e.g. older)
-    /// epoch's snapshot.
-    pub fn try_explain_batch_on(
+    pub fn explain(
         &self,
         snapshot: &GraphSnapshot,
         requests: &[ExplanationRequest],
@@ -702,16 +625,9 @@ where
             // probes, and never reaches the engine (or the shared cache).
             let mut answerable: Vec<usize> = Vec::with_capacity(unique.len());
             for &i in &unique {
-                let r = &requests[i];
-                if self.registry.name(r.model).is_none() {
-                    responses[i] = Some(Err(RequestError::UnknownModel(r.model)));
-                } else if r.subject.index() >= num_people {
-                    responses[i] = Some(Err(RequestError::SubjectOutOfRange {
-                        subject: r.subject,
-                        num_people,
-                    }));
-                } else {
-                    answerable.push(i);
+                match self.check(&requests[i], num_people) {
+                    Ok(()) => answerable.push(i),
+                    Err(error) => responses[i] = Some(Err(error)),
                 }
             }
 
@@ -760,102 +676,64 @@ where
         (responses, report)
     }
 
-    /// Classifies the expected cost of answering `request` against the
-    /// current epoch, **without probing**: `Warm` when the subject's identity
+    /// Classifies the expected cost of answering `request` against
+    /// `snapshot`, **without probing**: `Warm` when the subject's identity
     /// probe is already memoised for this (epoch, query, model) context,
     /// `Incremental` when (only) the context's baseline plan is, `Cold`
-    /// otherwise. Validation mirrors [`ExesService::try_explain_batch`] —
-    /// an unknown model or out-of-range subject is a [`RequestError`], so
-    /// admission control can reject before queueing.
+    /// otherwise. Validation mirrors [`ExesService::explain`] — an unknown
+    /// model or out-of-range subject is a [`RequestError`], so admission
+    /// control can reject before queueing.
     ///
     /// Estimation is a pre-admission peek: it never issues a black-box probe
     /// and never perturbs the cache's hit/miss counters or recency order.
-    pub fn estimate(&self, request: &ExplanationRequest) -> Result<CostEstimate, RequestError> {
-        let snapshot = self.store.snapshot();
-        self.estimate_on(&snapshot, request)
-    }
-
-    /// [`ExesService::estimate`] against an explicit (e.g. pinned) epoch's
-    /// snapshot.
-    pub fn estimate_on(
+    pub fn estimate(
         &self,
         snapshot: &GraphSnapshot,
         request: &ExplanationRequest,
     ) -> Result<CostEstimate, RequestError> {
-        if self.registry.name(request.model).is_none() {
-            return Err(RequestError::UnknownModel(request.model));
-        }
         let graph = snapshot.graph();
-        let num_people = graph.num_people();
-        if request.subject.index() >= num_people {
-            return Err(RequestError::SubjectOutOfRange {
-                subject: request.subject,
-                num_people,
-            });
-        }
+        self.check(request, graph.num_people())?;
         let task = self.registry.bind(request.model, request.subject);
         Ok(self.cache.estimate(graph, &request.query, task.as_ref()))
+    }
+
+    /// Rejects a request this service cannot answer on a graph of
+    /// `num_people` people.
+    fn check(&self, request: &ExplanationRequest, num_people: usize) -> Result<(), RequestError> {
+        if self.registry.name(request.model).is_none() {
+            Err(RequestError::UnknownModel(request.model))
+        } else if request.subject.index() >= num_people {
+            Err(RequestError::SubjectOutOfRange {
+                subject: request.subject,
+                num_people,
+            })
+        } else {
+            Ok(())
+        }
     }
 
     /// Answers one request against the persistent cache.
     fn answer(&self, graph: &CollabGraph, request: &ExplanationRequest) -> Explanation {
         let task = self.registry.bind(request.model, request.subject);
-        let task = task.as_ref();
-        let query: &Query = &request.query;
-        let cache = Some(&self.cache);
-        match request.kind {
-            ExplanationKind::CounterfactualSkills => Explanation::Counterfactual(
-                self.exes
-                    .counterfactual_skills_with(task, graph, query, cache),
-            ),
-            ExplanationKind::CounterfactualQuery => Explanation::Counterfactual(
-                self.exes
-                    .counterfactual_query_with(task, graph, query, cache),
-            ),
-            ExplanationKind::CounterfactualLinks => Explanation::Counterfactual(
-                self.exes
-                    .counterfactual_links_with(task, graph, query, cache),
-            ),
-            ExplanationKind::FactualSkills => Explanation::Factual(
-                self.exes
-                    .factual_skills_with(task, graph, query, true, cache),
-            ),
-            ExplanationKind::FactualQueryTerms => Explanation::Factual(
-                self.exes
-                    .factual_query_terms_with(task, graph, query, cache),
-            ),
-            ExplanationKind::FactualCollaborations => Explanation::Factual(
-                self.exes
-                    .factual_collaborations_with(task, graph, query, true, cache),
-            ),
-        }
+        self.exes
+            .explain(request.kind, task.as_ref(), graph, &request.query)
     }
 }
 
-// Compile-time guarantee, not an incidental property: a service over a
-// thread-safe link predictor is itself `Send + Sync`, so server workers can
-// share one `ExesService` behind an `Arc` (commits interleaving with batches
-// from many threads). If a future field breaks this, the build fails here —
-// not in a downstream crate's thread spawn.
+// Compile-time guarantee, not an incidental property: the service is
+// `Send + Sync`, so server workers can share one `ExesService` behind an
+// `Arc` (commits interleaving with batches from many threads). If a future
+// field breaks this, the build fails here — not in a downstream crate's
+// thread spawn.
 #[allow(dead_code)]
-fn assert_service_is_send_sync<L>()
-where
-    L: LinkPredictor + Clone + Sync + Send,
-{
+fn assert_service_is_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ExesService<L>>();
+    assert_send_sync::<ExesService>();
     assert_send_sync::<ExplanationRequest>();
     assert_send_sync::<Explanation>();
     assert_send_sync::<RequestError>();
     assert_send_sync::<ServiceReport>();
 }
-
-const _: () = {
-    #[allow(dead_code)]
-    fn instantiate_for_a_concrete_predictor() {
-        assert_service_is_send_sync::<exes_linkpred::CommonNeighbors>();
-    }
-};
 
 #[cfg(test)]
 mod tests {
@@ -872,7 +750,7 @@ mod tests {
 
     struct Fixture {
         ds: SyntheticDataset,
-        exes: Exes<CommonNeighbors>,
+        exes: Exes,
         ranker: PropagationRanker,
     }
 
@@ -897,7 +775,7 @@ mod tests {
         }
     }
 
-    fn service(f: &Fixture) -> (ExesService<CommonNeighbors>, ModelId) {
+    fn service(f: &Fixture) -> (ExesService, ModelId) {
         let mut service = ExesService::from_graph(&f.exes, f.ds.graph.clone());
         let id = service
             .register(
@@ -933,33 +811,26 @@ mod tests {
 
     /// Answers `request` directly through a sequential, uncached facade.
     fn solo_answer(
-        exes: &Exes<CommonNeighbors>,
+        exes: &Exes,
         ranker: &PropagationRanker,
         graph: &CollabGraph,
         request: &ExplanationRequest,
     ) -> Explanation {
         let task = ExpertRelevanceTask::new(ranker, request.subject, exes.config().k);
-        let q: &Query = &request.query;
-        match request.kind {
-            ExplanationKind::CounterfactualSkills => {
-                Explanation::Counterfactual(exes.counterfactual_skills(&task, graph, q))
-            }
-            ExplanationKind::CounterfactualQuery => {
-                Explanation::Counterfactual(exes.counterfactual_query(&task, graph, q))
-            }
-            ExplanationKind::CounterfactualLinks => {
-                Explanation::Counterfactual(exes.counterfactual_links(&task, graph, q))
-            }
-            ExplanationKind::FactualSkills => {
-                Explanation::Factual(exes.factual_skills(&task, graph, q, true))
-            }
-            ExplanationKind::FactualQueryTerms => {
-                Explanation::Factual(exes.factual_query_terms(&task, graph, q))
-            }
-            ExplanationKind::FactualCollaborations => {
-                Explanation::Factual(exes.factual_collaborations(&task, graph, q, true))
-            }
-        }
+        exes.explain(request.kind, &task, graph, &request.query)
+    }
+
+    /// Answers a batch of valid requests against the current epoch.
+    fn explain_all(
+        service: &ExesService,
+        requests: &[ExplanationRequest],
+    ) -> (Vec<Explanation>, ServiceReport) {
+        let (results, report) = service.explain(&service.snapshot(), requests);
+        let responses = results
+            .into_iter()
+            .map(|r| r.expect("valid request"))
+            .collect();
+        (responses, report)
     }
 
     fn assert_same_explanation(a: &Explanation, b: &Explanation) {
@@ -981,7 +852,7 @@ mod tests {
         let f = fixture();
         let (service, model) = service(&f);
         let requests = workload_requests(&f, model);
-        let (responses, report) = service.explain_batch(&requests);
+        let (responses, report) = explain_all(&service, &requests);
         assert_eq!(responses.len(), requests.len());
         assert_eq!(report.requests, requests.len());
         assert_eq!(report.groups, 2);
@@ -1005,13 +876,13 @@ mod tests {
         let n = requests.len();
         // Simulate repeated traffic: the same requests arrive again.
         requests.extend(requests.clone());
-        let (responses, report) = service.explain_batch(&requests);
+        let (responses, report) = explain_all(&service, &requests);
         assert_eq!(report.duplicate_requests, n);
         for i in 0..n {
             assert_same_explanation(&responses[i], &responses[n + i]);
         }
         // Two identical batches produce identical explanations.
-        let (again, _) = service.explain_batch(&requests);
+        let (again, _) = explain_all(&service, &requests);
         for (a, b) in responses.iter().zip(&again) {
             assert_same_explanation(a, b);
         }
@@ -1022,10 +893,10 @@ mod tests {
         let f = fixture();
         let (service, model) = service(&f);
         let requests = workload_requests(&f, model);
-        let (cold_responses, cold) = service.explain_batch(&requests);
+        let (cold_responses, cold) = explain_all(&service, &requests);
         assert!(cold.probes > 0);
         // Same epoch, same requests: the persistent cache answers everything.
-        let (warm_responses, warm) = service.explain_batch(&requests);
+        let (warm_responses, warm) = explain_all(&service, &requests);
         assert_eq!(warm.probes, 0);
         assert_eq!(warm.cache_misses, 0);
         assert!(warm.cache_hits > 0);
@@ -1039,7 +910,7 @@ mod tests {
         let f = fixture();
         let (service, model) = service(&f);
         let requests = workload_requests(&f, model);
-        let (_, cold) = service.explain_batch(&requests);
+        let (_, cold) = explain_all(&service, &requests);
         assert_eq!(cold.epoch, 0);
 
         // Commit a real update: the top subject of the first query loses one
@@ -1055,7 +926,7 @@ mod tests {
 
         // The new epoch misses into fresh entries (cold again) and answers
         // against the updated graph.
-        let (responses, after) = service.explain_batch(&requests);
+        let (responses, after) = explain_all(&service, &requests);
         assert_eq!(after.epoch, 1);
         assert!(after.probes > 0);
         // Responses are byte-identical to a solo uncached run on the new
@@ -1066,7 +937,7 @@ mod tests {
         assert_same_explanation(&responses[0], &solo);
 
         // The new epoch warms up in turn: repeating the batch replays it.
-        let (_, warm_new) = service.explain_batch(&requests);
+        let (_, warm_new) = explain_all(&service, &requests);
         assert_eq!(warm_new.epoch, 1);
         assert_eq!(warm_new.probes, 0);
     }
@@ -1077,7 +948,7 @@ mod tests {
         let (service, model) = service(&f);
         let requests = workload_requests(&f, model);
         let pinned = service.snapshot();
-        let (before, _) = service.explain_batch_on(&pinned, &requests);
+        let (before, _) = service.explain(&pinned, &requests);
 
         let mut batch = UpdateBatch::new();
         batch.add_person("newcomer", ["fresh-skill"]);
@@ -1085,10 +956,10 @@ mod tests {
         assert_eq!(service.snapshot().epoch(), 1);
 
         // The pinned epoch-0 snapshot still answers, byte-identically.
-        let (after, report) = service.explain_batch_on(&pinned, &requests);
+        let (after, report) = service.explain(&pinned, &requests);
         assert_eq!(report.epoch, 0);
         for (a, b) in before.iter().zip(&after) {
-            assert_same_explanation(a, b);
+            assert_same_explanation(a.as_ref().unwrap(), b.as_ref().unwrap());
         }
     }
 
@@ -1106,9 +977,9 @@ mod tests {
             .unwrap();
 
         let requests = workload_requests(&f, shallow);
-        let (_, cold) = service.explain_batch(&requests);
+        let (_, cold) = explain_all(&service, &requests);
         assert!(cold.probes > 0);
-        let (_, warm) = service.explain_batch(&requests);
+        let (_, warm) = explain_all(&service, &requests);
         assert_eq!(warm.probes, 0, "same model must replay warm");
 
         // The same requests re-addressed to the k+1 model must run cold:
@@ -1120,7 +991,7 @@ mod tests {
             .iter()
             .map(|r| ExplanationRequest::new(deeper, r.subject, r.query.clone(), r.kind))
             .collect();
-        let (responses, other) = service.explain_batch(&readdressed);
+        let (responses, other) = explain_all(&service, &readdressed);
         assert!(
             other.probes > 0,
             "a different k must not replay the other model's probes"
@@ -1133,7 +1004,7 @@ mod tests {
             .iter()
             .map(|r| ExplanationRequest::new(fresh_deeper, r.subject, r.query.clone(), r.kind))
             .collect();
-        let (_, fresh_report) = fresh.explain_batch(&fresh_requests);
+        let (_, fresh_report) = explain_all(&fresh, &fresh_requests);
         assert_eq!(other.probes, fresh_report.probes);
         assert_eq!(other.cache_misses, fresh_report.cache_misses);
 
@@ -1172,7 +1043,7 @@ mod tests {
             ExplanationRequest::factual_query_terms(team, subject, query.clone()),
             ExplanationRequest::counterfactual_skills(team, subject, query.clone()),
         ];
-        let (responses, report) = service.explain_batch(&batch);
+        let (responses, report) = explain_all(&service, &batch);
         assert_eq!(report.groups, 1);
         assert_eq!(report.duplicate_requests, 0);
 
@@ -1200,7 +1071,7 @@ mod tests {
         let f = fixture();
         let (service, model) = service(&f);
         let requests = workload_requests(&f, model);
-        let (_, report) = service.explain_batch(&requests);
+        let (_, report) = explain_all(&service, &requests);
         // A cold persistent cache must miss at least once per unique request.
         assert!(report.cache_misses >= requests.len() as u64);
         assert!(report.probes > 0);
@@ -1211,7 +1082,7 @@ mod tests {
         // so the black-box probe count cannot grow with the duplicates.
         let mut doubled = requests.clone();
         doubled.extend(requests.clone());
-        let (_, doubled_report) = service.explain_batch(&doubled);
+        let (_, doubled_report) = explain_all(&service, &doubled);
         assert_eq!(doubled_report.duplicate_requests, requests.len());
         assert_eq!(doubled_report.groups, report.groups);
     }
@@ -1231,7 +1102,7 @@ mod tests {
             )
             .unwrap();
         let requests = workload_requests(&f, model);
-        let (_, report) = service.explain_batch(&requests);
+        let (_, report) = explain_all(&service, &requests);
         assert!(report.cache_evictions > 0);
         assert_eq!(report.cache_evictions, service.probe_cache().evicted());
     }
@@ -1240,7 +1111,7 @@ mod tests {
     fn empty_batch_is_fine_and_invalid_specs_are_rejected() {
         let f = fixture();
         let (mut service, _) = service(&f);
-        let (responses, report) = service.explain_batch(&[]);
+        let (responses, report) = explain_all(&service, &[]);
         assert!(responses.is_empty());
         assert_eq!(report, ServiceReport::default());
         assert_eq!(report.hit_rate(), 0.0);
@@ -1266,20 +1137,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not registered here")]
-    fn foreign_model_ids_panic() {
-        let f = fixture();
-        let (_service, model) = service(&f);
-        // `other` never issued `model`.
-        let other = ExesService::from_graph(&f.exes, f.ds.graph.clone());
-        let query =
-            Arc::new(QueryWorkload::answerable(&f.ds.graph, 1, 2, 3, 3, 11).queries()[0].clone());
-        let request = ExplanationRequest::counterfactual_skills(model, PersonId(0), query);
-        let _ = other.explain_batch(&[request]);
-    }
-
-    #[test]
-    fn try_explain_batch_degrades_per_request_not_per_batch() {
+    fn explain_degrades_per_request_not_per_batch() {
         let f = fixture();
         let (svc, model) = service(&f);
         let requests = workload_requests(&f, model);
@@ -1299,7 +1157,7 @@ mod tests {
             foreign.clone(),
             ghost.clone(),
         ];
-        let (results, report) = svc.try_explain_batch(&batch);
+        let (results, report) = svc.explain(&svc.snapshot(), &batch);
         assert_eq!(results.len(), 5);
         assert_eq!(
             results[0].as_ref().err(),
@@ -1326,11 +1184,11 @@ mod tests {
         let solo = solo_answer(&solo_exes, &f.ranker, &f.ds.graph, &good);
         assert_same_explanation(results[1].as_ref().unwrap(), &solo);
         let fresh = service(&f).0;
-        let (alone_results, alone) = fresh.try_explain_batch(std::slice::from_ref(&good));
+        let (alone_results, alone) = fresh.explain(&fresh.snapshot(), std::slice::from_ref(&good));
         assert!(alone_results[0].is_ok());
         assert_eq!(report.probes, alone.probes);
 
-        // Errors render usefully and the panicking surface still panics.
+        // Errors render usefully.
         assert!(results[0]
             .as_ref()
             .unwrap_err()
@@ -1344,17 +1202,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn explain_batch_panics_on_out_of_range_subjects() {
-        let f = fixture();
-        let (service, model) = service(&f);
-        let query =
-            Arc::new(QueryWorkload::answerable(&f.ds.graph, 1, 2, 3, 3, 11).queries()[0].clone());
-        let request = ExplanationRequest::counterfactual_skills(model, PersonId(u32::MAX), query);
-        let _ = service.explain_batch(&[request]);
-    }
-
-    #[test]
     fn one_service_is_shared_across_threads() {
         // The cross-thread smoke test backing the compile-time Send + Sync
         // assertion: one Arc'd service, concurrent batches and a commit, all
@@ -1363,14 +1210,14 @@ mod tests {
         let (service, model) = service(&f);
         let service = Arc::new(service);
         let requests = workload_requests(&f, model);
-        let (reference, _) = service.explain_batch(&requests);
+        let (reference, _) = explain_all(&service, &requests);
 
         let concurrent: Vec<Vec<Explanation>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let service = Arc::clone(&service);
                     let requests = &requests;
-                    scope.spawn(move || service.explain_batch(requests).0)
+                    scope.spawn(move || explain_all(&service, requests).0)
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1390,14 +1237,16 @@ mod tests {
         let first = &requests[0];
 
         // A fresh service knows nothing: cold, and the peek costs no lookups.
-        assert_eq!(service.estimate(first), Ok(CostEstimate::Cold));
+        let snapshot = service.snapshot();
+        let estimate = |request| service.estimate(&snapshot, request);
+        assert_eq!(estimate(first), Ok(CostEstimate::Cold));
         assert_eq!(service.probe_cache().hits(), 0);
         assert_eq!(service.probe_cache().misses(), 0);
 
         // After answering, the same request is warm; a different subject of
         // the same (query, model) context rides the memoised plan.
-        let _ = service.explain_batch(std::slice::from_ref(first));
-        assert_eq!(service.estimate(first), Ok(CostEstimate::Warm));
+        let _ = service.explain(&snapshot, std::slice::from_ref(first));
+        assert_eq!(estimate(first), Ok(CostEstimate::Warm));
         let sibling = ExplanationRequest::new(
             model,
             requests
@@ -1408,14 +1257,14 @@ mod tests {
             first.query.clone(),
             first.kind,
         );
-        assert_eq!(service.estimate(&sibling), Ok(CostEstimate::Incremental));
+        assert_eq!(estimate(&sibling), Ok(CostEstimate::Incremental));
 
         // Estimation is itself free: the classification answers above moved
         // no hit/miss counters.
         let hits = service.probe_cache().hits();
         let misses = service.probe_cache().misses();
-        let _ = service.estimate(first);
-        let _ = service.estimate(&sibling);
+        let _ = estimate(first);
+        let _ = estimate(&sibling);
         assert_eq!(service.probe_cache().hits(), hits);
         assert_eq!(service.probe_cache().misses(), misses);
 
@@ -1426,7 +1275,7 @@ mod tests {
             first.query.clone(),
         );
         assert_eq!(
-            service.estimate(&foreign),
+            estimate(&foreign),
             Err(RequestError::UnknownModel(ModelId(77)))
         );
         let ghost = ExplanationRequest::counterfactual_skills(
@@ -1435,7 +1284,7 @@ mod tests {
             first.query.clone(),
         );
         assert!(matches!(
-            service.estimate(&ghost),
+            estimate(&ghost),
             Err(RequestError::SubjectOutOfRange { .. })
         ));
     }
@@ -1445,12 +1294,12 @@ mod tests {
         let f = fixture();
         let (service, model) = service(&f);
         let requests = workload_requests(&f, model);
-        let (_, cold) = service.explain_batch(&requests);
+        let (_, cold) = explain_all(&service, &requests);
         // One plan built per (query, model) context, then shared.
         assert_eq!(cold.plan_misses, cold.groups as u64);
         assert!(cold.plan_hits > 0);
         // A warm service never rebuilds: every plan request is a memo hit.
-        let (_, warm) = service.explain_batch(&requests);
+        let (_, warm) = explain_all(&service, &requests);
         assert_eq!(warm.plan_misses, 0);
         assert!(warm.plan_hits > 0);
         assert_eq!(
@@ -1480,7 +1329,7 @@ mod tests {
             )
             .unwrap();
         let requests = workload_requests(&f, model);
-        let (responses, report) = starved.explain_batch(&requests);
+        let (responses, report) = explain_all(&starved, &requests);
         assert!(
             report.budgeted_results > 0,
             "a 3-probe budget must truncate this workload"
@@ -1492,7 +1341,7 @@ mod tests {
             }
         }
         // An unbounded service reports none.
-        let (_, unbounded) = service(&f).0.explain_batch(&requests);
+        let (_, unbounded) = explain_all(&service(&f).0, &requests);
         assert_eq!(unbounded.budgeted_results, 0);
     }
 
@@ -1572,12 +1421,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_registers_models_up_front() {
+    fn register_adds_expert_and_team_models_up_front() {
         let f = fixture();
-        let service = ExesService::builder_from_graph(&f.exes, f.ds.graph.clone())
-            .model("a", ModelSpec::expert_ranker(f.ranker, 2))
-            .unwrap()
-            .model(
+        let mut service = ExesService::from_graph(&f.exes, f.ds.graph.clone());
+        let a = service
+            .register("a", ModelSpec::expert_ranker(f.ranker, 2))
+            .unwrap();
+        let b = service
+            .register(
                 "b",
                 ModelSpec::team_former(
                     GreedyCoverTeamFormer::new(f.ranker),
@@ -1585,13 +1436,12 @@ mod tests {
                     SeedPolicy::Fixed(PersonId(0)),
                 ),
             )
-            .unwrap()
-            .build();
+            .unwrap();
         assert_eq!(service.registry().len(), 2);
-        assert!(service.model_id("a").is_some());
-        assert!(service.model_id("b").is_some());
-        assert!(ExesService::builder_from_graph(&f.exes, f.ds.graph.clone())
-            .model("bad", ModelSpec::expert_ranker(f.ranker, 0))
+        assert_eq!(service.model_id("a"), Some(a));
+        assert_eq!(service.model_id("b"), Some(b));
+        assert!(service
+            .register("bad", ModelSpec::expert_ranker(f.ranker, 0))
             .is_err());
     }
 }

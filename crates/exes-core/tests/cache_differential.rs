@@ -5,7 +5,7 @@
 use exes_core::counterfactual::beam::beam_search;
 use exes_core::counterfactual::exhaustive::{all_skill_removals, exhaustive_search};
 use exes_core::counterfactual::CounterfactualKind;
-use exes_core::service::{ExesService, ExplanationKind, ExplanationRequest};
+use exes_core::service::{ExesService, Explanation, ExplanationRequest};
 use exes_core::{Exes, ExesConfig, ExpertRelevanceTask, ModelSpec, OutputMode, ProbeCache};
 use exes_datasets::{
     DatasetConfig, QueryWorkload, SyntheticDataset, UpdateStream, UpdateStreamConfig,
@@ -175,6 +175,24 @@ fn cached_shap_explanations_are_identical_and_warm_runs_probe_less() {
     assert!(cache.hits() >= before);
 }
 
+/// Asserts two responses carry the same explanation (counters aside).
+fn assert_same_explanation(a: &Explanation, b: &Explanation, context: &str) {
+    match (a, b) {
+        (Explanation::Counterfactual(a), Explanation::Counterfactual(b)) => {
+            assert_eq!(a.explanations, b.explanations, "{context}");
+            assert_eq!(a.timed_out, b.timed_out, "{context}");
+        }
+        (Explanation::Factual(a), Explanation::Factual(b)) => {
+            assert_eq!(
+                a.shap_values().values(),
+                b.shap_values().values(),
+                "{context}"
+            );
+        }
+        _ => panic!("{context}: response families differ"),
+    }
+}
+
 /// The epoch differential: on a live store serving a churn stream, every
 /// explanation answered on an *untouched* epoch is byte-identical warm vs
 /// cold — the warm replay issues zero black-box probes — and every commit
@@ -215,61 +233,20 @@ fn explanations_on_untouched_epochs_are_identical_warm_vs_cold() {
     let mut solo = exes.clone();
     solo.config_mut().parallel_probes = false;
     for (i, batch) in stream.batches().iter().enumerate() {
-        let (cold, cold_report) = service.explain_batch(&requests);
+        let snapshot = service.snapshot();
+        let (cold, cold_report) = service.explain(&snapshot, &requests);
         assert_eq!(cold_report.epoch, i as u64);
         // Warm replay on the untouched epoch: byte-identical, zero probes.
-        let (warm, warm_report) = service.explain_batch(&requests);
+        let (warm, warm_report) = service.explain(&snapshot, &requests);
         assert_eq!(warm_report.probes, 0, "epoch {i} replay probed the box");
-        for (c, w) in cold.iter().zip(&warm) {
-            match (c, w) {
-                (
-                    exes_core::Explanation::Counterfactual(c),
-                    exes_core::Explanation::Counterfactual(w),
-                ) => {
-                    assert_eq!(c.explanations, w.explanations);
-                    assert_eq!(c.timed_out, w.timed_out);
-                }
-                (exes_core::Explanation::Factual(c), exes_core::Explanation::Factual(w)) => {
-                    assert_eq!(c.shap_values().values(), w.shap_values().values());
-                }
-                _ => panic!("warm replay changed the response family"),
-            }
-        }
         // And the cold answers match a from-scratch uncached explainer on
         // this epoch's graph.
-        let snapshot = service.snapshot();
-        for (request, response) in requests.iter().zip(&cold) {
+        for ((request, c), w) in requests.iter().zip(&cold).zip(&warm) {
+            let (c, w) = (c.as_ref().unwrap(), w.as_ref().unwrap());
+            assert_same_explanation(c, w, &format!("epoch {i} warm replay"));
             let task = ExpertRelevanceTask::new(&f.ranker, request.subject, cfg.k);
-            match request.kind {
-                ExplanationKind::CounterfactualSkills => {
-                    let reference =
-                        solo.counterfactual_skills(&task, snapshot.graph(), &request.query);
-                    assert_eq!(
-                        response.expect_counterfactual().explanations,
-                        reference.explanations,
-                        "epoch {i}"
-                    );
-                }
-                ExplanationKind::CounterfactualQuery => {
-                    let reference =
-                        solo.counterfactual_query(&task, snapshot.graph(), &request.query);
-                    assert_eq!(
-                        response.expect_counterfactual().explanations,
-                        reference.explanations,
-                        "epoch {i}"
-                    );
-                }
-                ExplanationKind::FactualSkills => {
-                    let reference =
-                        solo.factual_skills(&task, snapshot.graph(), &request.query, true);
-                    assert_eq!(
-                        response.expect_factual().shap_values().values(),
-                        reference.shap_values().values(),
-                        "epoch {i}"
-                    );
-                }
-                _ => unreachable!("kinds used by this test"),
-            }
+            let reference = solo.explain(request.kind, &task, snapshot.graph(), &request.query);
+            assert_same_explanation(c, &reference, &format!("epoch {i}"));
         }
         service.commit(batch).expect("churn batch commits");
     }

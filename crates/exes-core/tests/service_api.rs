@@ -2,14 +2,14 @@
 //! several registered models (an expert ranker and a team former) must answer
 //! a single mixed batch spanning every explanation family — counterfactual
 //! skills / query-augmentation / links and factual skill- / query-term- /
-//! collaboration-SHAP — byte-identically to direct `Exes` facade calls, and
-//! models registered side by side must never answer from each other's cache
-//! entries.
+//! collaboration-SHAP — byte-identically to direct `Exes::explain` calls,
+//! and models registered side by side must never answer from each other's
+//! cache entries.
 
 use exes_core::service::{Explanation, ExplanationKind, ExplanationRequest};
 use exes_core::{
     Exes, ExesConfig, ExesService, ExpertRelevanceTask, ModelSpec, OutputMode, SeedPolicy,
-    TeamMembershipTask,
+    ServiceReport, TeamMembershipTask,
 };
 use exes_datasets::{DatasetConfig, QueryWorkload, SyntheticDataset};
 use exes_embedding::{EmbeddingConfig, SkillEmbedding};
@@ -30,7 +30,7 @@ const ALL_KINDS: [ExplanationKind; 6] = [
 
 struct Fixture {
     ds: SyntheticDataset,
-    exes: Exes<CommonNeighbors>,
+    exes: Exes,
     ranker: PropagationRanker,
     query: Arc<Query>,
     subject: PersonId,
@@ -68,10 +68,38 @@ fn fixture() -> Fixture {
     }
 }
 
+/// Answers a batch of valid requests against the service's current epoch.
+fn explain_all(
+    service: &ExesService,
+    requests: &[ExplanationRequest],
+) -> (Vec<Explanation>, ServiceReport) {
+    let (results, report) = service.explain(&service.snapshot(), requests);
+    let responses = results
+        .into_iter()
+        .map(|r| r.expect("valid request"))
+        .collect();
+    (responses, report)
+}
+
+/// Asserts two responses carry the same explanation (counters aside).
+fn assert_same_explanation(got: &Explanation, reference: &Explanation) {
+    match (got, reference) {
+        (Explanation::Counterfactual(got), Explanation::Counterfactual(reference)) => {
+            assert_eq!(got.explanations, reference.explanations);
+            assert_eq!(got.timed_out, reference.timed_out);
+        }
+        (Explanation::Factual(got), Explanation::Factual(reference)) => {
+            assert_eq!(got.features(), reference.features());
+            assert_eq!(got.shap_values().values(), reference.shap_values().values());
+        }
+        _ => panic!("response families differ"),
+    }
+}
+
 /// The acceptance scenario: one service value, two registered models (an
 /// expert ranker and a team former), one mixed batch containing every
 /// explanation family for both models — each response byte-identical to the
-/// corresponding direct facade call.
+/// corresponding direct `Exes::explain` call.
 #[test]
 fn one_service_answers_all_families_across_expert_and_team_models() {
     let f = fixture();
@@ -110,83 +138,29 @@ fn one_service_answers_all_families_across_expert_and_team_models() {
             kind,
         ));
     }
-    let (responses, report) = service.explain_batch(&batch);
+    let (responses, report) = explain_all(&service, &batch);
     assert_eq!(responses.len(), batch.len());
     assert_eq!(report.requests, 12);
     assert_eq!(report.groups, 1, "one shared Arc query, one group");
     assert_eq!(report.duplicate_requests, 0);
     assert!(report.probes > 0);
 
-    // Differential: every response is byte-identical to the direct facade
-    // call with the matching concrete task.
+    // Differential: every response is byte-identical to the direct
+    // `Exes::explain` call with the matching concrete task.
     let mut solo = f.exes.clone();
     solo.config_mut().parallel_probes = false;
     let former = GreedyCoverTeamFormer::new(f.ranker);
     let expert_task = ExpertRelevanceTask::new(&f.ranker, f.subject, k);
     let team_task = TeamMembershipTask::new(&former, &f.ranker, f.outsider, Some(seed));
 
-    let check = |kind: ExplanationKind, response: &Explanation, use_team: bool| {
-        let g = &f.ds.graph;
-        let q: &Query = &f.query;
-        macro_rules! facade {
-            ($method:ident $(, $extra:expr)*) => {
-                if use_team {
-                    solo.$method(&team_task, g, q $(, $extra)*)
-                } else {
-                    solo.$method(&expert_task, g, q $(, $extra)*)
-                }
-            };
-        }
-        match kind {
-            ExplanationKind::CounterfactualSkills => {
-                let reference = facade!(counterfactual_skills);
-                let got = response.expect_counterfactual();
-                assert_eq!(got.explanations, reference.explanations);
-                assert_eq!(got.timed_out, reference.timed_out);
-            }
-            ExplanationKind::CounterfactualQuery => {
-                let reference = facade!(counterfactual_query);
-                assert_eq!(
-                    response.expect_counterfactual().explanations,
-                    reference.explanations
-                );
-            }
-            ExplanationKind::CounterfactualLinks => {
-                let reference = facade!(counterfactual_links);
-                assert_eq!(
-                    response.expect_counterfactual().explanations,
-                    reference.explanations
-                );
-            }
-            ExplanationKind::FactualSkills => {
-                let reference = facade!(factual_skills, true);
-                let got = response.expect_factual();
-                assert_eq!(got.features(), reference.features());
-                assert_eq!(got.shap_values().values(), reference.shap_values().values());
-            }
-            ExplanationKind::FactualQueryTerms => {
-                let reference = facade!(factual_query_terms);
-                let got = response.expect_factual();
-                assert_eq!(got.features(), reference.features());
-                assert_eq!(got.shap_values().values(), reference.shap_values().values());
-            }
-            ExplanationKind::FactualCollaborations => {
-                let reference = facade!(factual_collaborations, true);
-                let got = response.expect_factual();
-                assert_eq!(got.features(), reference.features());
-                assert_eq!(got.shap_values().values(), reference.shap_values().values());
-            }
-        }
-    };
+    let (g, q): (_, &Query) = (&f.ds.graph, &f.query);
     for (i, kind) in ALL_KINDS.into_iter().enumerate() {
-        check(kind, &responses[i], false);
-    }
-    for (i, kind) in ALL_KINDS.into_iter().enumerate() {
-        check(kind, &responses[6 + i], true);
+        assert_same_explanation(&responses[i], &solo.explain(kind, &expert_task, g, q));
+        assert_same_explanation(&responses[6 + i], &solo.explain(kind, &team_task, g, q));
     }
 
     // The whole mixed batch replays warm on the unchanged epoch.
-    let (_, warm) = service.explain_batch(&batch);
+    let (_, warm) = explain_all(&service, &batch);
     assert_eq!(warm.probes, 0);
     assert_eq!(warm.cache_misses, 0);
 }
@@ -214,9 +188,9 @@ fn reconfigured_k_forces_cold_probes_on_a_shared_cache() {
         .into_iter()
         .map(|kind| ExplanationRequest::new(at_k, f.subject, f.query.clone(), kind))
         .collect();
-    let (_, cold) = service.explain_batch(&requests);
+    let (_, cold) = explain_all(&service, &requests);
     assert!(cold.probes > 0);
-    let (_, warm) = service.explain_batch(&requests);
+    let (_, warm) = explain_all(&service, &requests);
     assert_eq!(warm.probes, 0, "same configuration replays warm");
 
     // Same requests, same service, same warm cache — but addressed to the
@@ -225,7 +199,7 @@ fn reconfigured_k_forces_cold_probes_on_a_shared_cache() {
         .iter()
         .map(|r| ExplanationRequest::new(at_k1, r.subject, r.query.clone(), r.kind))
         .collect();
-    let (_, shifted) = service.explain_batch(&readdressed);
+    let (_, shifted) = explain_all(&service, &readdressed);
     assert!(shifted.probes > 0, "a changed k must go cold");
 
     let mut fresh = ExesService::from_graph(&f.exes, f.ds.graph.clone());
@@ -236,7 +210,7 @@ fn reconfigured_k_forces_cold_probes_on_a_shared_cache() {
         .iter()
         .map(|r| ExplanationRequest::new(fresh_id, r.subject, r.query.clone(), r.kind))
         .collect();
-    let (_, fresh_report) = fresh.explain_batch(&fresh_requests);
+    let (_, fresh_report) = explain_all(&fresh, &fresh_requests);
     assert_eq!(
         shifted.probes, fresh_report.probes,
         "warm entries of the other k leaked into the readdressed batch"
@@ -250,14 +224,15 @@ fn reconfigured_k_forces_cold_probes_on_a_shared_cache() {
 fn distinct_rankers_on_one_service_are_isolated_and_addressable() {
     let f = fixture();
     let k = f.exes.config().k;
-    let service = ExesService::builder_from_graph(&f.exes, f.ds.graph.clone())
-        .model("propagation", ModelSpec::expert_ranker(f.ranker, k))
-        .unwrap()
-        .model("tfidf", ModelSpec::expert_ranker(TfIdfRanker::default(), k))
-        .unwrap()
-        .build();
-    let prop = service.model_id("propagation").unwrap();
-    let tfidf = service.model_id("tfidf").unwrap();
+    let mut service = ExesService::from_graph(&f.exes, f.ds.graph.clone());
+    let prop = service
+        .register("propagation", ModelSpec::expert_ranker(f.ranker, k))
+        .unwrap();
+    let tfidf = service
+        .register("tfidf", ModelSpec::expert_ranker(TfIdfRanker::default(), k))
+        .unwrap();
+    assert_eq!(service.model_id("propagation"), Some(prop));
+    assert_eq!(service.model_id("tfidf"), Some(tfidf));
     assert_ne!(prop, tfidf);
     assert_ne!(
         service.registry().fingerprint(prop),
@@ -266,17 +241,16 @@ fn distinct_rankers_on_one_service_are_isolated_and_addressable() {
 
     let request =
         |model| ExplanationRequest::counterfactual_skills(model, f.subject, f.query.clone());
-    let (_, prop_cold) = service.explain_batch(&[request(prop)]);
+    let (_, prop_cold) = explain_all(&service, &[request(prop)]);
     assert!(prop_cold.probes > 0);
     // TF-IDF ranks differently, but even the shared perturbation sets must
     // miss: probes equal a fresh single-model service's count.
-    let (tfidf_responses, tfidf_cold) = service.explain_batch(&[request(tfidf)]);
-    let fresh = ExesService::builder_from_graph(&f.exes, f.ds.graph.clone())
-        .model("tfidf", ModelSpec::expert_ranker(TfIdfRanker::default(), k))
-        .unwrap()
-        .build();
-    let fresh_id = fresh.model_id("tfidf").unwrap();
-    let (fresh_responses, fresh_report) = fresh.explain_batch(&[request(fresh_id)]);
+    let (tfidf_responses, tfidf_cold) = explain_all(&service, &[request(tfidf)]);
+    let mut fresh = ExesService::from_graph(&f.exes, f.ds.graph.clone());
+    let fresh_id = fresh
+        .register("tfidf", ModelSpec::expert_ranker(TfIdfRanker::default(), k))
+        .unwrap();
+    let (fresh_responses, fresh_report) = explain_all(&fresh, &[request(fresh_id)]);
     assert_eq!(tfidf_cold.probes, fresh_report.probes);
     assert_eq!(
         tfidf_responses[0].expect_counterfactual().explanations,

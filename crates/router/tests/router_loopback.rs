@@ -22,7 +22,6 @@ use exes_core::{Exes, ExesConfig, ExesService, ModelSpec, OutputMode, SeedPolicy
 use exes_datasets::{DatasetConfig, QueryWorkload, SyntheticDataset};
 use exes_embedding::{EmbeddingConfig, SkillEmbedding};
 use exes_expert_search::{ExpertRanker, PropagationRanker, TfIdfRanker};
-use exes_graph::store::GraphStore;
 use exes_graph::GraphView;
 use exes_linkpred::CommonNeighbors;
 use exes_router::{BackendPool, CommitOutcome, HashRing, RouterConfig, RouterHandle, Sequencer};
@@ -31,7 +30,6 @@ use exes_server::json::{self, Json};
 use exes_server::{wire, ServerConfig, ServerHandle};
 use exes_team::GreedyCoverTeamFormer;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Duration;
 
 const ALL_KINDS: [&str; 6] = [
@@ -45,7 +43,7 @@ const ALL_KINDS: [&str; 6] = [
 
 struct Fixture {
     ds: SyntheticDataset,
-    exes: Exes<CommonNeighbors>,
+    exes: Exes,
     query_text: String,
     /// Every person, best-ranked first for the fixture query — shard
     /// coverage prefers well-ranked subjects so counterfactual searches
@@ -88,14 +86,16 @@ fn fixture() -> Fixture {
 /// One worker service over its own store seeded from the fixture graph.
 /// Every worker starts from the identical epoch-0 replica — the
 /// precondition for ordered replication.
-fn worker_service(f: &Fixture) -> ExesService<CommonNeighbors> {
-    ExesService::builder(&f.exes, Arc::new(GraphStore::new(f.ds.graph.clone())))
-        .model(
+fn worker_service(f: &Fixture) -> ExesService {
+    let mut service = ExesService::from_graph(&f.exes, f.ds.graph.clone());
+    service
+        .register(
             "propagation",
             ModelSpec::expert_ranker(PropagationRanker::default(), f.exes.config().k),
         )
-        .unwrap()
-        .model(
+        .unwrap();
+    service
+        .register(
             "team",
             ModelSpec::team_former(
                 GreedyCoverTeamFormer::new(TfIdfRanker::default()),
@@ -103,8 +103,8 @@ fn worker_service(f: &Fixture) -> ExesService<CommonNeighbors> {
                 SeedPolicy::Unseeded,
             ),
         )
-        .unwrap()
-        .build()
+        .unwrap();
+    service
 }
 
 /// Debug builds push single explains into the tens of seconds, so every
@@ -121,7 +121,7 @@ fn worker_config() -> ServerConfig {
     }
 }
 
-fn start_worker(f: &Fixture) -> ServerHandle<CommonNeighbors> {
+fn start_worker(f: &Fixture) -> ServerHandle {
     exes_server::start(worker_service(f), worker_config()).expect("bind worker")
 }
 
@@ -140,7 +140,7 @@ fn router_config() -> RouterConfig {
 }
 
 struct Fleet {
-    workers: Vec<ServerHandle<CommonNeighbors>>,
+    workers: Vec<ServerHandle>,
     router: RouterHandle,
 }
 

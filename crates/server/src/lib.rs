@@ -32,7 +32,7 @@
 //! for cache-warm work and a slow lane for cold. Each lane's batcher thread
 //! drains up to `max_batch` requests — or whatever arrived within
 //! `batch_window` of the first — into a single
-//! [`exes_core::ExesService::try_explain_batch`] call. That is what makes
+//! [`exes_core::ExesService::explain`] call. That is what makes
 //! concurrent duplicate-heavy traffic cheap: requests from *different*
 //! connections land in one engine batch, where cross-user dedup answers
 //! repeats by cloning and the shared probe cache replays warm epochs with

@@ -2,14 +2,14 @@
 //!
 //! This is the heart of the serving story: connections do not call the
 //! explanation engine directly — they enqueue parsed requests as a [`Job`]
-//! and a single batcher thread drains the queue in **micro-batches** (up to
+//! and the queue's batcher thread drains it in **micro-batches** (up to
 //! `max_batch` requests, or whatever arrived within `batch_window` of the
-//! first one) into one `ExesService::try_explain_batch` call. Concurrent
+//! first one) into one [`exes_core::ExesService::explain`] call. Concurrent
 //! users asking about the same query therefore land in the *same* engine
 //! batch, where the service's cross-request dedup and shared probe cache
-//! eliminate their duplicate probes — the machinery PRs 2–4 built only pays
-//! off if the front door aggregates traffic instead of trickling it through
-//! one call at a time.
+//! eliminate their duplicate probes — machinery that only pays off if the
+//! front door aggregates traffic instead of trickling it through one call at
+//! a time.
 //!
 //! The queue is **bounded by request count**: once `capacity` requests are
 //! waiting, [`AdmissionQueue::push`] refuses with [`PushError::Full`] and the

@@ -4,8 +4,8 @@
 //! Connections are served by the skeleton in [`crate::serve`]; this module
 //! supplies its four endpoint bodies and the engine side behind them. CPU
 //! parallelism comes from the `exes-parallel` pool *inside*
-//! `ExesService::try_explain_batch`, which shards each micro-batch's unique
-//! requests across cores.
+//! [`ExesService::explain`], which shards each micro-batch's unique requests
+//! across cores.
 //!
 //! Connection workers run no searches themselves, but a worker does block on
 //! its own job's outcome (synchronous HTTP), so the pool saturates at
@@ -14,7 +14,7 @@
 //! under full explanation load.
 //!
 //! Two **batchers**, one per admission lane, drain their lane in
-//! micro-batches and run one `try_explain_batch` call per batch (see
+//! micro-batches and run one `ExesService::explain` call per batch (see
 //! [`crate::queue`]). Requests are routed at admission by the service's
 //! pre-probe cost estimate — jobs whose requests the warm probe cache can
 //! mostly answer ride the **fast** lane, jobs containing any cold request
@@ -32,7 +32,6 @@ use crate::serve::{self, Connections, Endpoints, HttpMetrics, Limits, Response};
 use crate::wire::{self, WireError};
 use exes_core::{ExesService, ServiceReport};
 use exes_durability::{CacheLoad, DurabilityError, DurableStore};
-use exes_linkpred::LinkPredictor;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -105,8 +104,8 @@ impl Default for ServerConfig {
     }
 }
 
-struct Inner<L> {
-    service: ExesService<L>,
+struct Inner {
+    service: ExesService,
     config: ServerConfig,
     /// Warm/incremental traffic.
     fast_queue: AdmissionQueue,
@@ -123,7 +122,7 @@ struct Inner<L> {
     ready: AtomicBool,
 }
 
-impl<L> Inner<L> {
+impl Inner {
     /// A lane's admission queue and counters.
     fn lane(&self, lane: Lane) -> (&AdmissionQueue, &LaneMetrics) {
         match lane {
@@ -137,13 +136,13 @@ impl<L> Inner<L> {
 /// [`ServerHandle::shutdown`] leaves the threads serving for the rest of the
 /// process's life (what the `exes-server` binary wants); tests and benches
 /// call `shutdown` to drain and join.
-pub struct ServerHandle<L> {
-    inner: Arc<Inner<L>>,
+pub struct ServerHandle {
+    inner: Arc<Inner>,
     connections: Connections,
     batchers: Vec<JoinHandle<()>>,
 }
 
-impl<L> ServerHandle<L> {
+impl ServerHandle {
     /// The bound address (resolves `:0` to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.connections.addr()
@@ -162,10 +161,7 @@ impl<L> ServerHandle<L> {
     /// the recovering state rather than connection refusals. On a server
     /// started without durability this just marks ready and reports
     /// [`CacheLoad::Missing`].
-    pub fn finish_recovery(&self) -> Result<CacheLoad, DurabilityError>
-    where
-        L: LinkPredictor + Clone + Sync,
-    {
+    pub fn finish_recovery(&self) -> Result<CacheLoad, DurabilityError> {
         let outcome = match &self.inner.durability {
             Some(durable) => durable.load_cache_into(self.inner.service.probe_cache())?,
             None => CacheLoad::Missing,
@@ -179,10 +175,7 @@ impl<L> ServerHandle<L> {
     /// the warm probe cache, so the next boot on the same data directory
     /// recovers instantly and answers its first repeat batch without a
     /// single black-box probe.
-    pub fn shutdown(self)
-    where
-        L: LinkPredictor + Clone + Sync,
-    {
+    pub fn shutdown(self) {
         let ServerHandle {
             inner,
             connections,
@@ -219,10 +212,7 @@ impl<L> ServerHandle<L> {
 /// The service is finished (models registered) before serving starts; the
 /// compile-time `Send + Sync` guarantee on `ExesService` is what lets one
 /// instance be shared by every worker and the batcher.
-pub fn start<L>(service: ExesService<L>, config: ServerConfig) -> io::Result<ServerHandle<L>>
-where
-    L: LinkPredictor + Clone + Send + Sync + 'static,
-{
+pub fn start(service: ExesService, config: ServerConfig) -> io::Result<ServerHandle> {
     start_with(service, config, None)
 }
 
@@ -239,14 +229,11 @@ where
 /// `{"status":"recovering"}` until the caller runs
 /// [`ServerHandle::finish_recovery`], which imports the persisted probe cache
 /// and flips readiness.
-pub fn start_durable<L>(
-    service: ExesService<L>,
+pub fn start_durable(
+    service: ExesService,
     config: ServerConfig,
     durable: Arc<DurableStore>,
-) -> io::Result<ServerHandle<L>>
-where
-    L: LinkPredictor + Clone + Send + Sync + 'static,
-{
+) -> io::Result<ServerHandle> {
     if !Arc::ptr_eq(service.store(), durable.store()) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -256,14 +243,11 @@ where
     start_with(service, config, Some(durable))
 }
 
-fn start_with<L>(
-    service: ExesService<L>,
+fn start_with(
+    service: ExesService,
     config: ServerConfig,
     durability: Option<Arc<DurableStore>>,
-) -> io::Result<ServerHandle<L>>
-where
-    L: LinkPredictor + Clone + Send + Sync + 'static,
-{
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let limits = Limits {
         workers: config.workers,
@@ -298,7 +282,7 @@ where
     })
 }
 
-/// The micro-batching engine loop for one lane: one `try_explain_batch` per
+/// The micro-batching engine loop for one lane: one [`ExesService::explain`] per
 /// drained micro-batch, results split back per job in admission order. Each
 /// lane runs its own copy of this loop on its own thread, with its own batch
 /// size and straggler window — that independence is the whole point: a slow
@@ -309,10 +293,7 @@ where
 /// dropped — every waiting worker's `recv` errors into a 500 — and the
 /// batcher keeps draining. A dead batcher would instead hang every queued
 /// worker forever and deadlock shutdown.
-fn batch_loop<L>(inner: &Inner<L>, lane: Lane)
-where
-    L: LinkPredictor + Clone + Sync,
-{
+fn batch_loop(inner: &Inner, lane: Lane) {
     let (queue, _) = inner.lane(lane);
     let (max_batch, batch_window) = lane_drain_params(&inner.config, lane);
     while let Some(jobs) = queue.next_batch(max_batch, batch_window) {
@@ -322,7 +303,7 @@ where
             .collect();
         let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let snapshot = inner.service.snapshot();
-            let (results, report) = inner.service.try_explain_batch_on(&snapshot, &merged);
+            let (results, report) = inner.service.explain(&snapshot, &merged);
             (results, report, snapshot)
         }));
         let (results, report, snapshot) = match answered {
@@ -364,10 +345,7 @@ fn retry_after_secs(depth: usize, max_batch: usize, batch_window: Duration) -> u
     secs.clamp(1, 30)
 }
 
-impl<L> Endpoints for Inner<L>
-where
-    L: LinkPredictor + Clone + Send + Sync + 'static,
-{
+impl Endpoints for Inner {
     fn healthz(&self) -> Response {
         if !self.ready.load(Ordering::SeqCst) {
             return (
@@ -456,7 +434,7 @@ where
             // anything.
             let any_cold = valid.iter().any(|request| {
                 matches!(
-                    self.service.estimate_on(&snapshot, request),
+                    self.service.estimate(&snapshot, request),
                     Ok(estimate) if estimate.is_cold()
                 )
             });

@@ -4,7 +4,7 @@
 //! One rule governs the whole module: **the server serialises responses with
 //! exactly the functions exposed here**, so a loopback test (or a recording
 //! proxy) can prove wire responses byte-equivalent to in-process
-//! [`exes_core::ExesService::try_explain_batch`] results by serialising those
+//! [`exes_core::ExesService::explain`] results by serialising those
 //! results itself — no float re-formatting, no field reordering, no
 //! whitespace drift. Everything is emitted compact (no spaces, fixed field
 //! order).

@@ -4,7 +4,7 @@
 //! The acceptance bar for the serving layer:
 //!
 //! * all six request kinds, sent over the wire, come back **byte-equivalent**
-//!   to serialising direct in-process `ExesService::try_explain_batch`
+//!   to serialising direct in-process `ExesService::explain`
 //!   results with the same wire codec;
 //! * a `/commit` followed by `/explain` answers on the new epoch;
 //! * the admission queue is bounded: overload sheds with 503 + `Retry-After`
@@ -44,7 +44,7 @@ const ALL_KINDS: [&str; 6] = [
 
 struct Fixture {
     ds: SyntheticDataset,
-    exes: Exes<CommonNeighbors>,
+    exes: Exes,
     query_text: String,
     subjects: Vec<u32>,
 }
@@ -85,20 +85,22 @@ fn fixture() -> Fixture {
 
 /// Builds the service every test serves (and the in-process twin the
 /// byte-equivalence test compares against).
-fn service(f: &Fixture) -> ExesService<CommonNeighbors> {
+fn service(f: &Fixture) -> ExesService {
     service_over(f, Arc::new(GraphStore::new(f.ds.graph.clone())))
 }
 
 /// The same models, registered in the same order (so model ids and
 /// fingerprints agree across boots), over an arbitrary live store.
-fn service_over(f: &Fixture, store: Arc<GraphStore>) -> ExesService<CommonNeighbors> {
-    ExesService::builder(&f.exes, store)
-        .model(
+fn service_over(f: &Fixture, store: Arc<GraphStore>) -> ExesService {
+    let mut service = ExesService::new(&f.exes, store);
+    service
+        .register(
             "propagation",
             ModelSpec::expert_ranker(PropagationRanker::default(), f.exes.config().k),
         )
-        .unwrap()
-        .model(
+        .unwrap();
+    service
+        .register(
             "team",
             ModelSpec::team_former(
                 GreedyCoverTeamFormer::new(TfIdfRanker::default()),
@@ -106,11 +108,11 @@ fn service_over(f: &Fixture, store: Arc<GraphStore>) -> ExesService<CommonNeighb
                 SeedPolicy::Unseeded,
             ),
         )
-        .unwrap()
-        .build()
+        .unwrap();
+    service
 }
 
-fn start(f: &Fixture, config: ServerConfig) -> ServerHandle<CommonNeighbors> {
+fn start(f: &Fixture, config: ServerConfig) -> ServerHandle {
     exes_server::start(service(f), config).expect("bind loopback")
 }
 
@@ -209,7 +211,7 @@ fn all_six_kinds_roundtrip_byte_equivalent_to_in_process_results() {
             ));
         }
     }
-    let (results, report) = twin.try_explain_batch(&requests);
+    let (results, report) = twin.explain(&twin.snapshot(), &requests);
     assert_eq!(report.failed_requests, 0);
     let expected = wire::results_json(&results, &f.ds.graph);
     assert_eq!(
@@ -334,7 +336,7 @@ fn commit_then_explain_serves_the_new_epoch() {
             ));
         }
     }
-    let (results, _) = twin.try_explain_batch(&requests);
+    let (results, _) = twin.explain(&snapshot, &requests);
     let expected = wire::results_json(&results, snapshot.graph());
     assert_eq!(
         strip_accounting(results_slice(&after.body)),

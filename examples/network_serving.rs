@@ -40,13 +40,13 @@ fn main() {
     let exes = Exes::new(config, embedding, CommonNeighbors);
 
     // --- A service with one registered model, behind a real socket --------
-    let service = ExesService::builder_from_graph(&exes, graph.clone())
-        .model(
+    let mut service = ExesService::from_graph(&exes, graph.clone());
+    service
+        .register(
             "propagation",
             ModelSpec::expert_ranker(PropagationRanker::default(), 1),
         )
-        .expect("valid spec")
-        .build();
+        .expect("valid spec");
     let handle = exes::server::start(
         service,
         ServerConfig {

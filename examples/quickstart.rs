@@ -99,7 +99,11 @@ fn main() {
         ExplanationRequest::counterfactual_skills(model, top, query.clone()),
         ExplanationRequest::counterfactual_query(model, top, query.clone()),
     ];
-    let (responses, report) = service.explain_batch(&batch);
+    let (results, report) = service.explain(&service.snapshot(), &batch);
+    let responses: Vec<_> = results
+        .into_iter()
+        .map(|r| r.expect("valid request"))
+        .collect();
     println!(
         "\n== Service batch: {} requests against model '{}' ({} probes, {:.0}% cache hits) ==",
         report.requests,

@@ -110,7 +110,11 @@ fn main() {
         ExplanationRequest::counterfactual_skills(team_model, outsider, shared_query.clone()),
         ExplanationRequest::counterfactual_query(expert_model, outsider, shared_query.clone()),
     ];
-    let (responses, report) = service.explain_batch(&batch);
+    let (results, report) = service.explain(&service.snapshot(), &batch);
+    let responses: Vec<_> = results
+        .into_iter()
+        .map(|r| r.expect("valid request"))
+        .collect();
     println!(
         "\n== Service batch over {} models: {} requests, {} probes ==",
         service.registry().len(),

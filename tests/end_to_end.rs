@@ -8,7 +8,7 @@ struct Pipeline {
     dataset: SyntheticDataset,
     ranker: GcnRanker,
     former: GreedyCoverTeamFormer<GcnRanker>,
-    exes: Exes<EmbeddingLinkPredictor>,
+    exes: Exes,
     k: usize,
 }
 
