@@ -210,6 +210,23 @@ impl<'a> PerturbedGraph<'a> {
         self.base
     }
 
+    /// Everyone holding `skill` in the view, each once: the base holders the
+    /// delta leaves it with (ascending), then the people the delta gives it.
+    pub fn holders_of(&self, skill: SkillId) -> impl Iterator<Item = PersonId> + '_ {
+        let kept = self
+            .base
+            .holders_of(skill)
+            .iter()
+            .copied()
+            .filter(move |p| self.removed_skills.binary_search(&(p.0, skill.0)).is_err());
+        let added = self
+            .added_skills
+            .iter()
+            .filter(move |&&(_, s)| s == skill.0)
+            .map(|&(p, _)| PersonId(p));
+        kept.chain(added)
+    }
+
     fn apply(&mut self, p: &crate::Perturbation) {
         use crate::Perturbation::*;
         match *p {
@@ -704,6 +721,38 @@ mod tests {
         });
         let v = PerturbedGraph::new(&g, &d);
         assert_eq!(v.query_match_count(PersonId(0), &q), 2);
+    }
+
+    #[test]
+    fn holders_follow_the_skill_delta() {
+        let g = toy();
+        let ml = g.vocab().id("ml").unwrap();
+        let mut d = PerturbationSet::new();
+        d.push(Perturbation::RemoveSkill {
+            person: PersonId(0),
+            skill: ml,
+        });
+        d.push(Perturbation::AddSkill {
+            person: PersonId(2),
+            skill: ml,
+        });
+        // Redundant: p1 already holds ml.
+        d.push(Perturbation::AddSkill {
+            person: PersonId(1),
+            skill: ml,
+        });
+        let view = d.apply_to_graph(&g);
+        let holders: Vec<PersonId> = view.holders_of(ml).collect();
+        assert_eq!(holders, vec![PersonId(1), PersonId(2)]);
+        for s in g.vocab().ids() {
+            let mut holders: Vec<PersonId> = view.holders_of(s).collect();
+            holders.sort_unstable();
+            let scanned: Vec<PersonId> = view
+                .people_ids()
+                .filter(|&p| view.person_has_skill(p, s))
+                .collect();
+            assert_eq!(holders, scanned, "skill {s:?}");
+        }
     }
 
     #[test]

@@ -204,11 +204,18 @@ impl FactualExplanation {
 
 /// The masked model handed to the Shapley engine: masking a feature out applies
 /// its removal perturbation to the graph/query before probing the black box.
-/// Batched coalition evaluations are routed through the parallel
-/// [`crate::probe::ProbeBatch`] engine, so exact-SHAP enumeration and
-/// KernelSHAP sampling use every core just like counterfactual search — and,
-/// when a [`ProbeCache`] is attached, share its memoised probes with the
+/// Every coalition evaluation goes through the [`crate::probe::ProbeBatch`]
+/// engine, so it answers from the context's baseline plan where the model has
+/// one and, when a [`ProbeCache`] is attached, shares memoised probes with the
 /// counterfactual searches of the same (graph, query, subject).
+///
+/// Only a batch of at least `exes_parallel::MIN_PARALLEL_ITEMS` coalitions
+/// can spread across threads. Exact-SHAP enumeration and KernelSHAP hand
+/// over such batches. The permutation sampler does not: it calls `evaluate`
+/// once per coalition, a one-element batch that runs on the calling thread.
+/// `ShapMethod::Auto` samples permutations above `ShapConfig::exact_threshold`
+/// features (10 by default), which neighbourhood-skill and collaboration
+/// feature sets usually exceed.
 pub(crate) struct FeatureMaskModel<'a, D: ?Sized> {
     task: &'a D,
     graph: &'a CollabGraph,

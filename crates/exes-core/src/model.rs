@@ -62,6 +62,14 @@ pub enum ModelSpecError {
     ZeroK,
     /// The model name is already taken in this registry.
     DuplicateName(String),
+    /// A [`SeedPolicy::Fixed`] seed names a person outside the graph the
+    /// model is registered against.
+    SeedOutOfRange {
+        /// The fixed seed.
+        seed: PersonId,
+        /// How many people the graph has.
+        num_people: usize,
+    },
 }
 
 impl fmt::Display for ModelSpecError {
@@ -73,6 +81,10 @@ impl fmt::Display for ModelSpecError {
             ModelSpecError::DuplicateName(name) => {
                 write!(f, "a model named '{name}' is already registered")
             }
+            ModelSpecError::SeedOutOfRange { seed, num_people } => write!(
+                f,
+                "the team seed {seed} is out of range for the graph ({num_people} people)"
+            ),
         }
     }
 }
@@ -91,6 +103,11 @@ trait ModelFamily: Send + Sync {
 
     /// Which explanation family the model belongs to.
     fn family(&self) -> ModelFamilyKind;
+
+    /// The fixed seed handed to a team former, if any.
+    fn seed(&self) -> Option<PersonId> {
+        None
+    }
 
     /// Human-readable configuration summary (for `Debug` and diagnostics).
     fn describe(&self) -> String;
@@ -158,6 +175,10 @@ where
         ModelFamilyKind::TeamMembership
     }
 
+    fn seed(&self) -> Option<PersonId> {
+        self.seed.seed()
+    }
+
     fn describe(&self) -> String {
         format!(
             "team former '{}' (signal ranker '{}', seed {:?})",
@@ -213,6 +234,16 @@ impl ModelSpec {
     /// Which decision family this spec configures.
     pub fn family(&self) -> ModelFamilyKind {
         self.family.family()
+    }
+
+    /// Rejects a fixed team seed outside a graph of `num_people` people.
+    pub(crate) fn check_seed(&self, num_people: usize) -> Result<(), ModelSpecError> {
+        match self.family.seed() {
+            Some(seed) if seed.index() >= num_people => {
+                Err(ModelSpecError::SeedOutOfRange { seed, num_people })
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -410,6 +441,11 @@ mod tests {
         assert!(ModelSpecError::DuplicateName("x".into())
             .to_string()
             .contains('x'));
+        let seed = ModelSpecError::SeedOutOfRange {
+            seed: PersonId(9),
+            num_people: 3,
+        };
+        assert!(seed.to_string().contains("3 people"));
     }
 
     #[test]

@@ -190,7 +190,9 @@ const PLAN_CAPACITY: usize = 16;
 /// inside, via [`BaselinePlan::payload`]. For the built-in expert-relevance
 /// task it is an [`exes_expert_search::RankerBaseline`] — the full baseline
 /// ranking plus whatever per-ranker state the incremental rescoring path
-/// needs. The probe engine treats plans as opaque: it hands them back to the
+/// needs; for the team-membership task, the former's
+/// [`exes_team::TeamBaseline`] and the signal ranker's baseline. The probe
+/// engine treats plans as opaque: it hands them back to the
 /// model through `probe_with_plan` and falls back to a full re-rank whenever
 /// the model declines.
 pub struct BaselinePlan {

@@ -487,7 +487,10 @@ impl ExesService {
 
     /// Registers a model configuration under `name`, returning the
     /// [`ModelId`] requests address it by. Fails with a typed
-    /// [`ModelSpecError`] on an invalid spec or a duplicate name.
+    /// [`ModelSpecError`] on an invalid spec, a duplicate name, or a fixed
+    /// team seed outside the store's current graph
+    /// ([`ModelSpecError::SeedOutOfRange`]). People are never removed, so a
+    /// seed valid at registration stays valid in every later epoch.
     ///
     /// Models can be added at any point in the service's life; the persistent
     /// cache needs no flush because every entry is scoped by its model's
@@ -497,6 +500,7 @@ impl ExesService {
         name: impl Into<String>,
         spec: ModelSpec,
     ) -> Result<ModelId, ModelSpecError> {
+        spec.check_seed(self.store.snapshot().graph().num_people())?;
         self.registry.register(name, spec)
     }
 
@@ -743,10 +747,10 @@ mod tests {
     use crate::tasks::{ExpertRelevanceTask, TeamMembershipTask};
     use exes_datasets::{DatasetConfig, QueryWorkload, SyntheticDataset};
     use exes_embedding::{EmbeddingConfig, SkillEmbedding};
-    use exes_expert_search::{ExpertRanker, PropagationRanker};
+    use exes_expert_search::{ExpertRanker, PropagationRanker, TfIdfRanker};
     use exes_graph::GraphView;
     use exes_linkpred::CommonNeighbors;
-    use exes_team::GreedyCoverTeamFormer;
+    use exes_team::{GreedyCoverTeamFormer, MinDistanceTeamFormer};
 
     struct Fixture {
         ds: SyntheticDataset,
@@ -1290,6 +1294,57 @@ mod tests {
     }
 
     #[test]
+    fn team_requests_ride_a_memoised_plan() {
+        let f = fixture();
+        let mut service = ExesService::from_graph(&f.exes, f.ds.graph.clone());
+        let planned = service
+            .register(
+                "greedy",
+                ModelSpec::team_former(
+                    GreedyCoverTeamFormer::new(TfIdfRanker::default()),
+                    TfIdfRanker::default(),
+                    SeedPolicy::Unseeded,
+                ),
+            )
+            .unwrap();
+        let unplanned = service
+            .register(
+                "min-distance",
+                ModelSpec::team_former(
+                    MinDistanceTeamFormer::new(),
+                    TfIdfRanker::default(),
+                    SeedPolicy::Unseeded,
+                ),
+            )
+            .unwrap();
+        let query =
+            Arc::new(QueryWorkload::answerable(&f.ds.graph, 1, 2, 3, 3, 11).queries()[0].clone());
+        let snapshot = service.snapshot();
+        for model in [planned, unplanned] {
+            let first =
+                ExplanationRequest::counterfactual_skills(model, PersonId(0), query.clone());
+            let (results, report) = service.explain(&snapshot, std::slice::from_ref(&first));
+            let answered = results[0].as_ref().unwrap();
+            let sibling = ExplanationRequest::factual_skills(model, PersonId(1), query.clone());
+            if model == planned {
+                assert!(answered.incremental_rescores() > 0);
+                assert_eq!(report.plan_misses, 1);
+                assert_eq!(
+                    service.estimate(&snapshot, &sibling),
+                    Ok(CostEstimate::Incremental)
+                );
+            } else {
+                assert_eq!(answered.incremental_rescores(), 0);
+                assert_eq!(report.plan_misses, 0);
+                assert_eq!(
+                    service.estimate(&snapshot, &sibling),
+                    Ok(CostEstimate::Cold)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn plan_memo_efficiency_is_reported_per_batch() {
         let f = fixture();
         let (service, model) = service(&f);
@@ -1443,5 +1498,31 @@ mod tests {
         assert!(service
             .register("bad", ModelSpec::expert_ranker(f.ranker, 0))
             .is_err());
+    }
+
+    #[test]
+    fn a_fixed_team_seed_outside_the_graph_is_rejected_at_registration() {
+        let f = fixture();
+        let mut service = ExesService::from_graph(&f.exes, f.ds.graph.clone());
+        let num_people = f.ds.graph.num_people();
+        let team = |seed| {
+            ModelSpec::team_former(
+                GreedyCoverTeamFormer::new(f.ranker),
+                f.ranker,
+                SeedPolicy::Fixed(seed),
+            )
+        };
+        // Registered, its first request would panic the whole batch.
+        let outside = PersonId::from_index(num_people);
+        assert_eq!(
+            service.register("team", team(outside)).err(),
+            Some(ModelSpecError::SeedOutOfRange {
+                seed: outside,
+                num_people
+            })
+        );
+        assert!(service.registry().is_empty());
+        let last = PersonId::from_index(num_people - 1);
+        assert!(service.register("team", team(last)).is_ok());
     }
 }

@@ -18,7 +18,7 @@ use crate::model::ModelSpecError;
 use crate::probe::BaselinePlan;
 use exes_expert_search::{ExpertRanker, RankerBaseline};
 use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query};
-use exes_team::TeamFormer;
+use exes_team::{TeamBaseline, TeamFormer};
 use rustc_hash::FxHasher;
 use std::hash::{Hash, Hasher};
 
@@ -301,6 +301,13 @@ impl<R: ExpertRanker + Sync> DecisionModel for ExpertRelevanceTask<'_, R> {
 /// signal comes from an auxiliary expert ranker (`signal_ranker`): perturbations
 /// that improve the subject's expert rank are explored first. The *decision*
 /// itself always comes from the team former.
+///
+/// When the former and the signal ranker both build baselines (a
+/// [`exes_team::GreedyCoverTeamFormer`] over TF-IDF, with any planned signal
+/// ranker), the task plans: a probe patches both baselines instead of ranking
+/// the perturbed graph twice. Planned membership is exact; the planned signal
+/// is as exact as the signal ranker's `incremental_rank_of` (bitwise for
+/// TF-IDF and propagation).
 #[derive(Debug, Clone, Copy)]
 pub struct TeamMembershipTask<'a, F, R> {
     former: &'a F,
@@ -361,6 +368,47 @@ impl<F: TeamFormer + Sync, R: ExpertRanker + Sync> DecisionModel for TeamMembers
         self.seed.map(|p| p.0).hash(&mut h);
         h.finish()
     }
+
+    /// The former's and the signal ranker's baselines, when both have one.
+    fn build_plan(&self, graph: &CollabGraph, query: &Query) -> Option<BaselinePlan> {
+        Some(BaselinePlan::new(TeamPlan {
+            former: self.former.build_baseline(graph, query)?,
+            signal: self.signal_ranker.build_baseline(graph, query)?,
+        }))
+    }
+
+    /// Answers only when both the former and the signal ranker answer from
+    /// their baselines; either declining (a perturbed query, a delta that
+    /// moves more than half the graph) falls back to the full probe.
+    fn probe_with_plan(
+        &self,
+        plan: &BaselinePlan,
+        view: &PerturbedGraph<'_>,
+        query: &Query,
+    ) -> Option<Probe> {
+        let plan = plan.payload::<TeamPlan>()?;
+        let member = self.former.incremental_is_member(
+            &plan.former,
+            view,
+            query,
+            self.seed,
+            self.subject,
+        )?;
+        let rank =
+            self.signal_ranker
+                .incremental_rank_of(&plan.signal, view, query, self.subject)?;
+        Some(Probe {
+            positive: member,
+            signal: rank as f64,
+        })
+    }
+}
+
+/// A team-membership task's per-context plan: one baseline for the
+/// membership decision, one for the beam-search signal.
+struct TeamPlan {
+    former: TeamBaseline,
+    signal: RankerBaseline,
 }
 
 #[cfg(test)]
@@ -434,6 +482,28 @@ mod tests {
 
         let not_needed = TeamMembershipTask::new(&former, &ranker, PersonId(1), Some(PersonId(0)));
         assert!(!not_needed.probe(&g, &q).positive);
+    }
+
+    #[test]
+    fn team_tasks_plan_only_when_former_and_signal_ranker_do() {
+        let g = toy();
+        let q = Query::parse("db vision", g.vocab()).unwrap();
+        let tfidf = TfIdfRanker::default();
+        let gcn = exes_expert_search::GcnRanker::default();
+        let greedy = GreedyCoverTeamFormer::new(TfIdfRanker::default());
+        let min_distance = exes_team::MinDistanceTeamFormer::new();
+        let subject = PersonId(2);
+        assert!(TeamMembershipTask::new(&greedy, &tfidf, subject, None)
+            .build_plan(&g, &q)
+            .is_some());
+        assert!(TeamMembershipTask::new(&greedy, &gcn, subject, None)
+            .build_plan(&g, &q)
+            .is_none());
+        assert!(
+            TeamMembershipTask::new(&min_distance, &tfidf, subject, None)
+                .build_plan(&g, &q)
+                .is_none()
+        );
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! [`crate::ExpertRanker::incremental_rank_of`] then rescores only the
 //! delta's affected neighbourhood and derives the subject's new rank by
 //! *counting corrections* against the baseline order — O(affected + log n)
-//! instead of O(n log n).
+//! instead of O(n log n). A ranker that can also hand out that rescored list
+//! ([`crate::ExpertRanker::incremental_scores`]) lets callers read any
+//! post-delta score or the new leader off the baseline
+//! ([`RankerBaseline::score_after`], [`RankerBaseline::top_after`]) — which
+//! is how a greedy team former answers membership probes without ranking.
 
-use crate::ranker::{idf_from_count, orders_before};
+use crate::ranker::{idf_from_count, orders_before, rank_order};
 use crate::RankedList;
 use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query, SkillId};
 
@@ -246,6 +250,35 @@ pub(crate) fn corrected_rank(
     before as usize + 1
 }
 
+impl RankerBaseline {
+    /// `p`'s score after a delta, given the delta's moved scores `changed`
+    /// in ascending person order ([`crate::ExpertRanker::incremental_scores`]).
+    pub fn score_after(&self, changed: &[(PersonId, f64)], p: PersonId) -> f64 {
+        match changed.binary_search_by_key(&p, |&(q, _)| q) {
+            Ok(i) => changed[i].1,
+            Err(_) => self.scores[p.index()],
+        }
+    }
+
+    /// The top-ranked person after a delta (`None` on an empty graph), given
+    /// its moved scores `changed` in ascending person order: the best of the
+    /// moved entries and the first baseline entry the delta left in place.
+    /// Exactly the head of a full re-sort of the patched scores.
+    pub fn top_after(&self, changed: &[(PersonId, f64)]) -> Option<PersonId> {
+        debug_assert!(changed.windows(2).all(|w| w[0].0 < w[1].0));
+        let unmoved = self
+            .ranked
+            .entries()
+            .iter()
+            .find(|&&(p, _)| changed.binary_search_by_key(&p, |&(q, _)| q).is_err());
+        changed
+            .iter()
+            .chain(unmoved)
+            .min_by(|a, b| rank_order(a, b))
+            .map(|&(p, _)| p)
+    }
+}
+
 /// Builds the person-indexed score vector backing `ranked`.
 pub(crate) fn person_indexed_scores(ranked: &RankedList, n: usize) -> Vec<f64> {
     let mut scores = vec![0.0; n];
@@ -360,6 +393,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn scores_and_top_after_a_delta_match_a_full_resort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x70B1);
+        for case in 0..200 {
+            let n = rng.gen_range(1usize..12);
+            let baseline = baseline_of(
+                (0..n)
+                    .map(|i| (PersonId::from_index(i), f64::from(rng.gen_range(0u32..4))))
+                    .collect(),
+            );
+            // Ascending, deduped people with fresh scores: ties with the
+            // unmoved leader are common at this score range.
+            let mut changed: Vec<(PersonId, f64)> = Vec::new();
+            for i in 0..n {
+                if rng.gen_bool(0.4) {
+                    changed.push((PersonId::from_index(i), f64::from(rng.gen_range(0u32..4))));
+                }
+            }
+            let mut scores = baseline.scores.clone();
+            for &(p, s) in &changed {
+                scores[p.index()] = s;
+            }
+            let resorted = RankedList::from_scores(
+                scores
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| (PersonId::from_index(i), s))
+                    .collect(),
+            );
+            assert_eq!(
+                baseline.top_after(&changed),
+                resorted.top_k(1).first().copied(),
+                "case {case}"
+            );
+            for p in (0..n).map(PersonId::from_index) {
+                assert_eq!(
+                    baseline.score_after(&changed, p).to_bits(),
+                    scores[p.index()].to_bits(),
+                    "case {case} person {p}"
+                );
+            }
+            changed.clear();
+            assert_eq!(
+                baseline.top_after(&changed),
+                baseline.ranked.top_k(1).first().copied()
+            );
+        }
+        assert_eq!(baseline_of(Vec::new()).top_after(&[]), None);
     }
 
     #[test]

@@ -235,6 +235,28 @@ pub trait ExpertRanker {
         let _ = (baseline, view, query, person);
         None
     }
+
+    /// The post-delta scores of everyone the perturbed `view` can move,
+    /// computed from a memoized [`RankerBaseline`]: `(person, score)` in
+    /// ascending person order, each person at most once. Anyone absent keeps
+    /// their baseline score, so [`RankerBaseline::score_after`] and
+    /// [`RankerBaseline::top_after`] read the whole post-delta ranking off
+    /// this list.
+    ///
+    /// The default returns `None` (decline), as does any ranker for a delta
+    /// it cannot rescore exactly — the same conditions under which
+    /// [`ExpertRanker::incremental_rank_of`] declines. Where it answers, the
+    /// patched scores must equal a full [`ExpertRanker::rank_all`] over the
+    /// view bitwise.
+    fn incremental_scores(
+        &self,
+        baseline: &RankerBaseline,
+        view: &PerturbedGraph<'_>,
+        query: &Query,
+    ) -> Option<Vec<(PersonId, f64)>> {
+        let _ = (baseline, view, query);
+        None
+    }
 }
 
 /// Inverse document frequency of a skill over a graph view:

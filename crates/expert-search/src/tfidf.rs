@@ -106,9 +106,6 @@ impl ExpertRanker for TfIdfRanker {
         })
     }
 
-    /// Exact: TF-IDF only reads a person's own skill row and the per-term
-    /// holder counts, so rescoring the skill-delta people plus the holders of
-    /// IDF-moved terms reproduces a full re-rank bitwise.
     fn incremental_rank_of(
         &self,
         baseline: &RankerBaseline,
@@ -116,6 +113,20 @@ impl ExpertRanker for TfIdfRanker {
         query: &Query,
         person: PersonId,
     ) -> Option<usize> {
+        let changed = self.incremental_scores(baseline, view, query)?;
+        Some(corrected_rank(baseline, person, &changed))
+    }
+
+    /// Exact: TF-IDF only reads a person's own skill row and the per-term
+    /// holder counts, so rescoring the skill-delta people plus the holders of
+    /// IDF-moved terms reproduces a full re-rank bitwise. Declines for a
+    /// perturbed query, or when those people exceed half the graph.
+    fn incremental_scores(
+        &self,
+        baseline: &RankerBaseline,
+        view: &PerturbedGraph<'_>,
+        query: &Query,
+    ) -> Option<Vec<(PersonId, f64)>> {
         if query.skills() != baseline.query {
             return None;
         }
@@ -126,12 +137,13 @@ impl ExpertRanker for TfIdfRanker {
         if effect.affected.len() > affected_cap(view.num_people()) {
             return None;
         }
-        let changed: Vec<(PersonId, f64)> = effect
-            .affected
-            .iter()
-            .map(|&p| (p, self.score_with(view, &baseline.query, &effect.idfs, p)))
-            .collect();
-        Some(corrected_rank(baseline, person, &changed))
+        Some(
+            effect
+                .affected
+                .iter()
+                .map(|&p| (p, self.score_with(view, &baseline.query, &effect.idfs, p)))
+                .collect(),
+        )
     }
 }
 
@@ -247,10 +259,18 @@ mod tests {
         ];
         for d in deltas {
             let view = PerturbationSet::singleton(d).apply_to_graph(&g);
+            let full = r.rank_all(&view, &q);
+            let changed = r.incremental_scores(&baseline, &view, &q).unwrap();
+            assert_eq!(baseline.top_after(&changed), full.top_k(1).first().copied());
             for p in (0..12).map(PersonId) {
                 assert_eq!(
                     r.incremental_rank_of(&baseline, &view, &q, p),
                     Some(r.rank_of(&view, &q, p)),
+                    "delta {d:?} person {p}"
+                );
+                assert_eq!(
+                    Some(baseline.score_after(&changed, p).to_bits()),
+                    full.score_of(p).map(f64::to_bits),
                     "delta {d:?} person {p}"
                 );
             }

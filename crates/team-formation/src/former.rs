@@ -1,7 +1,20 @@
 //! The team-formation interface explained by ExES.
 
 use crate::Team;
-use exes_graph::{GraphView, PersonId, Query};
+use exes_expert_search::RankerBaseline;
+use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query};
+
+/// Memoized per-(snapshot, query) state that lets a [`TeamFormer`] answer
+/// membership probes on perturbed views without forming the team from a
+/// full ranking of the view ([`TeamFormer::incremental_is_member`]).
+///
+/// Built by [`TeamFormer::build_baseline`]; opaque outside this crate and
+/// shareable across threads. For [`crate::GreedyCoverTeamFormer`] it is the
+/// wrapped ranker's [`RankerBaseline`].
+#[derive(Debug, Clone)]
+pub struct TeamBaseline {
+    pub(crate) ranking: RankerBaseline,
+}
 
 /// A team-formation system `F` to be explained.
 ///
@@ -41,6 +54,36 @@ pub trait TeamFormer {
         person: PersonId,
     ) -> bool {
         self.form_team(graph, query, seed).contains(person)
+    }
+
+    /// Builds the per-(snapshot, query) baseline that lets this former answer
+    /// membership probes through [`TeamFormer::incremental_is_member`].
+    ///
+    /// The default returns `None`: the former has no planned path and every
+    /// probe forms the team on the perturbed view.
+    fn build_baseline(&self, graph: &CollabGraph, query: &Query) -> Option<TeamBaseline> {
+        let _ = (graph, query);
+        None
+    }
+
+    /// Membership of `person` on the perturbed `view`, answered from a
+    /// [`TeamBaseline`] built on the view's base graph.
+    ///
+    /// Returns `None` whenever the planned path cannot answer exactly — a
+    /// perturbed query, a delta that moves too much of the ranking, or no
+    /// planned path at all. Callers must treat `None` as "form the team on
+    /// the view", never as an error. Where it answers, the answer must equal
+    /// [`TeamFormer::is_member`] on the view.
+    fn incremental_is_member(
+        &self,
+        baseline: &TeamBaseline,
+        view: &PerturbedGraph<'_>,
+        query: &Query,
+        seed: Option<PersonId>,
+        person: PersonId,
+    ) -> Option<bool> {
+        let _ = (baseline, view, query, seed, person);
+        None
     }
 }
 

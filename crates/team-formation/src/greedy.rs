@@ -1,8 +1,8 @@
 //! Greedy seed-expansion team formation (the paper's evaluated method).
 
-use crate::{Team, TeamFormer};
+use crate::{Team, TeamBaseline, TeamFormer};
 use exes_expert_search::ExpertRanker;
-use exes_graph::{GraphView, PersonId, Query, SkillId};
+use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query, SkillId};
 
 /// Builds a team around a main member by greedily recruiting, at each step, the
 /// candidate who covers the most still-uncovered query skills.
@@ -13,6 +13,12 @@ use exes_graph::{GraphView, PersonId, Query, SkillId};
 /// underlying ranker's score for the query and then by person id, which keeps
 /// the procedure deterministic — a requirement for meaningful perturbation
 /// probes.
+///
+/// Over a ranker that hands out rescored scores
+/// ([`ExpertRanker::incremental_scores`], e.g. TF-IDF), the former plans:
+/// [`TeamFormer::incremental_is_member`] runs the same loop with the seed and
+/// the score tie-breaks read off the ranker's baseline patched by the delta,
+/// instead of ranking the perturbed graph.
 #[derive(Debug, Clone)]
 pub struct GreedyCoverTeamFormer<R> {
     ranker: R,
@@ -61,6 +67,68 @@ fn coverage_gain<G: GraphView + ?Sized>(
         .count()
 }
 
+/// The pool member covering the most `missing` skills, ties broken by the
+/// higher `score` and then the lower id (`None` when nobody adds coverage).
+/// The order is total over distinct people, so the pool's order is
+/// irrelevant.
+fn best_candidate<G: GraphView + ?Sized>(
+    graph: &G,
+    missing: &[SkillId],
+    pool: impl Iterator<Item = PersonId>,
+    score: &impl Fn(PersonId) -> f64,
+) -> Option<PersonId> {
+    pool.filter_map(|c| {
+        let gain = coverage_gain(graph, missing, c);
+        (gain > 0).then(|| (c, gain, score(c)))
+    })
+    .max_by(|a, b| a.1.cmp(&b.1).then(a.2.total_cmp(&b.2)).then(b.0.cmp(&a.0)))
+    .map(|(c, _, _)| c)
+}
+
+impl<R: ExpertRanker> GreedyCoverTeamFormer<R> {
+    /// The greedy loop: grows a team around `seed` until the query is
+    /// covered or the size cap is hit, reading the ranker's scores through
+    /// `score` — from a full ranking of `graph`, or patched baseline scores.
+    /// When no collaborator adds coverage, the pool widens to `widen(missing)`:
+    /// everyone, or just the holders of a missing skill, which picks the same
+    /// candidate since nobody else adds coverage.
+    fn grow<G: GraphView + ?Sized>(
+        &self,
+        graph: &G,
+        query: &Query,
+        seed: PersonId,
+        score: impl Fn(PersonId) -> f64,
+        widen: impl Fn(&[SkillId]) -> Vec<PersonId>,
+    ) -> Team {
+        let mut members = vec![seed];
+        let mut missing = uncovered(graph, query, &members);
+
+        while !missing.is_empty() && members.len() < self.max_team_size {
+            // Candidate pool: collaborators of current members, then wider.
+            let mut frontier: Vec<PersonId> = members
+                .iter()
+                .flat_map(|&m| graph.neighbors(m).iter().copied())
+                .filter(|n| !members.contains(n))
+                .collect();
+            frontier.sort_unstable();
+            frontier.dedup();
+            let next =
+                best_candidate(graph, &missing, frontier.into_iter(), &score).or_else(|| {
+                    let wider = widen(&missing).into_iter().filter(|p| !members.contains(p));
+                    best_candidate(graph, &missing, wider, &score)
+                });
+            match next {
+                Some(c) => {
+                    members.push(c);
+                    missing = uncovered(graph, query, &members);
+                }
+                None => break, // Nobody in the graph holds any missing skill.
+            }
+        }
+        Team::new(members, Some(seed))
+    }
+}
+
 impl<R: ExpertRanker> TeamFormer for GreedyCoverTeamFormer<R> {
     fn form_team<G: GraphView + ?Sized>(
         &self,
@@ -79,49 +147,50 @@ impl<R: ExpertRanker> TeamFormer for GreedyCoverTeamFormer<R> {
                 None => return Team::empty(),
             },
         };
-        let mut members = vec![seed];
-        let mut missing = uncovered(graph, query, &members);
+        self.grow(
+            graph,
+            query,
+            seed,
+            |c| ranking.score_of(c).unwrap_or(0.0),
+            |_| graph.people_ids().collect(),
+        )
+    }
 
-        while !missing.is_empty() && members.len() < self.max_team_size {
-            // Candidate pool: collaborators of current members, then everyone.
-            let mut frontier: Vec<PersonId> = Vec::new();
-            for &m in &members {
-                for &n in graph.neighbors(m) {
-                    if !members.contains(&n) && !frontier.contains(&n) {
-                        frontier.push(n);
-                    }
-                }
-            }
-            let pick_from = |pool: &[PersonId]| -> Option<PersonId> {
-                pool.iter()
-                    .copied()
-                    .map(|c| {
-                        (
-                            c,
-                            coverage_gain(graph, &missing, c),
-                            ranking.score_of(c).unwrap_or(0.0),
-                        )
-                    })
-                    .filter(|&(_, gain, _)| gain > 0)
-                    .max_by(|a, b| a.1.cmp(&b.1).then(a.2.total_cmp(&b.2)).then(b.0.cmp(&a.0)))
-                    .map(|(c, _, _)| c)
-            };
-            let next = pick_from(&frontier).or_else(|| {
-                let everyone: Vec<PersonId> = graph
-                    .people_ids()
-                    .filter(|p| !members.contains(p))
-                    .collect();
-                pick_from(&everyone)
-            });
-            match next {
-                Some(c) => {
-                    members.push(c);
-                    missing = uncovered(graph, query, &members);
-                }
-                None => break, // Nobody in the graph holds any missing skill.
-            }
+    /// The wrapped ranker's baseline, when the ranker can hand out rescored
+    /// scores ([`ExpertRanker::incremental_scores`]). A ranker that declines
+    /// even the empty delta never answers, so it gets no plan.
+    fn build_baseline(&self, graph: &CollabGraph, query: &Query) -> Option<TeamBaseline> {
+        let ranking = self.ranker.build_baseline(graph, query)?;
+        self.ranker
+            .incremental_scores(&ranking, &PerturbedGraph::identity(graph), query)?;
+        Some(TeamBaseline { ranking })
+    }
+
+    /// Exact: the same greedy loop as [`TeamFormer::form_team`], with the
+    /// seed and score tie-breaks read off the baseline patched by the
+    /// ranker's rescored people. Declines whenever the ranker does.
+    fn incremental_is_member(
+        &self,
+        baseline: &TeamBaseline,
+        view: &PerturbedGraph<'_>,
+        query: &Query,
+        seed: Option<PersonId>,
+        person: PersonId,
+    ) -> Option<bool> {
+        if view.num_people() == 0 {
+            return Some(false); // An empty graph forms an empty team.
         }
-        Team::new(members, Some(seed))
+        let ranking = &baseline.ranking;
+        let changed = self.ranker.incremental_scores(ranking, view, query)?;
+        let seed = seed.or_else(|| ranking.top_after(&changed))?;
+        let team = self.grow(
+            view,
+            query,
+            seed,
+            |c| ranking.score_after(&changed, c),
+            |missing| missing.iter().flat_map(|&s| view.holders_of(s)).collect(),
+        );
+        Some(team.contains(person))
     }
 
     fn name(&self) -> &'static str {
@@ -246,6 +315,58 @@ mod tests {
             .with_max_team_size(1)
             .form_team(&g, &q, Some(PersonId(0)));
         assert_eq!(team.len(), 1);
+    }
+
+    #[test]
+    fn planned_membership_matches_forming_the_team() {
+        use exes_expert_search::GcnRanker;
+        let g = toy();
+        let q = Query::parse("db ml vision", g.vocab()).unwrap();
+        let f = former();
+        let baseline = f.build_baseline(&g, &q).expect("tf-idf plans");
+        let (db, ml) = (g.vocab().id("db").unwrap(), g.vocab().id("ml").unwrap());
+        let deltas = [
+            PerturbationSet::new(),
+            PerturbationSet::singleton(Perturbation::RemoveSkill {
+                person: PersonId(1),
+                skill: ml,
+            }),
+            PerturbationSet::singleton(Perturbation::AddSkill {
+                person: PersonId(2),
+                skill: db,
+            }),
+            PerturbationSet::singleton(Perturbation::RemoveEdge {
+                a: PersonId(0),
+                b: PersonId(1),
+            }),
+            PerturbationSet::singleton(Perturbation::AddEdge {
+                a: PersonId(0),
+                b: PersonId(3),
+            }),
+        ];
+        for delta in &deltas {
+            let view = delta.apply_to_graph(&g);
+            for seed in [None, Some(PersonId(0)), Some(PersonId(2))] {
+                for p in (0..4).map(PersonId) {
+                    assert_eq!(
+                        f.incremental_is_member(&baseline, &view, &q, seed, p),
+                        Some(f.is_member(&view, &q, seed, p)),
+                        "delta {delta:?} seed {seed:?} person {p}"
+                    );
+                }
+            }
+        }
+        // A perturbed query declines; a ranker without rescored scores
+        // gets no plan at all.
+        let other = Query::parse("db ml", g.vocab()).unwrap();
+        let view = PerturbationSet::new().apply_to_graph(&g);
+        assert_eq!(
+            f.incremental_is_member(&baseline, &view, &other, None, PersonId(0)),
+            None
+        );
+        assert!(GreedyCoverTeamFormer::new(GcnRanker::default())
+            .build_baseline(&g, &q)
+            .is_none());
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!   and as a baseline.
 //!
 //! ExES explains membership decisions through the same perturbation probes it
-//! uses for expert search; the binary label is [`TeamFormer::is_member`].
+//! uses for expert search; the binary label is [`TeamFormer::is_member`]. A
+//! former that can build a [`TeamBaseline`] per (snapshot, query) answers
+//! those probes without ranking each perturbed graph
+//! ([`TeamFormer::incremental_is_member`]); the greedy former does, over a
+//! ranker that hands out rescored scores (TF-IDF).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +29,7 @@ mod greedy;
 mod min_distance;
 mod team;
 
-pub use former::TeamFormer;
+pub use former::{TeamBaseline, TeamFormer};
 pub use greedy::GreedyCoverTeamFormer;
 pub use min_distance::MinDistanceTeamFormer;
 pub use team::Team;

@@ -9,7 +9,8 @@
 //! both localized and dense. The incremental differentials elsewhere compare
 //! the library against itself, so they could not catch a kernel change that
 //! moved both sides together; these tests can. TF-IDF's counted `rank_of` is
-//! checked against its own sorted ranking.
+//! checked against its own sorted ranking, and the team model's planned
+//! probes against forming the team and ranking on the perturbed graph.
 
 mod common;
 
@@ -392,5 +393,211 @@ fn planned_propagation_ranks_match_the_frozen_reference() {
                 "{overlay}: the planned path must answer for {p}"
             );
         }
+    }
+}
+
+/// Edits making `b`'s profile match `t`'s in the query terms it holds and
+/// in its skill count, so TF-IDF scores the two bitwise alike.
+fn tie_with(graph: &CollabGraph, query: &Query, t: PersonId, b: PersonId) -> PerturbationSet {
+    let mut set = PerturbationSet::new();
+    let mut len = graph.person_skills(b).len() as isize;
+    for &term in query.skills() {
+        match (
+            graph.person_has_skill(t, term),
+            graph.person_has_skill(b, term),
+        ) {
+            (true, false) => {
+                set.push(Perturbation::AddSkill {
+                    person: b,
+                    skill: term,
+                });
+                len += 1;
+            }
+            (false, true) => {
+                set.push(Perturbation::RemoveSkill {
+                    person: b,
+                    skill: term,
+                });
+                len -= 1;
+            }
+            _ => {}
+        }
+    }
+    let target = graph.person_skills(t).len() as isize;
+    let others = graph.vocab().ids().filter(|&s| !query.contains(s));
+    if len > target {
+        let held: Vec<SkillId> = others
+            .filter(|&s| graph.person_has_skill(b, s))
+            .take((len - target) as usize)
+            .collect();
+        for skill in held {
+            set.push(Perturbation::RemoveSkill { person: b, skill });
+        }
+    } else {
+        let absent: Vec<SkillId> = others
+            .filter(|&s| !graph.person_has_skill(b, s))
+            .take((target - len) as usize)
+            .collect();
+        for skill in absent {
+            set.push(Perturbation::AddSkill { person: b, skill });
+        }
+    }
+    set
+}
+
+/// The team model's planned probes against its full path on the 400-person
+/// `github_sim` graph: membership under the greedy former over TF-IDF,
+/// unseeded and seeded, and the TF-IDF signal rank, for every probe the plan
+/// answers. The query is the graph's four most widely held skills, so
+/// removing a holder's term shifts an IDF (under `n/2` holders) and covering
+/// the query takes more than one member.
+#[test]
+fn planned_team_probes_match_the_full_path_on_github_400() {
+    let (graph, _) = github_400();
+    let mut skills: Vec<SkillId> = graph.vocab().ids().collect();
+    skills.sort_by_key(|&s| (std::cmp::Reverse(graph.holders_of(s).len()), s));
+    let query = Query::new(skills[..4].iter().copied()).unwrap();
+    let tfidf = TfIdfRanker::default();
+    let former = GreedyCoverTeamFormer::new(TfIdfRanker::default());
+    let base_ranking = tfidf.rank_all(&graph, &query);
+    let leader = base_ranking.entries()[0].0;
+    // A seed holding no query term, so every term is recruited for.
+    let seed = graph
+        .people()
+        .find(|&p| graph.degree(p) >= 3 && graph.query_match_count(p, &query) == 0)
+        .expect("an uncovering seed");
+
+    // The runner-up closest to the top that a profile edit ties with the
+    // leader at the head of the post-delta ranking.
+    let tie = base_ranking.entries()[1..10]
+        .iter()
+        .map(|&(b, _)| tie_with(&graph, &query, leader, b))
+        .find(|set| {
+            let entries = tfidf.rank_all(&set.apply_to_graph(&graph), &query);
+            entries.entries()[0].1.to_bits() == entries.entries()[1].1.to_bits()
+        })
+        .expect("a runner-up ties the leader");
+
+    for seed in [None, Some(seed)] {
+        let team = former.form_team(&graph, &query, seed);
+        let head = team.seed().expect("a non-empty team");
+        let mut deltas: Vec<(String, PerturbationSet)> =
+            vec![("identity".to_string(), PerturbationSet::new())];
+        for &m in team.members() {
+            for &term in query.skills() {
+                if graph.person_has_skill(m, term) {
+                    deltas.push((
+                        format!("query skill {term} removed from member {m}"),
+                        PerturbationSet::singleton(Perturbation::RemoveSkill {
+                            person: m,
+                            skill: term,
+                        }),
+                    ));
+                }
+            }
+            if let Some(&nb) = graph.neighbors(m).first() {
+                deltas.push((
+                    format!("edge {m}-{nb} removed"),
+                    PerturbationSet::singleton(Perturbation::RemoveEdge { a: m, b: nb }),
+                ));
+            }
+        }
+        let mut edited = vec![head];
+        if leader != head {
+            edited.push(leader);
+        }
+        for p in edited {
+            if let Some(skill) = graph
+                .vocab()
+                .ids()
+                .find(|&s| !query.contains(s) && !graph.person_has_skill(p, s))
+            {
+                deltas.push((
+                    format!("non-query skill added to {p}"),
+                    PerturbationSet::singleton(Perturbation::AddSkill { person: p, skill }),
+                ));
+            }
+        }
+        for &term in query.skills() {
+            let far = graph
+                .holders_of(term)
+                .iter()
+                .copied()
+                .find(|&h| h != head && !graph.has_edge(head, h) && !team.contains(h));
+            if let Some(h) = far {
+                deltas.push((
+                    format!("edge {head}-{h} added to a {term} holder"),
+                    PerturbationSet::singleton(Perturbation::AddEdge { a: head, b: h }),
+                ));
+            }
+        }
+        // A query term held only by a stranger to the team: covering it
+        // takes the widened pool, which must see the holder the delta adds.
+        let term = query.skills()[1];
+        let stranger = graph
+            .people()
+            .find(|&p| {
+                !graph.person_has_skill(p, term)
+                    && team
+                        .members()
+                        .iter()
+                        .all(|&m| m != p && !graph.has_edge(m, p))
+            })
+            .expect("a stranger to the team");
+        let mut moved: PerturbationSet = graph
+            .holders_of(term)
+            .iter()
+            .map(|&h| Perturbation::RemoveSkill {
+                person: h,
+                skill: term,
+            })
+            .collect();
+        moved.push(Perturbation::AddSkill {
+            person: stranger,
+            skill: term,
+        });
+        deltas.push((format!("{term} held only by {stranger}"), moved));
+        deltas.push(("tied top score".to_string(), tie.clone()));
+        let term = query.skills()[0];
+        deltas.push((
+            "query term removed".to_string(),
+            PerturbationSet::singleton(Perturbation::RemoveQueryTerm { skill: term }),
+        ));
+
+        let plan = TeamMembershipTask::new(&former, &tfidf, head, seed)
+            .build_plan(&graph, &query)
+            .expect("the greedy former over tf-idf plans");
+        let mut answered = 0;
+        let mut moved = 0;
+        for (name, set) in &deltas {
+            let (view, perturbed) = set.apply(&graph, &query);
+            let formed = former.form_team(&view, &perturbed, seed);
+            if formed.members() != team.members() {
+                moved += 1;
+            }
+            let mut subjects: Vec<PersonId> = graph.people().step_by(9).collect();
+            subjects.extend(team.members());
+            subjects.extend(formed.members());
+            subjects.push(leader);
+            for p in subjects {
+                let task = TeamMembershipTask::new(&former, &tfidf, p, seed);
+                let planned = task.probe_with_plan(&plan, &view, &perturbed);
+                if set.iter().any(Perturbation::is_query_perturbation) {
+                    assert_eq!(planned, None, "seed {seed:?}, {name}: must decline");
+                    continue;
+                }
+                assert_eq!(
+                    planned,
+                    Some(task.probe(&view, &perturbed)),
+                    "seed {seed:?}, {name}: planned probe of {p}"
+                );
+                answered += 1;
+            }
+        }
+        assert!(
+            moved >= 3,
+            "seed {seed:?}: only {moved} deltas changed the team"
+        );
+        assert!(answered > 500, "seed {seed:?}: {answered} planned probes");
     }
 }

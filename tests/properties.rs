@@ -618,11 +618,12 @@ fn incremental_rescoring_matches_full_rerank_across_epochs() {
     }
 }
 
-/// One exact ranker's planned batch, cold and warm, against the unplanned
+/// One exact model's planned batch, cold and warm, against the unplanned
 /// reference: byte-identical probes, exact accounting, shared per-context
-/// plan. Returns the updated number of live plan contexts.
-fn check_planned_batch<R: ExpertRanker + Sync>(
-    ranker: &R,
+/// plan. `bind` instantiates the model for a subject. Returns the updated
+/// number of live plan contexts.
+fn check_planned_batch<D: DecisionModel>(
+    bind: impl Fn(PersonId) -> D,
     g: &CollabGraph,
     query: &Query,
     cache: &exes::core::probe::ProbeCache,
@@ -632,7 +633,7 @@ fn check_planned_batch<R: ExpertRanker + Sync>(
     use exes::core::probe::ProbeBatch;
 
     let sets = probe_deltas(g, query);
-    let task = ExpertRelevanceTask::new(ranker, PersonId(0), 5);
+    let task = bind(PersonId(0));
     let plain = ProbeBatch::new(&task, g, query, false).score(&sets);
     let plan = cache.plan_for(g, query, &task).expect("plan built");
     let engine = ProbeBatch::new(&task, g, query, false)
@@ -658,7 +659,7 @@ fn check_planned_batch<R: ExpertRanker + Sync>(
     assert_eq!(warm_stats.probed, 0, "{label}");
     // A second subject reuses the per-context plan: the baseline is
     // subject-independent.
-    let other = ExpertRelevanceTask::new(ranker, PersonId::from_index(1), 5);
+    let other = bind(PersonId::from_index(1));
     let shared = cache.plan_for(g, query, &other).expect("plan shared");
     assert!(
         std::sync::Arc::ptr_eq(&plan, &shared),
@@ -669,7 +670,8 @@ fn check_planned_batch<R: ExpertRanker + Sync>(
 }
 
 /// Planned probe batches are byte-identical to unplanned scoring for the
-/// exact rankers, cold and warm through one shared `ProbeCache`, and the
+/// exact rankers and the greedy team former over TF-IDF (seeded and
+/// unseeded), cold and warm through one shared `ProbeCache`, and the
 /// plan/probe context keys strictly on the graph epoch: a committed update
 /// batch misses into a fresh plan instead of replaying stale entries.
 #[test]
@@ -686,9 +688,12 @@ fn planned_probe_batches_match_unplanned_across_an_epoch_flip() {
         }
         let cache = ProbeCache::new(0);
         let mut contexts = 0;
+        let tfidf = TfIdfRanker::default();
+        let propagation = PropagationRanker::default();
+        let former = GreedyCoverTeamFormer::new(TfIdfRanker::default());
         for (e, g) in [&graph, snap.graph()].into_iter().enumerate() {
             contexts = check_planned_batch(
-                &TfIdfRanker::default(),
+                |p| ExpertRelevanceTask::new(&tfidf, p, 5),
                 g,
                 &query,
                 &cache,
@@ -696,13 +701,25 @@ fn planned_probe_batches_match_unplanned_across_an_epoch_flip() {
                 &format!("case {case} epoch {e} tfidf"),
             );
             contexts = check_planned_batch(
-                &PropagationRanker::default(),
+                |p| ExpertRelevanceTask::new(&propagation, p, 5),
                 g,
                 &query,
                 &cache,
                 contexts,
                 &format!("case {case} epoch {e} propagation"),
             );
+            // The greedy former over TF-IDF, unseeded (the leader after the
+            // delta seeds the team) and seeded, with TF-IDF as its signal.
+            for seed in [None, Some(PersonId::from_index(2))] {
+                contexts = check_planned_batch(
+                    |p| TeamMembershipTask::new(&former, &tfidf, p, seed),
+                    g,
+                    &query,
+                    &cache,
+                    contexts,
+                    &format!("case {case} epoch {e} team seed {seed:?}"),
+                );
+            }
         }
     }
 }
