@@ -37,7 +37,7 @@ fn probe_sets(ds: &SyntheticDataset, count: usize) -> Vec<PerturbationSet> {
     sets
 }
 
-fn bench_probe_batches(c: &mut Criterion) {
+fn bench_batched_probes(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_batch");
     group.sample_size(10);
     for &(label, people) in SCALES {
@@ -107,5 +107,5 @@ fn bench_beam_through_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_probe_batches, bench_beam_through_engine);
+criterion_group!(benches, bench_batched_probes, bench_beam_through_engine);
 criterion_main!(benches);

@@ -28,7 +28,8 @@
 //! gated reads succeeding immediately.
 //!
 //! Run with `cargo run -p exes-bench --release --bin bench_router` from the
-//! repo root; CI runs the `--smoke` variant.
+//! repo root; CI runs the `--smoke` variant, which leaves the committed
+//! `BENCH_router.json` untouched.
 
 use exes_bench::timing::timed;
 use exes_core::{Exes, ExesConfig, ExesService, ModelSpec, OutputMode};
@@ -396,7 +397,6 @@ fn main() {
     );
     out.push_str("}\n");
 
-    std::fs::write("BENCH_router.json", &out).expect("write BENCH_router.json");
     println!("{out}");
     for r in &rows {
         eprintln!(
@@ -413,5 +413,12 @@ fn main() {
         "[convergence] commit fan-out {:.1} ms to epoch {}, gated reads {:.1} ms",
         convergence.commit_ms, convergence.epoch, convergence.gated_reads_ms
     );
-    eprintln!("wrote BENCH_router.json");
+    if smoke {
+        // Smoke runs exercise the whole pipeline but must not clobber the
+        // committed full-scale baseline.
+        eprintln!("smoke run: leaving BENCH_router.json untouched");
+    } else {
+        std::fs::write("BENCH_router.json", &out).expect("write BENCH_router.json");
+        eprintln!("wrote BENCH_router.json");
+    }
 }

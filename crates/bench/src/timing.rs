@@ -2,46 +2,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Parses the `--threads` option shared by the `bench_*` binaries:
-/// `--threads 4` measures with 4 worker threads, `--threads 1,4,8` emits one
-/// row set per count. Returns `None` when the flag is absent (the binaries
-/// then use the hardware default, like before).
-///
-/// # Panics
-///
-/// Panics when `--threads` is present without a parseable positive count —
-/// a mistyped benchmark invocation should fail loudly, not silently measure
-/// the wrong configuration.
-pub fn thread_counts(args: impl Iterator<Item = String>) -> Option<Vec<usize>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        if arg != "--threads" {
-            continue;
-        }
-        let spec = args.next().expect("--threads requires a count, e.g. 1,4,8");
-        let counts: Vec<usize> = spec
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| panic!("bad --threads value {part:?} (want 1,4,8 style)"))
-            })
-            .collect();
-        assert!(!counts.is_empty(), "--threads requires at least one count");
-        return Some(counts);
-    }
-    None
-}
-
-/// Pins the worker-thread count for everything downstream of
-/// [`exes_parallel::thread_count`] by setting `EXES_THREADS` — the benches'
-/// per-thread-count rows all route through this one switch.
-pub fn set_thread_count(threads: usize) {
-    std::env::set_var("EXES_THREADS", threads.to_string());
-}
-
 /// Runs `f`, returning its result and the elapsed wall-clock time.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
@@ -102,32 +62,6 @@ mod tests {
         let (value, elapsed) = timed(|| (0..10_000).sum::<u64>());
         assert_eq!(value, 49_995_000);
         assert!(elapsed.as_nanos() > 0);
-    }
-
-    #[test]
-    fn thread_counts_parse_lists_and_default_to_none() {
-        let argv = |s: &[&str]| {
-            s.iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-                .into_iter()
-        };
-        assert_eq!(thread_counts(argv(&["bench"])), None);
-        assert_eq!(
-            thread_counts(argv(&["bench", "--threads", "4"])),
-            Some(vec![4])
-        );
-        assert_eq!(
-            thread_counts(argv(&["bench", "--smoke", "--threads", "1,4,8"])),
-            Some(vec![1, 4, 8])
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "bad --threads value")]
-    fn malformed_thread_counts_fail_loudly() {
-        let args = ["bench", "--threads", "zero"].iter().map(|a| a.to_string());
-        let _ = thread_counts(args);
     }
 
     #[test]

@@ -393,97 +393,6 @@ impl<'a> PerturbedGraph<'a> {
             .iter()
             .map(|&(a, b)| (PersonId(a), PersonId(b)))
     }
-
-    /// People whose skill or adjacency rows differ from the base graph,
-    /// sorted ascending. This is the zero-hop incremental frontier: only
-    /// these rows can answer differently from the base.
-    pub fn touched_people(&self) -> Vec<PersonId> {
-        let mut out: Vec<u32> = self
-            .patched_skills
-            .iter()
-            .map(|&(p, _)| p)
-            .chain(self.patched_neighbors.iter().map(|&(p, _)| p))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out.into_iter().map(PersonId).collect()
-    }
-
-    /// Skills whose holder sets differ from the base graph, sorted ascending.
-    ///
-    /// Any corpus-level statistic over one of these skills (e.g. its inverse
-    /// document frequency) may change under this overlay; statistics over
-    /// every other skill are untouched.
-    pub fn touched_skills(&self) -> Vec<SkillId> {
-        let mut out: Vec<u32> = self
-            .added_skills
-            .iter()
-            .chain(self.removed_skills.iter())
-            .map(|&(_, s)| s)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out.into_iter().map(SkillId).collect()
-    }
-
-    /// Expands `seeds` by up to `hops` BFS steps over the *union* of the base
-    /// and perturbed adjacency (so both endpoints of removed edges stay in
-    /// range), returning the closed ball sorted ascending — or `None` once it
-    /// would exceed `cap` people, at which point a full re-evaluation is
-    /// cheaper than a "localized" one.
-    pub fn expand_frontier(
-        &self,
-        seeds: &[PersonId],
-        hops: usize,
-        cap: usize,
-    ) -> Option<Vec<PersonId>> {
-        let n = self.base.num_people();
-        let mut visited = vec![false; n];
-        let mut all: Vec<PersonId> = Vec::new();
-        let mut frontier: Vec<PersonId> = Vec::new();
-        for &p in seeds {
-            if p.index() < n && !visited[p.index()] {
-                visited[p.index()] = true;
-                if all.len() >= cap {
-                    return None;
-                }
-                all.push(p);
-                frontier.push(p);
-            }
-        }
-        for _ in 0..hops {
-            let mut next = Vec::new();
-            for &p in &frontier {
-                let merged = self
-                    .neighbors(p)
-                    .iter()
-                    .chain(self.base.base_neighbors(p).iter());
-                for &nb in merged {
-                    if !visited[nb.index()] {
-                        visited[nb.index()] = true;
-                        if all.len() >= cap {
-                            return None;
-                        }
-                        all.push(nb);
-                        next.push(nb);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        all.sort_unstable();
-        Some(all)
-    }
-
-    /// The bounded k-hop ball around everything this overlay touches:
-    /// [`PerturbedGraph::expand_frontier`] seeded with
-    /// [`PerturbedGraph::touched_people`].
-    pub fn touched_frontier(&self, hops: usize, cap: usize) -> Option<Vec<PersonId>> {
-        self.expand_frontier(&self.touched_people(), hops, cap)
-    }
 }
 
 /// Inserts into a small sorted-on-finalize key vector, ignoring duplicates.
@@ -791,56 +700,6 @@ mod tests {
         assert_eq!(
             v.edge_removals().collect::<Vec<_>>(),
             vec![(PersonId(1), PersonId(2))]
-        );
-        assert_eq!(
-            v.touched_people(),
-            vec![PersonId(0), PersonId(1), PersonId(2)]
-        );
-        assert_eq!(v.touched_skills(), vec![ml, vision]);
-    }
-
-    #[test]
-    fn touched_frontier_grows_per_hop_and_respects_the_cap() {
-        let g = toy(); // edges: 0-1, 1-2
-        let ml = g.vocab().id("ml").unwrap();
-        let d = PerturbationSet::singleton(Perturbation::RemoveSkill {
-            person: PersonId(0),
-            skill: ml,
-        });
-        let v = PerturbedGraph::new(&g, &d);
-        assert_eq!(v.touched_frontier(0, 10), Some(vec![PersonId(0)]));
-        assert_eq!(
-            v.touched_frontier(1, 10),
-            Some(vec![PersonId(0), PersonId(1)])
-        );
-        assert_eq!(
-            v.touched_frontier(2, 10),
-            Some(vec![PersonId(0), PersonId(1), PersonId(2)])
-        );
-        // Ball saturates: extra hops change nothing.
-        assert_eq!(v.touched_frontier(9, 10), v.touched_frontier(2, 10));
-        // Cap exceeded mid-expansion reports None.
-        assert_eq!(v.touched_frontier(2, 2), None);
-    }
-
-    #[test]
-    fn frontier_covers_both_endpoints_of_removed_edges() {
-        let g = toy();
-        let d = PerturbationSet::singleton(Perturbation::RemoveEdge {
-            a: PersonId(0),
-            b: PersonId(1),
-        });
-        let v = PerturbedGraph::new(&g, &d);
-        // Zero hops: both endpoints of the removed edge are touched.
-        assert_eq!(
-            v.touched_frontier(0, 10),
-            Some(vec![PersonId(0), PersonId(1)])
-        );
-        // One hop walks the *union* adjacency, so the severed p0–p1 link is
-        // still crossed and p2 (p1's surviving neighbour) joins.
-        assert_eq!(
-            v.touched_frontier(1, 10),
-            Some(vec![PersonId(0), PersonId(1), PersonId(2)])
         );
     }
 

@@ -55,10 +55,6 @@ pub struct ExesConfig {
     /// exceeded the least-recently-used quarter of the affected shard is
     /// evicted in bulk, keeping eviction cost amortised O(1) per insert.
     pub probe_cache_capacity: usize,
-    /// Number of independently locked shards in a
-    /// [`crate::probe::ProbeCache`]; parallel probe workers contend on a shard
-    /// only when their keys hash to it.
-    pub probe_cache_shards: usize,
     /// Shapley estimator configuration.
     pub shap: ShapConfig,
     /// Upper bound on *black-box* probes a single explanation may spend
@@ -91,7 +87,6 @@ impl Default for ExesConfig {
             output_mode: OutputMode::Binary,
             parallel_probes: true,
             probe_cache_capacity: 1 << 18,
-            probe_cache_shards: 16,
             shap: ShapConfig::default(),
             probe_budget: ProbeBudget::UNBOUNDED,
         }
@@ -170,13 +165,6 @@ impl ExesConfig {
         self
     }
 
-    /// Builder-style setter for the probe memo-cache shard count.
-    pub fn with_probe_cache_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "cache shard count must be at least 1");
-        self.probe_cache_shards = shards;
-        self
-    }
-
     /// Builder-style setter for the per-explanation probe budget.
     pub fn with_probe_budget(mut self, budget: ProbeBudget) -> Self {
         self.probe_budget = budget;
@@ -203,7 +191,6 @@ mod tests {
         assert_eq!(c.output_mode, OutputMode::Binary);
         assert!(c.parallel_probes);
         assert_eq!(c.probe_cache_capacity, 1 << 18);
-        assert_eq!(c.probe_cache_shards, 16);
         assert_eq!(c.probe_budget, ProbeBudget::UNBOUNDED);
     }
 
@@ -217,17 +204,8 @@ mod tests {
 
     #[test]
     fn cache_builders_update_fields() {
-        let c = ExesConfig::fast()
-            .with_probe_cache_capacity(128)
-            .with_probe_cache_shards(4);
+        let c = ExesConfig::fast().with_probe_cache_capacity(128);
         assert_eq!(c.probe_cache_capacity, 128);
-        assert_eq!(c.probe_cache_shards, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cache shard count")]
-    fn zero_cache_shards_is_rejected() {
-        let _ = ExesConfig::default().with_probe_cache_shards(0);
     }
 
     #[test]

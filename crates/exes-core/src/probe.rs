@@ -333,10 +333,9 @@ impl ProbeCache {
         }
     }
 
-    /// Creates a cache sized by the configuration's
-    /// `probe_cache_capacity` / `probe_cache_shards` knobs.
+    /// Creates a cache sized by the configuration's `probe_cache_capacity`.
     pub fn for_config(cfg: &ExesConfig) -> Self {
-        Self::with_shards(cfg.probe_cache_capacity, cfg.probe_cache_shards)
+        Self::new(cfg.probe_cache_capacity)
     }
 
     /// Fingerprint of the probe context: the query keywords (in order — a
@@ -808,9 +807,8 @@ impl<'a, D: ErasedDecisionModel + ?Sized> ProbeBatch<'a, D> {
     /// Attaches a shared [`BaselinePlan`]: each overlay probe is first offered
     /// to the model's incremental rescoring path
     /// ([`crate::tasks::DecisionModel::probe_with_plan`]) and only falls back
-    /// to a full re-rank when the model declines. Exact rankers answer
-    /// byte-identically to the full path; bounded-error rankers (personalized
-    /// PageRank) document their tolerance.
+    /// to a full re-rank when the model declines. Every planned answer is
+    /// byte-identical to the full path's.
     pub fn with_plan(mut self, plan: &'a BaselinePlan) -> Self {
         self.plan = Some(plan);
         self

@@ -1097,7 +1097,6 @@ mod tests {
         let mut exes = f.exes.clone();
         // A cache far too small for the workload: evictions must show up.
         exes.config_mut().probe_cache_capacity = 8;
-        exes.config_mut().probe_cache_shards = 1;
         let mut service = ExesService::from_graph(&exes, f.ds.graph.clone());
         let model = service
             .register(

@@ -101,8 +101,7 @@ pub trait DecisionModel: Sync {
     /// Returning `None` — for any reason: no incremental support, a perturbed
     /// query, a delta outside the plan's localization guarantees — makes the
     /// engine fall back to the full [`DecisionModel::probe`]. Implementations
-    /// must be exact (byte-identical to the full probe) or document their
-    /// error bound.
+    /// must be exact: byte-identical to the full probe.
     fn probe_with_plan(
         &self,
         plan: &BaselinePlan,
@@ -305,9 +304,8 @@ impl<R: ExpertRanker + Sync> DecisionModel for ExpertRelevanceTask<'_, R> {
 /// When the former and the signal ranker both build baselines (a
 /// [`exes_team::GreedyCoverTeamFormer`] over TF-IDF, with any planned signal
 /// ranker), the task plans: a probe patches both baselines instead of ranking
-/// the perturbed graph twice. Planned membership is exact; the planned signal
-/// is as exact as the signal ranker's `incremental_rank_of` (bitwise for
-/// TF-IDF and propagation).
+/// the perturbed graph twice. Planned membership and the planned signal are
+/// both exact.
 #[derive(Debug, Clone, Copy)]
 pub struct TeamMembershipTask<'a, F, R> {
     former: &'a F,

@@ -196,8 +196,8 @@ fn assert_same_explanation(a: &Explanation, b: &Explanation, context: &str) {
 /// The epoch differential: on a live store serving a churn stream, every
 /// explanation answered on an *untouched* epoch is byte-identical warm vs
 /// cold — the warm replay issues zero black-box probes — and every commit
-/// moves the service to answers that match a from-scratch uncached run on
-/// the new epoch's graph.
+/// moves the service to a cold epoch whose answers match a from-scratch
+/// uncached run on the new epoch's graph.
 #[test]
 fn explanations_on_untouched_epochs_are_identical_warm_vs_cold() {
     let f = fixture();
@@ -236,6 +236,8 @@ fn explanations_on_untouched_epochs_are_identical_warm_vs_cold() {
         let snapshot = service.snapshot();
         let (cold, cold_report) = service.explain(&snapshot, &requests);
         assert_eq!(cold_report.epoch, i as u64);
+        // Every epoch, the first and each one after a commit, runs cold.
+        assert!(cold_report.probes > 0, "epoch {i} answered without probing");
         // Warm replay on the untouched epoch: byte-identical, zero probes.
         let (warm, warm_report) = service.explain(&snapshot, &requests);
         assert_eq!(warm_report.probes, 0, "epoch {i} replay probed the box");

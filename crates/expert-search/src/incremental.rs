@@ -4,7 +4,7 @@
 //! perturbed overlay without walking the whole graph again: the full ranking
 //! of the unperturbed snapshot, the person-indexed score vector behind it,
 //! and per-ranker working state (TF-IDF document statistics, propagation base
-//! relevances and two-hop rows, PageRank iterate trajectories). Each ranker's
+//! relevances and two-hop rows). Each ranker's
 //! [`crate::ExpertRanker::incremental_rank_of`] then rescores only the
 //! delta's affected neighbourhood and derives the subject's new rank by
 //! *counting corrections* against the baseline order — O(affected + log n)
@@ -64,13 +64,6 @@ pub(crate) enum BaselineKind {
         base: Vec<f64>,
         /// Strict two-hop rows of the snapshot.
         two_hop: TwoHopRows,
-    },
-    /// Personalized PageRank: the pre-final power iterates `r_0 .. r_{T-1}`
-    /// (with `r_0` the restart vector), which the localized delta-push
-    /// replays against.
-    PageRank {
-        /// Rank vector before each of the `T` iterations.
-        trajectory: Vec<Vec<f64>>,
     },
 }
 

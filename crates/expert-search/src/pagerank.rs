@@ -1,16 +1,8 @@
 //! Personalized-PageRank expert ranking (random-walk relevance propagation).
 
-use crate::incremental::{affected_cap, corrected_rank, BaselineKind, RankerBaseline};
 use crate::ranker::{smoothed_idf, ExpertRanker};
 use crate::RankedList;
-use exes_graph::{GraphView, PersonId, PerturbedGraph, Query};
-
-/// Delta-push entries below this magnitude are dropped, which is what keeps
-/// the influence frontier of a localized update bounded instead of flooding
-/// the whole component after a few iterations. The dropped mass bounds the
-/// score error of the incremental path; see
-/// [`PersonalizedPageRank::incremental_rank_of`].
-const RESIDUAL_FLOOR: f64 = 1e-14;
+use exes_graph::{GraphView, PersonId, Query};
 
 /// Personalized PageRank seeded by query–skill match.
 ///
@@ -134,191 +126,6 @@ impl ExpertRanker for PersonalizedPageRank {
                 .collect(),
         )
     }
-
-    fn build_baseline(
-        &self,
-        graph: &exes_graph::CollabGraph,
-        query: &Query,
-    ) -> Option<RankerBaseline> {
-        let n = graph.num_people();
-        if n == 0 {
-            return None;
-        }
-        // The same power iteration as `scores`, additionally recording the
-        // rank vector *before* each step — the incremental path replays its
-        // sparse correction against exactly these iterates.
-        let seeds = self.seed_vector(graph, query);
-        let neighbor_lists: Vec<&[PersonId]> =
-            graph.people_ids().map(|p| graph.neighbors(p)).collect();
-        let mut rank = seeds.clone();
-        let mut next = vec![0.0; n];
-        let mut trajectory = Vec::with_capacity(self.iterations);
-        for _ in 0..self.iterations {
-            trajectory.push(rank.clone());
-            next.fill(0.0);
-            let mut dangling = 0.0;
-            for (i, ns) in neighbor_lists.iter().enumerate() {
-                if ns.is_empty() {
-                    dangling += rank[i];
-                } else {
-                    let share = rank[i] / ns.len() as f64;
-                    for &nb in *ns {
-                        next[nb.index()] += share;
-                    }
-                }
-            }
-            for i in 0..n {
-                next[i] = (1.0 - self.damping) * seeds[i]
-                    + self.damping * (next[i] + dangling * seeds[i]);
-            }
-            std::mem::swap(&mut rank, &mut next);
-        }
-        let scores: Vec<f64> = rank
-            .iter()
-            .zip(seeds.iter())
-            .map(|(&r, &s)| r + self.seed_mix * s)
-            .collect();
-        let ranked = RankedList::from_scores(
-            scores
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| (PersonId::from_index(i), s))
-                .collect(),
-        );
-        Some(RankerBaseline {
-            query: query.skills().to_vec(),
-            ranked,
-            scores,
-            kind: BaselineKind::PageRank { trajectory },
-        })
-    }
-
-    /// Bounded-error: edge deltas are handled by pushing the score *change*
-    /// through the walk instead of re-running it, truncating entries below
-    /// `RESIDUAL_FLOOR` (`1e-14`). The truncated mass bounds the deviation from a
-    /// full re-rank at well under `1e-9` per score, far below the gaps that
-    /// separate distinct ranks in practice — ranks can only differ from the
-    /// full path where two scores tie within that tolerance. Skill deltas on
-    /// query terms renormalize the restart vector globally, so those fall
-    /// back to the full path (`None`); skill deltas on non-query terms leave
-    /// PageRank's input untouched and answer straight from the baseline.
-    fn incremental_rank_of(
-        &self,
-        baseline: &RankerBaseline,
-        view: &PerturbedGraph<'_>,
-        query: &Query,
-        person: PersonId,
-    ) -> Option<usize> {
-        if query.skills() != baseline.query {
-            return None;
-        }
-        // The restart and dangling-mass terms cancel between the two walks
-        // (stable seeds, stable dangling set), so only the trajectory is
-        // needed here.
-        let BaselineKind::PageRank { trajectory } = &baseline.kind else {
-            return None;
-        };
-        // Any query-term holder change moves the (normalized) restart vector
-        // everywhere at once: no locality to exploit.
-        for (_, s) in view.skill_additions().chain(view.skill_removals()) {
-            if baseline.query.contains(&s) {
-                return None;
-            }
-        }
-        let mut patched: Vec<PersonId> = view
-            .edge_additions()
-            .chain(view.edge_removals())
-            .flat_map(|(a, b)| [a, b])
-            .collect();
-        patched.sort_unstable();
-        patched.dedup();
-        if patched.is_empty() {
-            // The delta is invisible to PageRank: scores are bitwise the
-            // baseline's.
-            return baseline.ranked.rank_of(person);
-        }
-        let base = view.base();
-        // The dangling set must be stable or the dangling-mass term stops
-        // cancelling between the baseline and the perturbed walk.
-        for &p in &patched {
-            if base.base_neighbors(p).is_empty() != view.neighbors(p).is_empty() {
-                return None;
-            }
-        }
-        let n = view.num_people();
-        let cap = affected_cap(n);
-        let mut is_patched = vec![false; n];
-        for &p in &patched {
-            is_patched[p.index()] = true;
-        }
-        let mut delta = vec![0.0; n];
-        let mut active: Vec<usize> = Vec::new();
-        let mut next_delta = vec![0.0; n];
-        let mut next_active: Vec<usize> = Vec::new();
-        let mut in_next = vec![false; n];
-        for r_t in trajectory {
-            {
-                let mut push = |j: usize, v: f64| {
-                    if !in_next[j] {
-                        in_next[j] = true;
-                        next_active.push(j);
-                    }
-                    next_delta[j] += v;
-                };
-                // Patched rows: replace their old contribution with the new
-                // one (their rank mass may itself carry a delta).
-                for &p in &patched {
-                    let i = p.index();
-                    let new_row = view.neighbors(p);
-                    let share = self.damping * (r_t[i] + delta[i]) / new_row.len() as f64;
-                    for &nb in new_row {
-                        push(nb.index(), share);
-                    }
-                    let old_row = base.base_neighbors(p);
-                    let share = self.damping * r_t[i] / old_row.len() as f64;
-                    for &nb in old_row {
-                        push(nb.index(), -share);
-                    }
-                }
-                // Unpatched rows forward only their accumulated delta.
-                for &i in &active {
-                    if is_patched[i] {
-                        continue;
-                    }
-                    let ns = view.neighbors(PersonId::from_index(i));
-                    if ns.is_empty() {
-                        continue;
-                    }
-                    let share = self.damping * delta[i] / ns.len() as f64;
-                    for &nb in ns {
-                        push(nb.index(), share);
-                    }
-                }
-            }
-            for &i in &active {
-                delta[i] = 0.0;
-            }
-            active.clear();
-            for &j in &next_active {
-                in_next[j] = false;
-                let v = next_delta[j];
-                next_delta[j] = 0.0;
-                if v.abs() > RESIDUAL_FLOOR {
-                    delta[j] = v;
-                    active.push(j);
-                }
-            }
-            next_active.clear();
-            if active.len() > cap {
-                return None;
-            }
-        }
-        let changed: Vec<(PersonId, f64)> = active
-            .iter()
-            .map(|&i| (PersonId::from_index(i), baseline.scores[i] + delta[i]))
-            .collect();
-        Some(corrected_rank(baseline, person, &changed))
-    }
 }
 
 #[cfg(test)]
@@ -392,94 +199,6 @@ mod tests {
         let view = delta.apply_to_graph(&g);
         let after = ppr.rank_of(&view, &q, PersonId(3));
         assert!(after < before, "rank should improve: {before} -> {after}");
-    }
-
-    #[test]
-    fn incremental_rank_tracks_full_rerank_for_edge_deltas() {
-        // Two 6-person chains with distinct "ml" sources; big enough that a
-        // localized push stays under the n/2 cap. Everyone matches at least
-        // one query term so no degenerate zero-score ties sit exactly on the
-        // bounded-error boundary.
-        let mut b = CollabGraphBuilder::new();
-        let people: Vec<PersonId> = (0..16)
-            .map(|i| {
-                b.add_person(
-                    &format!("p{i}"),
-                    match i {
-                        0 | 8 => vec!["ml"],
-                        6 => vec!["other", "db"],
-                        _ => vec!["other"],
-                    },
-                )
-            })
-            .collect();
-        for i in 0..5 {
-            b.add_edge(people[i], people[i + 1]);
-            b.add_edge(people[8 + i], people[9 + i]);
-        }
-        let g = b.build();
-        let q = Query::parse("ml other", g.vocab()).unwrap();
-        let ppr = PersonalizedPageRank::default();
-        let baseline = ppr.build_baseline(&g, &q).unwrap();
-        let db = g.vocab().id("db").unwrap();
-        let deltas = vec![
-            Perturbation::AddEdge {
-                a: people[3],
-                b: people[5],
-            },
-            Perturbation::RemoveEdge {
-                a: people[9],
-                b: people[10],
-            },
-            // Non-query skill deltas leave PageRank's input untouched.
-            Perturbation::AddSkill {
-                person: people[2],
-                skill: db,
-            },
-        ];
-        for d in deltas {
-            let view = PerturbationSet::singleton(d).apply_to_graph(&g);
-            let full = ppr.rank_all(&view, &q);
-            for &p in &people {
-                let inc = ppr
-                    .incremental_rank_of(&baseline, &view, &q, p)
-                    .unwrap_or_else(|| panic!("delta {d:?}: expected an incremental answer"));
-                let reference = full.rank_of(p).unwrap();
-                assert_eq!(
-                    inc, reference,
-                    "delta {d:?} person {p}: incremental {inc} vs full {reference}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_refuses_query_term_and_dangling_deltas() {
-        let g = toy();
-        let q = Query::parse("ml", g.vocab()).unwrap();
-        let ppr = PersonalizedPageRank::default();
-        let baseline = ppr.build_baseline(&g, &q).unwrap();
-        let ml = g.vocab().id("ml").unwrap();
-        // Removing a query-term skill moves the restart vector globally.
-        let skill_delta = PerturbationSet::singleton(Perturbation::RemoveSkill {
-            person: PersonId(0),
-            skill: ml,
-        });
-        let view = skill_delta.apply_to_graph(&g);
-        assert_eq!(
-            ppr.incremental_rank_of(&baseline, &view, &q, PersonId(0)),
-            None
-        );
-        // Connecting the isolated person flips its dangling status.
-        let edge_delta = PerturbationSet::singleton(Perturbation::AddEdge {
-            a: PersonId(3),
-            b: PersonId(0),
-        });
-        let view = edge_delta.apply_to_graph(&g);
-        assert_eq!(
-            ppr.incremental_rank_of(&baseline, &view, &q, PersonId(3)),
-            None
-        );
     }
 
     #[test]

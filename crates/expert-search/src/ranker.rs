@@ -208,9 +208,8 @@ pub trait ExpertRanker {
     /// The default returns `None`: the ranker has no incremental path and
     /// every probe falls back to a full re-rank. Rankers that override this
     /// must guarantee that, wherever `incremental_rank_of` answers `Some`,
-    /// the answer matches a full [`ExpertRanker::rank_all`] over the
-    /// perturbed view — exactly for closed-form rankers, or within the
-    /// documented tolerance for iterative ones.
+    /// the answer is exactly what a full [`ExpertRanker::rank_all`] over the
+    /// perturbed view reports.
     fn build_baseline(&self, graph: &CollabGraph, query: &Query) -> Option<RankerBaseline> {
         let _ = (graph, query);
         None

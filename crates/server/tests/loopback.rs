@@ -313,6 +313,14 @@ fn commit_then_explain_serves_the_new_epoch() {
     assert_eq!(after.status, 200);
     let parsed = json::parse(&after.body).unwrap();
     assert_eq!(parsed.get("epoch").unwrap().as_u64(), Some(1));
+    // The new epoch runs cold; an identical repeat on it is all cache hits.
+    let cold = wire::report_from_json(parsed.get("report").unwrap()).unwrap();
+    assert!(cold.probes > 0, "a commit must start the new epoch cold");
+    let repeat = client.post("/explain", &body).unwrap();
+    assert_eq!(repeat.status, 200);
+    let parsed = json::parse(&repeat.body).unwrap();
+    let warm = wire::report_from_json(parsed.get("report").unwrap()).unwrap();
+    assert_eq!(warm.probes, 0, "a repeat on the same epoch must not probe");
 
     let twin = service(&f);
     let mut batch = UpdateBatch::new();
