@@ -49,12 +49,12 @@ fn bench_batched_probes(c: &mut Criterion) {
         let task = ExpertRelevanceTask::new(&ranker, subject, 10);
         let sets = probe_sets(&ds, 256);
         group.bench_function(BenchmarkId::new("parallel", label), |b| {
-            let engine = ProbeBatch::new(&task, &ds.graph, &query, true);
-            b.iter(|| engine.score(&sets))
+            let engine = ProbeBatch::new(&task, &ds.graph, &query, true, None);
+            b.iter(|| engine.score(&sets, None))
         });
         group.bench_function(BenchmarkId::new("sequential", label), |b| {
-            let engine = ProbeBatch::new(&task, &ds.graph, &query, false);
-            b.iter(|| engine.score(&sets))
+            let engine = ProbeBatch::new(&task, &ds.graph, &query, false, None);
+            b.iter(|| engine.score(&sets, None))
         });
     }
     group.finish();
@@ -86,20 +86,14 @@ fn bench_beam_through_engine(c: &mut Criterion) {
                     .map(|skill| Perturbation::AddQueryTerm { skill }),
             )
             .collect();
+        let cfg = ExesConfig::fast().with_k(10);
         for (mode, parallel) in [("parallel", true), ("sequential", false)] {
-            let cfg = ExesConfig::fast().with_k(10).with_parallel_probes(parallel);
             group.bench_function(BenchmarkId::new(mode, label), |b| {
                 b.iter(|| {
-                    beam_search(
-                        &task,
-                        &ds.graph,
-                        &query,
-                        &candidates,
-                        CounterfactualKind::SkillRemoval,
-                        &cfg,
-                        None,
-                        None,
-                    )
+                    let engine = ProbeBatch::new(&task, &ds.graph, &query, parallel, None);
+                    let (reference, _) = engine.score(&[PerturbationSet::new()], None);
+                    let kind = CounterfactualKind::SkillRemoval;
+                    beam_search(&engine, reference[0], &candidates, kind, &cfg, None)
                 })
             });
         }

@@ -59,16 +59,17 @@ pub struct ExesConfig {
     pub shap: ShapConfig,
     /// Upper bound on *black-box* probes a single explanation may spend
     /// (cache hits are free). The whole request is billed against it: the
-    /// initial decision probe, candidate scoring, and the search itself all
-    /// draw from one allowance. When the budget runs out, counterfactual
-    /// searches return best-so-far marked
+    /// reference probe, candidate scoring, and the search itself all draw
+    /// from one allowance, through the request's one probe session. When the
+    /// budget runs out, counterfactual searches return best-so-far marked
     /// [`Completeness::Budgeted`](crate::probe::Completeness) and factual
     /// SHAP truncates its permutation sample, reporting wider confidence
     /// intervals. [`ProbeBudget::UNBOUNDED`] (the default) leaves every byte
-    /// of every result unchanged. One caveat: the initial decision probe is
-    /// issued unconditionally when the cache cannot answer it (a
-    /// counterfactual question cannot even be posed without the reference
-    /// decision), so a zero budget over a cold cache still spends one probe.
+    /// of every result unchanged. One caveat: a counterfactual request's
+    /// reference probe — its one probe of the unperturbed input — is issued
+    /// unconditionally when the cache cannot answer it (a counterfactual
+    /// question cannot even be posed without the reference decision), so a
+    /// zero budget over a cold cache still spends one probe.
     pub probe_budget: ProbeBudget,
 }
 

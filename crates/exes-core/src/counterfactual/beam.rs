@@ -4,75 +4,56 @@
 //! Each beam level expands every state by every candidate feature, dedups the
 //! expansions, and scores them through [`ProbeBatch`] in fixed-size chunks.
 //! Chunks are processed strictly in generation order, so the search is fully
-//! deterministic and its results are byte-identical whether probes run on one
-//! thread or many (`cfg.parallel_probes`).
+//! deterministic and its results are byte-identical whether the session
+//! scores on one thread or many (`cfg.parallel_probes`).
 
 use super::{CounterfactualExplanation, CounterfactualKind, CounterfactualResult};
 use crate::config::ExesConfig;
-use crate::probe::{ProbeBatch, ProbeCache, PROBE_CHUNK};
-use crate::tasks::ErasedDecisionModel;
-use exes_graph::{CollabGraph, Perturbation, PerturbationSet, Query};
+use crate::probe::{ProbeBatch, PROBE_CHUNK};
+use crate::tasks::{ErasedDecisionModel, Probe};
+use exes_graph::{Perturbation, PerturbationSet};
 use rustc_hash::FxHashSet;
 use std::time::Instant;
 
 /// Runs the paper's beam search (Algorithm 1) over the given candidate
 /// perturbations, looking for up to `cfg.num_explanations` minimal perturbation
-/// sets that flip the task's decision.
+/// sets that flip the `reference` decision.
 ///
+/// * `engine` — the request's probe session. Every probe goes through it, so
+///   a warm cache answers repeated probes without touching the black box;
+///   explanations are byte-identical either way, only `result.accounting`
+///   changes.
+/// * `reference` — the session's probe of the unperturbed input (the empty
+///   perturbation set): the decision to flip and the signal the beam starts
+///   from.
 /// * `candidates` — the pruned candidate features produced by Pruning
 ///   Strategies 4/5 (or an unpruned list, for ablations).
 /// * `deadline` — optional wall-clock cutoff, checked between probe chunks;
 ///   when reached, whatever has been found so far is returned with
 ///   `timed_out = true`.
-/// * `cache` — optional probe memo table. A warm cache answers repeated
-///   probes without touching the black box; explanations are byte-identical
-///   either way, only `result.probes` (and the hit/miss counters) change.
 ///
 /// The search runs under `cfg.probe_budget`: black-box probes (cache hits are
 /// free) are counted against it, and once the next probe would overdraw the
 /// allowance the search stops and returns its best-so-far explanations marked
 /// `Completeness::Budgeted` — never a panic, never a silent truncation. With
 /// [`crate::probe::ProbeBudget::UNBOUNDED`] (the default) results are
-/// byte-identical to the unbudgeted search.
-#[allow(clippy::too_many_arguments)]
+/// byte-identical to the unbudgeted search. The result counts the search's
+/// own probes; [`crate::Exes`] adds the reference probe and any candidate
+/// scoring of the request.
 pub fn beam_search<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
+    engine: &ProbeBatch<'_, D>,
+    reference: Probe,
     candidates: &[Perturbation],
     kind: CounterfactualKind,
     cfg: &ExesConfig,
     deadline: Option<Instant>,
-    cache: Option<&ProbeCache>,
 ) -> CounterfactualResult {
     let mut result = CounterfactualResult::default();
     let mut budget = cfg.probe_budget.tracker();
-    let (plan, _) = crate::probe::acquire_plan(task, graph, query, cache);
-    let engine = ProbeBatch::new(task, graph, query, cfg.parallel_probes)
-        .with_cache_opt(cache)
-        .with_plan_opt(plan.as_deref());
-    let (initial, initial_hit) = if budget.remaining() == Some(0) {
-        // A zero budget cannot establish the reference decision unless it is
-        // already memoised; probing anyway would overdraw.
-        match engine.peek_identity() {
-            Some(probe) => (probe, true),
-            None => {
-                result.completeness = budget.completeness(true);
-                return result;
-            }
-        }
-    } else {
-        let scored = engine.score_identity_counted();
-        if !scored.1 {
-            budget.charge(1);
-        }
-        scored
-    };
-    result.count_reference(initial_hit, cache.is_some());
-    let initial_relevance = initial.positive;
+    let initial_relevance = reference.positive;
 
     // Beam of (signal, perturbation set). Starts from the empty perturbation.
-    let mut queue: Vec<(f64, PerturbationSet)> = vec![(initial.signal, PerturbationSet::new())];
+    let mut queue: Vec<(f64, PerturbationSet)> = vec![(reference.signal, PerturbationSet::new())];
     let mut seen: FxHashSet<Vec<Perturbation>> = FxHashSet::default();
 
     'outer: while result.explanations.len() < cfg.num_explanations && !queue.is_empty() {
@@ -122,12 +103,11 @@ pub fn beam_search<D: ErasedDecisionModel + ?Sized>(
             if chunk.is_empty() {
                 continue;
             }
-            let (probes, stats, answered) =
-                engine.score_counted_budgeted(&chunk, budget.remaining());
+            let (probes, stats) = engine.score(&chunk, budget.remaining());
             budget.charge(stats.probed);
-            result.count(&stats);
-            let truncated = answered < chunk.len();
-            for (set, probe) in chunk.into_iter().take(answered).zip(probes) {
+            result.accounting.merge(&stats);
+            let truncated = probes.len() < chunk.len();
+            for (set, probe) in chunk.into_iter().zip(probes) {
                 if probe.positive != initial_relevance {
                     // In-order minimality guard within the chunk: a set whose
                     // subset already flipped is not minimal.
@@ -178,10 +158,10 @@ pub fn beam_search<D: ErasedDecisionModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::Completeness;
+    use crate::probe::{Completeness, ProbeCache};
     use crate::tasks::{DecisionModel, ExpertRelevanceTask};
     use exes_expert_search::{ExpertRanker, TfIdfRanker};
-    use exes_graph::{CollabGraphBuilder, GraphView, PersonId};
+    use exes_graph::{CollabGraph, CollabGraphBuilder, GraphView, PersonId, Query};
 
     /// Ada(db, ml) leads; Bob(db) is second; Cig(vision) is last.
     fn graph() -> CollabGraph {
@@ -196,6 +176,21 @@ mod tests {
 
     fn cfg() -> ExesConfig {
         ExesConfig::fast().with_k(1).with_beam_width(4)
+    }
+
+    /// Searches `candidates` in a fresh session, probing the reference
+    /// outside the search's accounting and budget, as `Exes` does.
+    fn search(
+        task: &ExpertRelevanceTask<'_, TfIdfRanker>,
+        (g, q): (&CollabGraph, &Query),
+        candidates: &[Perturbation],
+        kind: CounterfactualKind,
+        config: &ExesConfig,
+        cache: Option<&ProbeCache>,
+    ) -> CounterfactualResult {
+        let engine = ProbeBatch::new(task, g, q, config.parallel_probes, cache);
+        let (reference, _) = engine.score(&[PerturbationSet::new()], None);
+        beam_search(&engine, reference[0], candidates, kind, config, None)
     }
 
     #[test]
@@ -216,14 +211,12 @@ mod tests {
                 skill: db,
             },
         ];
-        let result = beam_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::SkillRemoval,
             &cfg(),
-            None,
             None,
         );
         assert!(!result.is_empty());
@@ -234,7 +227,7 @@ mod tests {
         }
         assert!(result.minimal_size().unwrap() <= 2);
         assert!(!result.timed_out);
-        assert!(result.probes > 0);
+        assert!(result.accounting.probed > 0);
     }
 
     #[test]
@@ -258,14 +251,12 @@ mod tests {
             },
             Perturbation::AddQueryTerm { skill: vision },
         ];
-        let result = beam_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::SkillAddition,
             &cfg(),
-            None,
             None,
         );
         assert!(!result.is_empty(), "should find a way to promote Cig");
@@ -285,14 +276,12 @@ mod tests {
         let candidates = vec![Perturbation::AddQueryTerm { skill: vision }];
         let mut config = cfg();
         config.max_explanation_size = 2;
-        let result = beam_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::QueryAugmentation,
             &config,
-            None,
             None,
         );
         for e in &result.explanations {
@@ -321,14 +310,12 @@ mod tests {
             .collect();
         let mut config = cfg();
         config.num_explanations = 2;
-        let result = beam_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::SkillRemoval,
             &config,
-            None,
             None,
         );
         assert!(result.len() <= 2);
@@ -345,17 +332,11 @@ mod tests {
             person: PersonId(0),
             skill: ml,
         }];
+        let engine = ProbeBatch::new(&task, &g, &q, false, None);
+        let (reference, _) = engine.score(&[PerturbationSet::new()], None);
         let deadline = Some(Instant::now());
-        let result = beam_search(
-            &task,
-            &g,
-            &q,
-            &candidates,
-            CounterfactualKind::SkillRemoval,
-            &cfg(),
-            deadline,
-            None,
-        );
+        let kind = CounterfactualKind::SkillRemoval;
+        let result = beam_search(&engine, reference[0], &candidates, kind, &cfg(), deadline);
         assert!(result.timed_out || !result.is_empty());
     }
 
@@ -373,14 +354,12 @@ mod tests {
                 skill: s,
             })
             .collect();
-        let result = beam_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::SkillRemoval,
             &cfg(),
-            None,
             None,
         );
         let sizes: Vec<usize> = result.explanations.iter().map(|e| e.size()).collect();
@@ -403,20 +382,18 @@ mod tests {
         let mut sequential_cfg = parallel_cfg.clone();
         sequential_cfg.parallel_probes = false;
         let run = |config: &ExesConfig| {
-            beam_search(
+            search(
                 &task,
-                &g,
-                &q,
+                (&g, &q),
                 &candidates,
                 CounterfactualKind::SkillRemoval,
                 config,
-                None,
                 None,
             )
         };
         let par = run(&parallel_cfg);
         let seq = run(&sequential_cfg);
-        assert_eq!(par.probes, seq.probes);
+        assert_eq!(par.accounting, seq.accounting);
         assert_eq!(par.timed_out, seq.timed_out);
         assert_eq!(par.explanations, seq.explanations);
     }
@@ -467,32 +444,27 @@ mod tests {
             .with_beam_width(6)
             .with_probe_budget(crate::probe::ProbeBudget::bounded(budget));
         let run = |parallel: bool| {
-            beam_search(
+            search(
                 &task,
-                &g,
-                &q,
+                (&g, &q),
                 &candidates,
                 CounterfactualKind::SkillRemoval,
                 &base.clone().with_parallel_probes(parallel),
-                None,
                 None,
             )
         };
         let par = run(true);
         let seq = run(false);
         assert_eq!(par.completeness, seq.completeness);
-        assert_eq!(par.probes, seq.probes);
+        assert_eq!(par.accounting, seq.accounting);
         assert_eq!(par.explanations, seq.explanations);
         // The budget genuinely bit, is honestly reported, and was never
         // overdrawn.
-        assert!(
-            par.probes <= budget,
-            "spent {} > budget {budget}",
-            par.probes
-        );
+        let probed = par.accounting.probed;
+        assert!(probed <= budget, "spent {probed} > budget {budget}");
         match par.completeness {
             Completeness::Budgeted { spent, budget: b } => {
-                assert_eq!(spent, par.probes);
+                assert_eq!(spent, probed);
                 assert_eq!(b, budget);
             }
             Completeness::Exhaustive => panic!("a {budget}-probe budget must truncate this search"),
@@ -507,18 +479,16 @@ mod tests {
         let config = ExesConfig::fast()
             .with_k(3)
             .with_probe_budget(crate::probe::ProbeBudget::bounded(0));
-        let result = beam_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::SkillRemoval,
             &config,
             None,
-            None,
         );
         assert!(result.is_empty());
-        assert_eq!(result.probes, 0);
+        assert_eq!(result.accounting.probed, 0);
         assert_eq!(
             result.completeness,
             Completeness::Budgeted {
@@ -535,30 +505,29 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let base = ExesConfig::fast().with_k(3).with_beam_width(6);
         let run = |config: &ExesConfig| {
-            beam_search(
+            search(
                 &task,
-                &g,
-                &q,
+                (&g, &q),
                 &candidates,
                 CounterfactualKind::SkillRemoval,
                 config,
                 None,
-                None,
             )
         };
         let unbounded = run(&base);
+        let spent = unbounded.accounting.probed;
         // A budget exactly equal to the unbounded spend changes nothing:
         // same explanations, same counters, still marked exhaustive.
         let bounded = run(&base
             .clone()
-            .with_probe_budget(crate::probe::ProbeBudget::bounded(unbounded.probes)));
+            .with_probe_budget(crate::probe::ProbeBudget::bounded(spent)));
         assert_eq!(bounded.explanations, unbounded.explanations);
-        assert_eq!(bounded.probes, unbounded.probes);
+        assert_eq!(bounded.accounting, unbounded.accounting);
         assert_eq!(bounded.completeness, Completeness::Exhaustive);
         // One probe less must bite.
         let starved = run(&base
             .clone()
-            .with_probe_budget(crate::probe::ProbeBudget::bounded(unbounded.probes - 1)));
+            .with_probe_budget(crate::probe::ProbeBudget::bounded(spent - 1)));
         assert!(starved.completeness.is_budgeted());
     }
 
@@ -570,26 +539,24 @@ mod tests {
         let cache = ProbeCache::new(0);
         let base = ExesConfig::fast().with_k(3).with_beam_width(6);
         let run = |config: &ExesConfig| {
-            beam_search(
+            search(
                 &task,
-                &g,
-                &q,
+                (&g, &q),
                 &candidates,
                 CounterfactualKind::SkillRemoval,
                 config,
-                None,
                 Some(&cache),
             )
         };
         let warmup = run(&base);
-        assert!(warmup.probes > 0);
+        assert!(warmup.accounting.probed > 0);
         // Every probe is now memoised: hits are free, so even a zero budget
         // completes the identical search without touching the black box.
         let replay = run(&base
             .clone()
             .with_probe_budget(crate::probe::ProbeBudget::bounded(0)));
         assert_eq!(replay.explanations, warmup.explanations);
-        assert_eq!(replay.probes, 0);
+        assert_eq!(replay.accounting.probed, 0);
         assert_eq!(replay.completeness, Completeness::Exhaustive);
     }
 }

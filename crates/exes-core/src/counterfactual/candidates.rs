@@ -2,7 +2,7 @@
 //! (`getCandidateFeatures`, line 1 of Algorithm 1): Pruning Strategies 4 and 5.
 
 use crate::config::ExesConfig;
-use crate::probe::{BatchStats, ProbeBatch, ProbeCache};
+use crate::probe::{BatchStats, ProbeBatch};
 use crate::tasks::ErasedDecisionModel;
 use exes_embedding::SkillEmbedding;
 use exes_graph::{
@@ -165,8 +165,8 @@ pub fn query_augmentation_candidates(
 
 /// Link-removal candidates (Section 3.3.3): the `t` edges inside the subject's
 /// radius-`d` neighbourhood whose individual removal worsens the subject's rank
-/// signal the most (each candidate edge is probed once, through the batched —
-/// and, when a cache is given, memoised — probe engine).
+/// signal the most (each candidate edge is probed once, through the request's
+/// probe session `engine`).
 ///
 /// `max_probes` caps the black-box probes candidate scoring may issue (cache
 /// hits stay free); when the cap stops the scoring early only the affordable
@@ -179,15 +179,12 @@ pub fn query_augmentation_candidates(
 /// (`probed` is the number of probes that actually reached the black box),
 /// and whether the probe cap truncated the scoring.
 pub fn link_removal_candidates<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
+    engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
-    cache: Option<&ProbeCache>,
     max_probes: Option<usize>,
 ) -> (Vec<Perturbation>, BatchStats, bool) {
-    let subject = task.subject_id();
-    let neighborhood = Neighborhood::compute(graph, subject, cfg.collab_radius);
+    let graph = engine.graph();
+    let neighborhood = Neighborhood::compute(graph, engine.task().subject_id(), cfg.collab_radius);
     let edges = neighborhood.edges_within(graph);
     let perturbations: Vec<Perturbation> = edges
         .into_iter()
@@ -197,15 +194,10 @@ pub fn link_removal_candidates<D: ErasedDecisionModel + ?Sized>(
         .iter()
         .map(|&p| PerturbationSet::singleton(p))
         .collect();
-    let (plan, _) = crate::probe::acquire_plan(task, graph, query, cache);
-    let engine = ProbeBatch::new(task, graph, query, cfg.parallel_probes)
-        .with_cache_opt(cache)
-        .with_plan_opt(plan.as_deref());
-    let (probes, stats, answered) = engine.score_counted_budgeted(&sets, max_probes);
-    let truncated = answered < sets.len();
+    let (probes, stats) = engine.score(&sets, max_probes);
+    let truncated = probes.len() < sets.len();
     let mut scored: Vec<(Perturbation, f64)> = perturbations
         .into_iter()
-        .take(answered)
         .zip(probes.into_iter().map(|p| p.signal))
         .collect();
     // Higher signal = worse rank = more damaging removal; keep the t most damaging.
@@ -387,8 +379,8 @@ mod tests {
         let q = any_query(&f.ds);
         let ranker = PropagationRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(3), 5);
-        let (cands, stats, truncated) =
-            link_removal_candidates(&task, &f.ds.graph, &q, &cfg(), None, None);
+        let engine = ProbeBatch::new(&task, &f.ds.graph, &q, false, None);
+        let (cands, stats, truncated) = link_removal_candidates(&engine, &cfg(), None);
         assert!(!truncated);
         assert!(stats.probed >= cands.len());
         assert_eq!(stats.cache_hits, 0);
@@ -411,27 +403,20 @@ mod tests {
         let q = any_query(&f.ds);
         let ranker = PropagationRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(3), 5);
-        let (unbounded, full_stats, _) =
-            link_removal_candidates(&task, &f.ds.graph, &q, &cfg(), None, None);
+        let engine = ProbeBatch::new(&task, &f.ds.graph, &q, false, None);
+        let (unbounded, full_stats, _) = link_removal_candidates(&engine, &cfg(), None);
         assert!(
             full_stats.probed > 2,
             "fixture must have enough local edges"
         );
         let cap = 2;
-        let (capped, stats, truncated) =
-            link_removal_candidates(&task, &f.ds.graph, &q, &cfg(), None, Some(cap));
+        let (capped, stats, truncated) = link_removal_candidates(&engine, &cfg(), Some(cap));
         assert!(truncated, "a {cap}-probe cap must truncate the scoring");
         assert!(stats.probed <= cap);
         assert!(capped.len() <= unbounded.len());
         // A cap covering the full scoring changes nothing.
-        let (all, all_stats, all_truncated) = link_removal_candidates(
-            &task,
-            &f.ds.graph,
-            &q,
-            &cfg(),
-            None,
-            Some(full_stats.probed),
-        );
+        let (all, all_stats, all_truncated) =
+            link_removal_candidates(&engine, &cfg(), Some(full_stats.probed));
         assert!(!all_truncated);
         assert_eq!(all, unbounded);
         assert_eq!(all_stats.probed, full_stats.probed);

@@ -3,8 +3,8 @@
 
 use super::{CounterfactualExplanation, CounterfactualKind, CounterfactualResult};
 use crate::config::ExesConfig;
-use crate::probe::{ProbeBatch, ProbeCache, PROBE_CHUNK};
-use crate::tasks::ErasedDecisionModel;
+use crate::probe::{ProbeBatch, PROBE_CHUNK};
+use crate::tasks::{ErasedDecisionModel, Probe};
 use exes_graph::{
     CollabGraph, GraphView, Neighborhood, PersonId, Perturbation, PerturbationSet, Query, SkillId,
 };
@@ -12,62 +12,38 @@ use std::time::Instant;
 
 /// Enumerates perturbation subsets in order of increasing size (1, then 2, ...)
 /// over the full candidate space, recording every subset that flips the
-/// decision, until `e` explanations are found, the size budget `γ` is exhausted,
-/// or the deadline passes.
+/// `reference` decision, until `e` explanations are found, the size budget
+/// `γ` is exhausted, or the deadline passes.
 ///
 /// This is the paper's exhaustive baseline: no beam, no embedding/link-prediction
 /// guidance — only the subset-size ordering that guarantees minimality of the
 /// returned explanations. Combinations are buffered into fixed-size chunks and
-/// scored through [`ProbeBatch`] (in parallel when `cfg.parallel_probes`);
-/// chunks are processed in enumeration order, so results are byte-identical to
-/// the sequential path. The deadline is checked between chunks.
-///
-/// An optional [`ProbeCache`] memoises probes exactly as in
+/// scored through the request's probe session `engine` (in parallel when the
+/// session is); chunks are processed in enumeration order, so results are
+/// byte-identical to the sequential path. The deadline is checked between
+/// chunks. `reference` is the session's probe of the unperturbed input, and
+/// a cache behind the session memoises probes exactly as in
 /// [`super::beam::beam_search`]: results are byte-identical with or without
-/// it, only `result.probes` and the hit/miss counters change.
+/// it, only `result.accounting` changes.
 ///
 /// `cfg.probe_budget` bounds the number of *black-box* probes (cache hits are
 /// free). When the budget runs out mid-enumeration the search stops at the
 /// last affordable subset and returns best-so-far, marked
 /// [`Completeness::Budgeted`](crate::probe::Completeness) — never a panic or a
 /// silent truncation. An unbounded budget leaves every byte of the result
-/// unchanged.
-#[allow(clippy::too_many_arguments)]
+/// unchanged. The result counts the search's own probes; [`crate::Exes`]
+/// adds the reference probe of the request.
 pub fn exhaustive_search<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
+    engine: &ProbeBatch<'_, D>,
+    reference: Probe,
     candidates: &[Perturbation],
     kind: CounterfactualKind,
     cfg: &ExesConfig,
     deadline: Option<Instant>,
-    cache: Option<&ProbeCache>,
 ) -> CounterfactualResult {
     let mut result = CounterfactualResult::default();
     let mut budget = cfg.probe_budget.tracker();
-    let (plan, _) = crate::probe::acquire_plan(task, graph, query, cache);
-    let engine = ProbeBatch::new(task, graph, query, cfg.parallel_probes)
-        .with_cache_opt(cache)
-        .with_plan_opt(plan.as_deref());
-    let (initial, initial_hit) = if budget.remaining() == Some(0) {
-        match engine.peek_identity() {
-            Some(probe) => (probe, true),
-            None => {
-                // Not even the reference decision is affordable: the only
-                // honest answer is an empty, explicitly-budgeted result.
-                result.completeness = budget.completeness(true);
-                return result;
-            }
-        }
-    } else {
-        let scored = engine.score_identity_counted();
-        if !scored.1 {
-            budget.charge(1);
-        }
-        scored
-    };
-    result.count_reference(initial_hit, cache.is_some());
-    let initial_relevance = initial.positive;
+    let initial_relevance = reference.positive;
 
     // Scores a buffered chunk in enumeration order; returns false when the
     // search must stop (explanation count reached, probe budget spent, or
@@ -86,10 +62,10 @@ pub fn exhaustive_search<D: ErasedDecisionModel + ?Sized>(
                 return false;
             }
         }
-        let (probes, stats, answered) = engine.score_counted_budgeted(chunk, budget.remaining());
+        let (probes, stats) = engine.score(chunk, budget.remaining());
         budget.charge(stats.probed);
-        result.count(&stats);
-        let truncated = answered < chunk.len();
+        result.accounting.merge(&stats);
+        let truncated = probes.len() < chunk.len();
         for (set, probe) in chunk.drain(..).zip(probes) {
             if probe.positive != initial_relevance
                 && result.explanations.len() < cfg.num_explanations
@@ -267,6 +243,21 @@ mod tests {
     use exes_graph::CollabGraphBuilder;
     use std::time::Duration;
 
+    /// Searches `candidates` in a fresh session, probing the reference
+    /// outside the search's accounting and budget, as `Exes` does.
+    fn search(
+        task: &ExpertRelevanceTask<'_, TfIdfRanker>,
+        (g, q): (&CollabGraph, &Query),
+        candidates: &[Perturbation],
+        kind: CounterfactualKind,
+        cfg: &ExesConfig,
+        deadline: Option<Instant>,
+    ) -> CounterfactualResult {
+        let engine = ProbeBatch::new(task, g, q, cfg.parallel_probes, None);
+        let (reference, _) = engine.score(&[PerturbationSet::new()], None);
+        exhaustive_search(&engine, reference[0], candidates, kind, cfg, deadline)
+    }
+
     fn graph() -> CollabGraph {
         let mut b = CollabGraphBuilder::new();
         let a = b.add_person("Ada", ["db", "ml"]);
@@ -295,14 +286,12 @@ mod tests {
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
         let candidates = all_skill_removals(&g);
-        let result = exhaustive_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::SkillRemoval,
             &ExesConfig::fast().with_k(1),
-            None,
             None,
         );
         assert!(!result.is_empty());
@@ -342,15 +331,13 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(2), 1);
         let candidates = all_query_augmentations(&g, &q);
         let deadline = Some(Instant::now() - Duration::from_millis(1));
-        let result = exhaustive_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &candidates,
             CounterfactualKind::QueryAugmentation,
             &ExesConfig::fast().with_k(1),
             deadline,
-            None,
         );
         assert!(result.timed_out || !result.is_empty());
     }
@@ -363,14 +350,12 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
         let candidates = all_skill_removals(&g);
         let run = |budget: crate::probe::ProbeBudget| {
-            exhaustive_search(
+            search(
                 &task,
-                &g,
-                &q,
+                (&g, &q),
                 &candidates,
                 CounterfactualKind::SkillRemoval,
                 &ExesConfig::fast().with_k(1).with_probe_budget(budget),
-                None,
                 None,
             )
         };
@@ -380,16 +365,19 @@ mod tests {
             crate::probe::Completeness::Exhaustive
         );
         // Matching the unbounded spend exactly changes nothing.
-        let matched = run(crate::probe::ProbeBudget::bounded(unbounded.probes));
+        let matched = run(crate::probe::ProbeBudget::bounded(
+            unbounded.accounting.probed,
+        ));
         assert_eq!(matched.explanations, unbounded.explanations);
         assert_eq!(matched.completeness, crate::probe::Completeness::Exhaustive);
-        // A 2-probe budget (identity + one subset) is overdrawn mid-chunk.
+        // A 2-probe budget (two of the four singletons) is overdrawn
+        // mid-chunk.
         let starved = run(crate::probe::ProbeBudget::bounded(2));
-        assert!(starved.probes <= 2);
+        assert!(starved.accounting.probed <= 2);
         assert_eq!(
             starved.completeness,
             crate::probe::Completeness::Budgeted {
-                spent: starved.probes,
+                spent: starved.accounting.probed,
                 budget: 2
             }
         );
@@ -401,14 +389,12 @@ mod tests {
         let q = Query::parse("db", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
-        let result = exhaustive_search(
+        let result = search(
             &task,
-            &g,
-            &q,
+            (&g, &q),
             &[],
             CounterfactualKind::SkillRemoval,
             &ExesConfig::fast(),
-            None,
             None,
         );
         assert!(result.is_empty());

@@ -60,24 +60,11 @@ pub struct CounterfactualResult {
     /// Explanations found, sorted by size and then by how strongly they move the
     /// subject's rank in the desired direction.
     pub explanations: Vec<CounterfactualExplanation>,
-    /// Number of probes issued to the underlying system. With a
-    /// [`crate::probe::ProbeCache`] attached this counts only the probes that
-    /// actually reached the black box (the cache misses plus any probes issued
-    /// outside the cached engine); a warm cache makes it drop.
-    pub probes: usize,
-    /// Probe requests answered by the attached [`crate::probe::ProbeCache`]
-    /// (0 when the search ran uncached).
-    pub cache_hits: usize,
-    /// Probe requests that went through the attached cache and missed
-    /// (0 when the search ran uncached).
-    pub cache_misses: usize,
-    /// Black-box probes answered through the incremental (delta-localized)
-    /// rescoring path of a per-context baseline plan (0 when the model has no
-    /// incremental capability).
-    pub incremental_rescores: usize,
-    /// Black-box probes that performed a full re-rank — the honest fallback
-    /// when no plan exists or a delta falls outside its guarantees.
-    pub full_rescores: usize,
+    /// Every probe the result cost: through [`crate::Exes`], the whole
+    /// request's — the reference probe, any candidate scoring and the
+    /// search. With a [`crate::probe::ProbeCache`], `probed` counts only the
+    /// probes that reached the black box, so a warm cache makes it drop.
+    pub accounting: BatchStats,
     /// Whether the search stopped because the configured timeout elapsed.
     pub timed_out: bool,
     /// Whether the search ran to its natural end or was cut short by the
@@ -118,31 +105,10 @@ impl CounterfactualResult {
         }
     }
 
-    /// Total probe requests the search made, whether served by the black box
-    /// or the memo cache.
+    /// Total probes the result asked for, whether served by the black box or
+    /// the memo cache.
     pub fn probe_requests(&self) -> usize {
-        self.probes + self.cache_hits
-    }
-
-    /// Adds a probe batch's accounting to this result's counters.
-    pub(crate) fn count(&mut self, stats: &BatchStats) {
-        self.probes += stats.probed;
-        self.cache_hits += stats.cache_hits;
-        self.cache_misses += stats.cache_misses;
-        self.incremental_rescores += stats.incremental_rescores;
-        self.full_rescores += stats.full_rescores;
-    }
-
-    /// Counts one reference-decision probe: free when the cache answered it
-    /// (`hit`), otherwise one black-box probe and, when a cache is attached
-    /// (`cached`), one miss.
-    pub(crate) fn count_reference(&mut self, hit: bool, cached: bool) {
-        if hit {
-            self.cache_hits += 1;
-        } else {
-            self.probes += 1;
-            self.cache_misses += usize::from(cached);
-        }
+        self.accounting.probed + self.accounting.cache_hits
     }
 
     /// Sorts explanations by size, then by the strength of their effect.
@@ -189,7 +155,10 @@ mod tests {
                 explanation(1, 12.0),
                 explanation(3, 2.0),
             ],
-            probes: 10,
+            accounting: BatchStats {
+                probed: 10,
+                ..Default::default()
+            },
             ..Default::default()
         };
         assert_eq!(result.len(), 3);

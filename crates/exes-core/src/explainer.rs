@@ -17,9 +17,9 @@ use crate::factual::{
 };
 use crate::probe::{BatchStats, Completeness, ProbeBatch, ProbeBudget, ProbeCache};
 use crate::service::{Explanation, ExplanationKind};
-use crate::tasks::ErasedDecisionModel;
+use crate::tasks::{ErasedDecisionModel, Probe};
 use exes_embedding::SkillEmbedding;
-use exes_graph::{CollabGraph, Perturbation, Query};
+use exes_graph::{CollabGraph, Perturbation, PerturbationSet, Query};
 use exes_linkpred::LinkPredictor;
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,14 +36,12 @@ pub enum SkillAdditionBaseline {
 /// A counterfactual search over a candidate list: [`beam_search`] or
 /// [`exhaustive_search`].
 type Search<D> = fn(
-    &D,
-    &CollabGraph,
-    &Query,
+    &ProbeBatch<'_, D>,
+    Probe,
     &[Perturbation],
     CounterfactualKind,
     &ExesConfig,
     Option<Instant>,
-    Option<&ProbeCache>,
 ) -> CounterfactualResult;
 
 /// A search's candidate perturbations and their kind, plus the probes spent
@@ -130,6 +128,23 @@ impl Exes {
         self.config.timeout.map(|t| Instant::now() + t)
     }
 
+    /// Opens the probe session of one family call: every probe of the
+    /// request goes through it, its plan fetched once.
+    fn session<'a, D: ErasedDecisionModel + ?Sized>(
+        &'a self,
+        task: &'a D,
+        graph: &'a CollabGraph,
+        query: &'a Query,
+    ) -> ProbeBatch<'a, D> {
+        ProbeBatch::new(
+            task,
+            graph,
+            query,
+            self.config.parallel_probes,
+            self.probe_cache(),
+        )
+    }
+
     /// Answers a `kind` explanation: the one dispatch from an
     /// [`ExplanationKind`] to its family method, with the factual families
     /// pruned. [`crate::service::ExesService`] answers every request through
@@ -175,7 +190,7 @@ impl Exes {
         query: &Query,
         pruned: bool,
     ) -> FactualExplanation {
-        explain_skills(task, graph, query, &self.config, pruned, self.probe_cache())
+        explain_skills(&self.session(task, graph, query), &self.config, pruned)
     }
 
     /// Query-term factual explanation (no pruning applies).
@@ -185,7 +200,7 @@ impl Exes {
         graph: &CollabGraph,
         query: &Query,
     ) -> FactualExplanation {
-        explain_query_terms(task, graph, query, &self.config, self.probe_cache())
+        explain_query_terms(&self.session(task, graph, query), &self.config)
     }
 
     /// Collaboration factual explanation (Pruning Strategy 2 when `pruned`).
@@ -196,7 +211,7 @@ impl Exes {
         query: &Query,
         pruned: bool,
     ) -> FactualExplanation {
-        explain_collaborations(task, graph, query, &self.config, pruned, self.probe_cache())
+        explain_collaborations(&self.session(task, graph, query), &self.config, pruned)
     }
 
     // ------------------------------------------------------------------
@@ -212,7 +227,7 @@ impl Exes {
         query: &Query,
     ) -> CounterfactualResult {
         let (subject, embedding, cfg) = (task.subject_id(), &self.embedding, &self.config);
-        self.counterfactual(task, graph, query, beam_search, |selected, _| {
+        self.counterfactual(task, graph, query, beam_search, |_, selected, _| {
             if selected {
                 unscored(
                     candidates::skill_removal_candidates(graph, query, subject, embedding, cfg),
@@ -234,7 +249,7 @@ impl Exes {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        self.counterfactual(task, graph, query, beam_search, |selected, _| {
+        self.counterfactual(task, graph, query, beam_search, |_, selected, _| {
             unscored(
                 candidates::query_augmentation_candidates(
                     graph,
@@ -257,34 +272,34 @@ impl Exes {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        self.counterfactual(task, graph, query, beam_search, |selected, remaining| {
-            if selected {
-                let (removals, scoring, truncated) = candidates::link_removal_candidates(
-                    task,
-                    graph,
-                    query,
-                    &self.config,
-                    self.probe_cache(),
-                    remaining,
-                );
-                (
-                    removals,
-                    CounterfactualKind::LinkRemoval,
-                    scoring,
-                    truncated,
-                )
-            } else {
-                unscored(
-                    candidates::link_addition_candidates(
-                        graph,
-                        task.subject_id(),
-                        self.link_predictor.as_ref(),
-                        &self.config,
-                    ),
-                    CounterfactualKind::LinkAddition,
-                )
-            }
-        })
+        self.counterfactual(
+            task,
+            graph,
+            query,
+            beam_search,
+            |engine, selected, remaining| {
+                if selected {
+                    let (removals, scoring, truncated) =
+                        candidates::link_removal_candidates(engine, &self.config, remaining);
+                    (
+                        removals,
+                        CounterfactualKind::LinkRemoval,
+                        scoring,
+                        truncated,
+                    )
+                } else {
+                    unscored(
+                        candidates::link_addition_candidates(
+                            graph,
+                            task.subject_id(),
+                            self.link_predictor.as_ref(),
+                            &self.config,
+                        ),
+                        CounterfactualKind::LinkAddition,
+                    )
+                }
+            },
+        )
     }
 
     // ------------------------------------------------------------------
@@ -301,7 +316,7 @@ impl Exes {
         query: &Query,
         addition_baseline: SkillAdditionBaseline,
     ) -> CounterfactualResult {
-        self.counterfactual(task, graph, query, exhaustive_search, |selected, _| {
+        self.counterfactual(task, graph, query, exhaustive_search, |_, selected, _| {
             if selected {
                 return unscored(all_skill_removals(graph), CounterfactualKind::SkillRemoval);
             }
@@ -329,20 +344,12 @@ impl Exes {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        // No extra initial probe here: unlike the skill/link variants, this
-        // method never asks for the unperturbed decision outside the search,
-        // so only the search's own identity probe is counted.
-        let candidates = all_query_augmentations(graph, query);
-        exhaustive_search(
-            task,
-            graph,
-            query,
-            &candidates,
-            CounterfactualKind::QueryAugmentation,
-            &self.config,
-            self.deadline(),
-            self.probe_cache(),
-        )
+        self.counterfactual(task, graph, query, exhaustive_search, |_, _, _| {
+            unscored(
+                all_query_augmentations(graph, query),
+                CounterfactualKind::QueryAugmentation,
+            )
+        })
     }
 
     /// Exhaustive collaboration counterfactuals: all edge removals (selected
@@ -353,7 +360,7 @@ impl Exes {
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        self.counterfactual(task, graph, query, exhaustive_search, |selected, _| {
+        self.counterfactual(task, graph, query, exhaustive_search, |_, selected, _| {
             if selected {
                 unscored(all_link_removals(graph), CounterfactualKind::LinkRemoval)
             } else {
@@ -363,60 +370,56 @@ impl Exes {
         })
     }
 
-    /// The request-level path shared by every counterfactual family that
-    /// first asks for the unperturbed decision.
+    /// The request-level path shared by every counterfactual family.
     ///
     /// It starts the request's [`ExesConfig::timeout`] clock before anything
-    /// else, probes the initial decision (through the cache when one is
-    /// attached, so a warm cache answers it for free), generates the
-    /// candidates from that decision and the budget it left, and runs
-    /// `search` on what the request's [`ProbeBudget`] still allows. The
-    /// initial probe and any candidate scoring are folded into the result:
-    /// `probes` counts every black-box probe of the request, and a
-    /// [`Completeness::Budgeted`] marker reports that total against the
-    /// configured budget — set as well when candidate scoring, not the
-    /// search, ran out of budget.
+    /// else and then opens the request's probe session. It probes the
+    /// reference decision — the empty perturbation set — once, through the
+    /// session, so a warm cache answers it for free and a plan answers it
+    /// without a full ranking. It generates the candidates from that
+    /// decision and the budget it left, and runs `search` on what the
+    /// request's [`ProbeBudget`] still allows. The reference probe and any
+    /// candidate scoring are merged into the result's accounting, so it
+    /// counts every probe of the request, and a [`Completeness::Budgeted`]
+    /// marker reports that total against the configured budget — set as well
+    /// when candidate scoring, not the search, ran out of budget.
     fn counterfactual<D: ErasedDecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
         query: &Query,
         search: Search<D>,
-        candidates: impl FnOnce(bool, Option<usize>) -> Candidates,
+        candidates: impl FnOnce(&ProbeBatch<'_, D>, bool, Option<usize>) -> Candidates,
     ) -> CounterfactualResult {
         let deadline = self.deadline();
-        let cache = self.probe_cache();
+        let engine = self.session(task, graph, query);
         let mut budget = self.config.probe_budget.tracker();
-        let (initial, initial_hit) =
-            ProbeBatch::new(task, graph, query, self.config.parallel_probes)
-                .with_cache_opt(cache)
-                .score_identity_counted();
-        if !initial_hit {
-            budget.charge(1);
-        }
+        // Unbounded: the reference is probed even when the budget cannot
+        // afford it (see `ExesConfig::probe_budget`).
+        let (reference, mut accounting) = engine.score(&[PerturbationSet::new()], None);
+        let reference = reference[0];
+        budget.charge(accounting.probed);
         let (perturbations, kind, scoring, scoring_truncated) =
-            candidates(initial.positive, budget.remaining());
+            candidates(&engine, reference.positive, budget.remaining());
         budget.charge(scoring.probed);
+        accounting.merge(&scoring);
         let remaining = budget
             .remaining()
             .map_or(ProbeBudget::UNBOUNDED, ProbeBudget::bounded);
         let search_cfg = self.config.clone().with_probe_budget(remaining);
         let mut result = search(
-            task,
-            graph,
-            query,
+            &engine,
+            reference,
             &perturbations,
             kind,
             &search_cfg,
             deadline,
-            cache,
         );
-        result.count(&scoring);
-        result.count_reference(initial_hit, cache.is_some());
+        result.accounting.merge(&accounting);
         if let Some(limit) = self.config.probe_budget.limit() {
             if scoring_truncated || result.completeness.is_budgeted() {
                 result.completeness = Completeness::Budgeted {
-                    spent: result.probes,
+                    spent: result.accounting.probed,
                     budget: limit,
                 };
             }
@@ -429,11 +432,12 @@ impl Exes {
 mod tests {
     use super::*;
     use crate::config::OutputMode;
-    use crate::tasks::{DecisionModel, ExpertRelevanceTask, Probe, TeamMembershipTask};
+    use crate::probe::BaselinePlan;
+    use crate::tasks::{DecisionModel, ExpertRelevanceTask, TeamMembershipTask};
     use exes_datasets::{DatasetConfig, QueryWorkload, SyntheticDataset};
     use exes_embedding::EmbeddingConfig;
     use exes_expert_search::{ExpertRanker, PropagationRanker};
-    use exes_graph::{GraphView, Neighborhood, PersonId};
+    use exes_graph::{GraphView, Neighborhood, PersonId, PerturbedGraph};
     use exes_linkpred::CommonNeighbors;
     use exes_team::GreedyCoverTeamFormer;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -656,10 +660,70 @@ mod tests {
         let result = f.exes.counterfactual_links(&task, &f.ds.graph, &q);
         assert!(result.timed_out);
         assert!(result.explanations.is_empty());
-        // The initial probe, the candidate scoring and the search's own
-        // reference probe ran; no search chunk did.
-        assert_eq!(task.probes.load(Ordering::Relaxed), 1 + scored + 1);
-        assert_eq!(result.probes, 1 + scored + 1);
+        // The one reference probe and the candidate scoring ran; no search
+        // chunk did.
+        assert_eq!(task.probes.load(Ordering::Relaxed), 1 + scored);
+        assert_eq!(result.accounting.probed, 1 + scored);
+    }
+
+    /// A propagation relevance decision that counts its plan builds.
+    struct PlanCounting<'a> {
+        task: ExpertRelevanceTask<'a, PropagationRanker>,
+        plans: AtomicUsize,
+    }
+
+    impl DecisionModel for PlanCounting<'_> {
+        fn subject(&self) -> PersonId {
+            self.task.subject()
+        }
+
+        fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe {
+            self.task.probe(graph, query)
+        }
+
+        fn rank_cutoff(&self) -> Option<usize> {
+            self.task.rank_cutoff()
+        }
+
+        fn model_fingerprint(&self) -> u64 {
+            self.task.model_fingerprint()
+        }
+
+        fn build_plan(&self, graph: &CollabGraph, query: &Query) -> Option<BaselinePlan> {
+            self.plans.fetch_add(1, Ordering::Relaxed);
+            self.task.build_plan(graph, query)
+        }
+
+        fn probe_with_plan(
+            &self,
+            plan: &BaselinePlan,
+            view: &PerturbedGraph<'_>,
+            query: &Query,
+        ) -> Option<Probe> {
+            self.task.probe_with_plan(plan, view, query)
+        }
+    }
+
+    #[test]
+    fn a_cacheless_request_builds_its_plan_once() {
+        let f = fixture();
+        assert!(f.exes.probe_cache().is_none());
+        let (q, inside, _) = query_and_subjects(&f);
+        let counting = || PlanCounting {
+            task: ExpertRelevanceTask::new(&f.ranker, inside, f.exes.config().k),
+            plans: AtomicUsize::new(0),
+        };
+        // A selected subject scores link-removal candidates before the
+        // search: both, and the reference probe, share the session's plan.
+        let task = counting();
+        let links = f.exes.counterfactual_links(&task, &f.ds.graph, &q);
+        assert!(links.accounting.incremental_rescores > 0);
+        assert_eq!(task.plans.load(Ordering::Relaxed), 1);
+        // Every expansion pass and the final pass share one plan too.
+        let task = counting();
+        let collabs = f.exes.factual_collaborations(&task, &f.ds.graph, &q, true);
+        assert!(collabs.accounting().incremental_rescores > 0);
+        assert_eq!(task.plans.load(Ordering::Relaxed), 1);
     }
 
     #[test]

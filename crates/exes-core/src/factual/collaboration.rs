@@ -3,9 +3,9 @@
 use super::{skill::explain_features, FactualExplanation, FeatureMaskModel};
 use crate::config::ExesConfig;
 use crate::features::Feature;
-use crate::probe::{Completeness, ProbeBudget, ProbeCache};
+use crate::probe::{BatchStats, Completeness, ProbeBatch, ProbeBudget};
 use crate::tasks::ErasedDecisionModel;
-use exes_graph::{CollabGraph, Neighborhood, PersonId, Query};
+use exes_graph::{CollabGraph, Neighborhood, PersonId};
 use exes_shap::{CachingModel, ShapExplainer};
 use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
@@ -27,34 +27,31 @@ pub fn collaboration_features_exhaustive(graph: &CollabGraph) -> Vec<Feature> {
 /// edges whose |SHAP| exceeds `τ`; the final explanation re-scores exactly that
 /// impactful set. With `false` every edge of the graph is scored.
 ///
-/// `cfg.probe_budget` bounds the black-box probes of the *whole* explanation:
-/// each expansion pass spends against the remainder, and when it runs out the
-/// expansion stops and the result is marked
+/// Every pass probes through the request's session `engine`, so all passes
+/// share its plan and cache, and the result's accounting sums one record
+/// per pass. `cfg.probe_budget` bounds the black-box probes of the *whole*
+/// explanation: each expansion pass spends against the remainder, and when
+/// it runs out the expansion stops and the result is marked
 /// [`Completeness::Budgeted`] — best-so-far, never a silent truncation.
 pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
+    engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     pruned: bool,
-    cache: Option<&ProbeCache>,
 ) -> FactualExplanation {
+    let graph = engine.graph();
     if !pruned {
         let features = collaboration_features_exhaustive(graph);
-        return explain_features(task, graph, query, cfg, features, cache);
+        return explain_features(engine, cfg, features);
     }
 
-    let subject = task.subject_id();
+    let subject = engine.task().subject_id();
     let neighborhood = Neighborhood::compute(graph, subject, cfg.collab_radius);
     let mut impactful: Vec<Feature> = Vec::new();
     let mut impactful_set: FxHashSet<(u32, u32)> = FxHashSet::default();
     let mut expanded: FxHashSet<PersonId> = FxHashSet::default();
     let mut queue: VecDeque<PersonId> = VecDeque::new();
     queue.push_back(subject);
-    let mut total_probes = 0usize;
-    let mut total_cache_hits = 0usize;
-    let mut total_incremental = 0usize;
-    let mut total_full = 0usize;
+    let mut accounting = BatchStats::default();
     let mut budget = cfg.probe_budget.tracker();
     let mut expansion_truncated = false;
     // Guard against runaway expansion on dense neighbourhoods.
@@ -89,20 +86,15 @@ pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
         if incident.is_empty() {
             continue;
         }
-        let model = CachingModel::new(FeatureMaskModel::new(
-            task, graph, query, &incident, cfg, cache,
-        ));
+        let model = CachingModel::new(FeatureMaskModel::new(engine, &incident, cfg));
         let sampled = ShapExplainer::new(cfg.shap).explain_sampled(&model, budget.remaining());
         let shap = sampled.values;
         if sampled.truncated {
             expansion_truncated = true;
         }
-        let inner = model.into_inner();
-        budget.charge(inner.probes_issued());
-        total_probes += inner.probes_issued();
-        total_cache_hits += inner.cache_hits();
-        total_incremental += inner.incremental_rescores();
-        total_full += inner.full_rescores();
+        let pass = model.into_inner().accounting();
+        budget.charge(pass.probed);
+        accounting.merge(&pass);
         for (i, &feature) in incident.iter().enumerate() {
             if shap.value(i).abs() >= cfg.tau {
                 if let Feature::Edge(a, b) = feature {
@@ -125,28 +117,23 @@ pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
         Some(remaining) => ProbeBudget::bounded(remaining),
         None => ProbeBudget::UNBOUNDED,
     });
-    let final_explanation = explain_features(task, graph, query, &final_cfg, impactful, cache);
-    let probes = total_probes + final_explanation.probes();
+    let final_explanation = explain_features(engine, &final_cfg, impactful);
+    accounting.merge(&final_explanation.accounting());
     let completeness = match (
         expansion_truncated || final_explanation.completeness().is_budgeted(),
         cfg.probe_budget.limit(),
     ) {
         (true, Some(limit)) => Completeness::Budgeted {
-            spent: probes,
+            spent: accounting.probed,
             budget: limit,
         },
         _ => Completeness::Exhaustive,
     };
     let half_widths = final_explanation.half_widths().to_vec();
-    FactualExplanation::with_cache_hits(
+    FactualExplanation::new(
         final_explanation.features().to_vec(),
         final_explanation.shap_values().clone(),
-        probes,
-        total_cache_hits + final_explanation.cache_hits(),
-    )
-    .with_rescores(
-        total_incremental + final_explanation.incremental_rescores(),
-        total_full + final_explanation.full_rescores(),
+        accounting,
     )
     .with_sampling(half_widths, completeness)
 }
@@ -156,8 +143,18 @@ mod tests {
     use super::*;
     use crate::config::OutputMode;
     use crate::tasks::ExpertRelevanceTask;
-    use exes_expert_search::{PropagationRanker, TfIdfRanker};
-    use exes_graph::CollabGraphBuilder;
+    use exes_expert_search::{ExpertRanker, PropagationRanker, TfIdfRanker};
+    use exes_graph::{CollabGraphBuilder, Query};
+
+    /// Explains `task`'s subject on `g` in a fresh, cache-less session.
+    fn explain<R: ExpertRanker + Sync>(
+        task: &ExpertRelevanceTask<'_, R>,
+        g: &CollabGraph,
+        q: &Query,
+        cfg: &ExesConfig,
+    ) -> FactualExplanation {
+        explain_collaborations(&ProbeBatch::new(task, g, q, false, None), cfg, true)
+    }
 
     /// Ada(db) — Expert(db, ml) and Ada — Irrelevant(vision); Competitor(db) —
     /// Dee(db) form a rival pair without access to "ml". Ada's place in the
@@ -195,7 +192,7 @@ mod tests {
         let ranker = PropagationRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 2);
         let cfg = cfg().with_k(2);
-        let exp = explain_collaborations(&task, &g, &q, &cfg, true, None);
+        let exp = explain(&task, &g, &q, &cfg);
         let to_expert = exp.value_of(&Feature::Edge(PersonId(0), PersonId(1)));
         let to_irrelevant = exp.value_of(&Feature::Edge(PersonId(0), PersonId(2)));
         match (to_expert, to_irrelevant) {
@@ -211,7 +208,7 @@ mod tests {
         let q = Query::parse("db ml", g.vocab()).unwrap();
         let ranker = PropagationRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 2);
-        let exp = explain_collaborations(&task, &g, &q, &cfg().with_k(2), true, None);
+        let exp = explain(&task, &g, &q, &cfg().with_k(2));
         assert!(exp.features().iter().all(|f| f.involves(PersonId(0))
             || f.involves(PersonId(1))
             || f.involves(PersonId(2))));
@@ -224,7 +221,7 @@ mod tests {
         // TF-IDF ignores collaborations entirely, so every edge has zero impact.
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
-        let exp = explain_collaborations(&task, &g, &q, &cfg().with_k(3), true, None);
+        let exp = explain(&task, &g, &q, &cfg().with_k(3));
         assert_eq!(exp.size(), 0);
     }
 
@@ -234,10 +231,8 @@ mod tests {
         let q = Query::parse("db ml", g.vocab()).unwrap();
         let ranker = PropagationRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 2);
-        let small_tau =
-            explain_collaborations(&task, &g, &q, &cfg().with_k(2).with_tau(0.01), true, None);
-        let large_tau =
-            explain_collaborations(&task, &g, &q, &cfg().with_k(2).with_tau(0.3), true, None);
+        let small_tau = explain(&task, &g, &q, &cfg().with_k(2).with_tau(0.01));
+        let large_tau = explain(&task, &g, &q, &cfg().with_k(2).with_tau(0.3));
         assert!(large_tau.num_features() <= small_tau.num_features());
     }
 }

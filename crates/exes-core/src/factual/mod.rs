@@ -10,25 +10,19 @@ pub use skill::{explain_skills, skill_features_exhaustive, skill_features_pruned
 
 use crate::config::{ExesConfig, OutputMode};
 use crate::features::Feature;
-use crate::probe::{Completeness, ProbeCache};
+use crate::probe::{BatchStats, Completeness, ProbeBatch};
 use crate::tasks::ErasedDecisionModel;
-use exes_graph::{CollabGraph, PerturbationSet, Query};
+use exes_graph::{CollabGraph, PerturbationSet};
 use exes_shap::{MaskedModel, ShapValues};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// A factual explanation: one SHAP value per scored feature.
 #[derive(Debug, Clone)]
 pub struct FactualExplanation {
     features: Vec<Feature>,
     shap: ShapValues,
-    /// Number of probes issued to the underlying system while computing it.
-    probes: usize,
-    /// Coalition probes answered by an attached [`ProbeCache`].
-    cache_hits: usize,
-    /// Coalition probes answered through the incremental rescoring path.
-    incremental_rescores: usize,
-    /// Coalition probes that fell back to a full re-rank.
-    full_rescores: usize,
+    /// Every coalition probe computing it cost.
+    accounting: BatchStats,
     /// Per-feature 95% confidence half-widths (all zero for deterministic
     /// estimators; parallel to `features`).
     half_widths: Vec<f64>,
@@ -38,32 +32,16 @@ pub struct FactualExplanation {
 }
 
 impl FactualExplanation {
-    pub(crate) fn with_cache_hits(
-        features: Vec<Feature>,
-        shap: ShapValues,
-        probes: usize,
-        cache_hits: usize,
-    ) -> Self {
+    pub(crate) fn new(features: Vec<Feature>, shap: ShapValues, accounting: BatchStats) -> Self {
         debug_assert_eq!(features.len(), shap.len());
         let half_widths = vec![0.0; features.len()];
         FactualExplanation {
             features,
             shap,
-            probes,
-            cache_hits,
-            incremental_rescores: 0,
-            full_rescores: 0,
+            accounting,
             half_widths,
             completeness: Completeness::Exhaustive,
         }
-    }
-
-    /// Records the incremental-vs-full rescoring split of the coalition
-    /// probes behind this explanation.
-    pub(crate) fn with_rescores(mut self, incremental: usize, full: usize) -> Self {
-        self.incremental_rescores = incremental;
-        self.full_rescores = full;
-        self
     }
 
     /// Records the sampling uncertainty and budget outcome of the estimator
@@ -115,29 +93,11 @@ impl FactualExplanation {
         self.features.len()
     }
 
-    /// Number of black-box probes issued while computing the explanation.
-    /// With a warm [`ProbeCache`] attached this drops, while the SHAP values
+    /// Every coalition probe computing the explanation cost. With a warm
+    /// [`crate::probe::ProbeCache`], `probed` drops while the SHAP values
     /// stay identical.
-    pub fn probes(&self) -> usize {
-        self.probes
-    }
-
-    /// Number of coalition probes answered by the attached [`ProbeCache`]
-    /// (0 when the explanation was computed uncached).
-    pub fn cache_hits(&self) -> usize {
-        self.cache_hits
-    }
-
-    /// Coalition probes answered through the incremental (delta-localized)
-    /// rescoring path of a per-context baseline plan.
-    pub fn incremental_rescores(&self) -> usize {
-        self.incremental_rescores
-    }
-
-    /// Coalition probes that performed a full re-rank (no plan, or a delta
-    /// outside its localization guarantees).
-    pub fn full_rescores(&self) -> usize {
-        self.full_rescores
+    pub fn accounting(&self) -> BatchStats {
+        self.accounting
     }
 
     /// Per-feature 95% confidence half-widths, parallel to
@@ -204,10 +164,11 @@ impl FactualExplanation {
 
 /// The masked model handed to the Shapley engine: masking a feature out applies
 /// its removal perturbation to the graph/query before probing the black box.
-/// Every coalition evaluation goes through the [`crate::probe::ProbeBatch`]
-/// engine, so it answers from the context's baseline plan where the model has
-/// one and, when a [`ProbeCache`] is attached, shares memoised probes with the
-/// counterfactual searches of the same (graph, query, subject).
+/// Every coalition evaluation goes through the request's probe session, so it
+/// answers from the context's baseline plan where the model has one and,
+/// with a [`crate::probe::ProbeCache`] behind the session, shares memoised
+/// probes with the counterfactual searches of the same (graph, query,
+/// subject). The all-present coalition is the session's reference probe.
 ///
 /// Only a batch of at least `exes_parallel::MIN_PARALLEL_ITEMS` coalitions
 /// can spread across threads. Exact-SHAP enumeration and KernelSHAP hand
@@ -217,40 +178,22 @@ impl FactualExplanation {
 /// features (10 by default), which neighbourhood-skill and collaboration
 /// feature sets usually exceed.
 pub(crate) struct FeatureMaskModel<'a, D: ?Sized> {
-    task: &'a D,
-    graph: &'a CollabGraph,
-    query: &'a Query,
+    engine: &'a ProbeBatch<'a, D>,
     features: &'a [Feature],
     output_mode: OutputMode,
     k: usize,
-    parallel: bool,
-    cache: Option<&'a ProbeCache>,
-    /// Shared baseline plan for the incremental coalition-rescoring path
-    /// (built once per model, memoised per context through the cache).
-    plan: Option<std::sync::Arc<crate::probe::BaselinePlan>>,
-    /// Probes that actually reached the black box through this model.
-    probed: AtomicUsize,
-    /// Probe requests answered by the attached cache.
-    cache_hits: AtomicUsize,
-    /// Black-box probes answered through the incremental rescoring path.
-    incremental: AtomicUsize,
-    /// Black-box probes that fell back to a full re-rank.
-    full: AtomicUsize,
+    /// Every coalition probe this model asked the session for.
+    accounting: Cell<BatchStats>,
 }
 
 impl<'a, D: ErasedDecisionModel + ?Sized> FeatureMaskModel<'a, D> {
     pub(crate) fn new(
-        task: &'a D,
-        graph: &'a CollabGraph,
-        query: &'a Query,
+        engine: &'a ProbeBatch<'a, D>,
         features: &'a [Feature],
         cfg: &ExesConfig,
-        cache: Option<&'a ProbeCache>,
     ) -> Self {
         FeatureMaskModel {
-            task,
-            graph,
-            query,
+            engine,
             features,
             output_mode: cfg.output_mode,
             // SmoothRank centres its sigmoid on the *model's* decision
@@ -259,36 +202,14 @@ impl<'a, D: ErasedDecisionModel + ?Sized> FeatureMaskModel<'a, D> {
             // k is attributed against that k, not the explainer-wide default
             // (models without a rank cutoff, e.g. team membership, keep the
             // configured smoothing anchor).
-            k: task.cutoff().unwrap_or(cfg.k),
-            parallel: cfg.parallel_probes,
-            cache,
-            plan: crate::probe::acquire_plan(task, graph, query, cache).0,
-            probed: AtomicUsize::new(0),
-            cache_hits: AtomicUsize::new(0),
-            incremental: AtomicUsize::new(0),
-            full: AtomicUsize::new(0),
+            k: engine.task().cutoff().unwrap_or(cfg.k),
+            accounting: Cell::default(),
         }
     }
 
-    /// Probes that actually reached the black box (cache misses, or every
-    /// evaluation when no cache is attached).
-    pub(crate) fn probes_issued(&self) -> usize {
-        self.probed.load(Ordering::Relaxed)
-    }
-
-    /// Probe requests answered by the attached [`ProbeCache`].
-    pub(crate) fn cache_hits(&self) -> usize {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Black-box probes answered through the incremental rescoring path.
-    pub(crate) fn incremental_rescores(&self) -> usize {
-        self.incremental.load(Ordering::Relaxed)
-    }
-
-    /// Black-box probes that fell back to a full re-rank.
-    pub(crate) fn full_rescores(&self) -> usize {
-        self.full.load(Ordering::Relaxed)
+    /// Every coalition probe this model asked the session for.
+    pub(crate) fn accounting(&self) -> BatchStats {
+        self.accounting.get()
     }
 
     /// The perturbation set that realises a mask (absent features removed).
@@ -332,17 +253,10 @@ impl<D: ErasedDecisionModel + ?Sized> MaskedModel for FeatureMaskModel<'_, D> {
 
     fn evaluate_batch(&self, masks: &[Vec<bool>]) -> Vec<f64> {
         let deltas: Vec<PerturbationSet> = masks.iter().map(|m| self.delta_for(m)).collect();
-        let engine =
-            crate::probe::ProbeBatch::new(self.task, self.graph, self.query, self.parallel)
-                .with_cache_opt(self.cache)
-                .with_plan_opt(self.plan.as_deref());
-        let (probes, stats) = engine.score_counted(&deltas);
-        self.probed.fetch_add(stats.probed, Ordering::Relaxed);
-        self.cache_hits
-            .fetch_add(stats.cache_hits, Ordering::Relaxed);
-        self.incremental
-            .fetch_add(stats.incremental_rescores, Ordering::Relaxed);
-        self.full.fetch_add(stats.full_rescores, Ordering::Relaxed);
+        let (probes, stats) = self.engine.score(&deltas, None);
+        let mut accounting = self.accounting.get();
+        accounting.merge(&stats);
+        self.accounting.set(accounting);
         probes
             .into_iter()
             .map(|probe| self.scalarise(probe))
@@ -353,9 +267,9 @@ impl<D: ErasedDecisionModel + ?Sized> MaskedModel for FeatureMaskModel<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tasks::ExpertRelevanceTask;
+    use crate::tasks::{DecisionModel, ExpertRelevanceTask};
     use exes_expert_search::TfIdfRanker;
-    use exes_graph::{CollabGraphBuilder, PersonId};
+    use exes_graph::{CollabGraphBuilder, PersonId, Query};
     use exes_shap::ShapValues;
 
     fn graph() -> CollabGraph {
@@ -379,10 +293,15 @@ mod tests {
             Feature::QueryTerm(db),
         ];
         let shap = ShapValues::new(vec![0.4, -0.1, 0.0], 0.0, 0.3);
-        let exp = FactualExplanation::with_cache_hits(features.clone(), shap, 12, 3);
+        let accounting = BatchStats {
+            probed: 12,
+            cache_hits: 3,
+            ..BatchStats::default()
+        };
+        let exp = FactualExplanation::new(features.clone(), shap, accounting);
         assert_eq!(exp.num_features(), 3);
         assert_eq!(exp.size(), 2);
-        assert_eq!(exp.probes(), 12);
+        assert_eq!(exp.accounting(), accounting);
         assert_eq!(exp.value_of(&features[0]), Some(0.4));
         assert_eq!(exp.value_of(&Feature::QueryTerm(ml)), None);
         assert_eq!(exp.top_k(1)[0].0, features[0]);
@@ -405,11 +324,13 @@ mod tests {
             Feature::Skill(PersonId(0), ml),
         ];
         let cfg = ExesConfig::fast().with_k(1);
-        let model = FeatureMaskModel::new(&task, &g, &q, &features, &cfg, None);
+        let engine = ProbeBatch::new(&task, &g, &q, false, None);
+        let model = FeatureMaskModel::new(&engine, &features, &cfg);
         assert_eq!(model.num_features(), 2);
         assert_eq!(model.evaluate(&[true, true]), 1.0);
         // Remove both of Ada's matching skills: Bob overtakes her for k = 1.
         assert_eq!(model.evaluate(&[false, false]), 0.0);
+        assert_eq!(model.accounting().probed, 2);
     }
 
     #[test]
@@ -422,13 +343,14 @@ mod tests {
         // must centre on the task's boundary (2.5), not the config's (1.5).
         let bob = PersonId(1);
         let task = ExpertRelevanceTask::new(&ranker, bob, 2);
-        assert!(task.probe_graph(&g, &q).positive);
+        assert!(task.probe(&g, &q).positive);
         let db = g.vocab().id("db").unwrap();
         let features = vec![Feature::Skill(bob, db)];
         let cfg = ExesConfig::fast()
             .with_k(1)
             .with_output_mode(OutputMode::SmoothRank);
-        let model = FeatureMaskModel::new(&task, &g, &q, &features, &cfg, None);
+        let engine = ProbeBatch::new(&task, &g, &q, false, None);
+        let model = FeatureMaskModel::new(&engine, &features, &cfg);
         let full = model.evaluate(&[true]);
         assert!(
             full > 0.5,
@@ -451,7 +373,8 @@ mod tests {
         let cfg = ExesConfig::fast()
             .with_k(1)
             .with_output_mode(OutputMode::SmoothRank);
-        let model = FeatureMaskModel::new(&task, &g, &q, &features, &cfg, None);
+        let engine = ProbeBatch::new(&task, &g, &q, false, None);
+        let model = FeatureMaskModel::new(&engine, &features, &cfg);
         let full = model.evaluate(&[true, true]);
         let none = model.evaluate(&[false, false]);
         assert!(full > 0.5);

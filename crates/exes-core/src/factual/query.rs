@@ -7,25 +7,23 @@
 use super::{skill::explain_features, FactualExplanation};
 use crate::config::ExesConfig;
 use crate::features::Feature;
-use crate::probe::ProbeCache;
+use crate::probe::ProbeBatch;
 use crate::tasks::ErasedDecisionModel;
-use exes_graph::{CollabGraph, Query};
 
-/// Computes SHAP values for every keyword of the query. An optional
-/// [`ProbeCache`] memoises coalition probes across repeated explanations.
+/// Computes SHAP values for every keyword of the session's query, probing
+/// every coalition through the request's session `engine` (and the cache
+/// behind it, if any).
 pub fn explain_query_terms<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
+    engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
-    cache: Option<&ProbeCache>,
 ) -> FactualExplanation {
-    let features: Vec<Feature> = query
+    let features: Vec<Feature> = engine
+        .query()
         .skills()
         .iter()
         .map(|&s| Feature::QueryTerm(s))
         .collect();
-    explain_features(task, graph, query, cfg, features, cache)
+    explain_features(engine, cfg, features)
 }
 
 #[cfg(test)]
@@ -34,7 +32,17 @@ mod tests {
     use crate::config::OutputMode;
     use crate::tasks::ExpertRelevanceTask;
     use exes_expert_search::TfIdfRanker;
-    use exes_graph::{CollabGraphBuilder, PersonId};
+    use exes_graph::{CollabGraph, CollabGraphBuilder, PersonId, Query};
+
+    /// Explains `task`'s subject in a fresh, cache-less session.
+    fn explain(
+        task: &ExpertRelevanceTask<'_, TfIdfRanker>,
+        g: &CollabGraph,
+        q: &Query,
+        cfg: &ExesConfig,
+    ) -> FactualExplanation {
+        explain_query_terms(&ProbeBatch::new(task, g, q, false, None), cfg)
+    }
 
     fn graph() -> CollabGraph {
         let mut b = CollabGraphBuilder::new();
@@ -50,7 +58,7 @@ mod tests {
         let q = Query::parse("db ml vision", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
-        let exp = explain_query_terms(&task, &g, &q, &ExesConfig::fast().with_k(1), None);
+        let exp = explain(&task, &g, &q, &ExesConfig::fast().with_k(1));
         assert_eq!(exp.num_features(), 3);
         assert!(exp
             .features()
@@ -69,7 +77,7 @@ mod tests {
         let cfg = ExesConfig::fast()
             .with_k(1)
             .with_output_mode(OutputMode::SmoothRank);
-        let exp = explain_query_terms(&task, &g, &q, &cfg, None);
+        let exp = explain(&task, &g, &q, &cfg);
         let ml = g.vocab().id("ml").unwrap();
         let vision = g.vocab().id("vision").unwrap();
         let v_ml = exp.value_of(&Feature::QueryTerm(ml)).unwrap();
@@ -86,7 +94,7 @@ mod tests {
         let q = Query::parse("db", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 2);
-        let exp = explain_query_terms(&task, &g, &q, &ExesConfig::fast().with_k(2), None);
+        let exp = explain(&task, &g, &q, &ExesConfig::fast().with_k(2));
         assert_eq!(exp.num_features(), 1);
         // Efficiency: the single feature carries the full base-to-full gap.
         assert!(exp.shap_values().efficiency_gap() < 1e-9);

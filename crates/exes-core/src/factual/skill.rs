@@ -3,9 +3,9 @@
 use super::{FactualExplanation, FeatureMaskModel};
 use crate::config::ExesConfig;
 use crate::features::Feature;
-use crate::probe::ProbeCache;
+use crate::probe::{Completeness, ProbeBatch};
 use crate::tasks::ErasedDecisionModel;
-use exes_graph::{CollabGraph, GraphView, Neighborhood, Query};
+use exes_graph::{CollabGraph, GraphView, Neighborhood};
 use exes_shap::{CachingModel, ShapExplainer};
 
 /// The pruned skill feature space `S_N(p_i)`: every `(person, skill)` pair held
@@ -38,70 +38,54 @@ pub fn skill_features_exhaustive(graph: &CollabGraph) -> Vec<Feature> {
         .collect()
 }
 
-/// Computes a skill factual explanation for the task's subject.
+/// Computes a skill factual explanation for the session's subject.
 ///
 /// With `pruned == true` the feature space is restricted to the subject's
 /// radius-`d` neighbourhood (the paper's Pruning Strategy 1); with `false` every
 /// skill assignment in the network is scored, which is the exhaustive baseline
-/// of Tables 7/9/11/13. An optional [`ProbeCache`] memoises coalition probes
-/// across repeated explanations of the same (graph, query, subject); SHAP
-/// values are identical either way.
+/// of Tables 7/9/11/13. Every coalition is probed through the request's
+/// session `engine`, so a cache behind it memoises coalition probes across
+/// repeated explanations of the same (graph, query, subject); SHAP values
+/// are identical either way.
 pub fn explain_skills<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
+    engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     pruned: bool,
-    cache: Option<&ProbeCache>,
 ) -> FactualExplanation {
     let features = if pruned {
-        skill_features_pruned(graph, task.subject_id(), cfg.skill_radius)
+        skill_features_pruned(engine.graph(), engine.task().subject_id(), cfg.skill_radius)
     } else {
-        skill_features_exhaustive(graph)
+        skill_features_exhaustive(engine.graph())
     };
-    explain_features(task, graph, query, cfg, features, cache)
+    explain_features(engine, cfg, features)
 }
 
 /// Shared driver: score an arbitrary feature list with the configured Shapley
 /// estimator. A per-explanation coalition-dedup wrapper sits in front of the
-/// mask model regardless, so `probes` counts *distinct* coalitions — and with
-/// a [`ProbeCache`] attached, only the coalitions the cache could not answer.
+/// mask model regardless, so `probed` counts *distinct* coalitions — and with
+/// a [`crate::probe::ProbeCache`] behind the session, only the coalitions
+/// the cache could not answer.
 ///
 /// `cfg.probe_budget` caps the estimator's *model evaluations*; distinct
 /// probes never exceed evaluations, so the budget bounds black-box probes
-/// too. A truncated sample is reported as
-/// [`Completeness::Budgeted`](crate::probe::Completeness) with honest
-/// (wider) confidence half-widths.
+/// too. A truncated sample is reported as [`Completeness::Budgeted`] with
+/// honest (wider) confidence half-widths.
 pub(crate) fn explain_features<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
+    engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     features: Vec<Feature>,
-    cache: Option<&ProbeCache>,
 ) -> FactualExplanation {
-    let model = CachingModel::new(FeatureMaskModel::new(
-        task, graph, query, &features, cfg, cache,
-    ));
+    let model = CachingModel::new(FeatureMaskModel::new(engine, &features, cfg));
     let sampled = ShapExplainer::new(cfg.shap).explain_sampled(&model, cfg.probe_budget.limit());
-    let (probes, cache_hits, incremental, full) = {
-        let inner = model.into_inner();
-        (
-            inner.probes_issued(),
-            inner.cache_hits(),
-            inner.incremental_rescores(),
-            inner.full_rescores(),
-        )
-    };
+    let accounting = model.into_inner().accounting();
     let completeness = match (sampled.truncated, cfg.probe_budget.limit()) {
-        (true, Some(budget)) => crate::probe::Completeness::Budgeted {
-            spent: probes,
+        (true, Some(budget)) => Completeness::Budgeted {
+            spent: accounting.probed,
             budget,
         },
-        _ => crate::probe::Completeness::Exhaustive,
+        _ => Completeness::Exhaustive,
     };
-    FactualExplanation::with_cache_hits(features, sampled.values, probes, cache_hits)
-        .with_rescores(incremental, full)
+    FactualExplanation::new(features, sampled.values, accounting)
         .with_sampling(sampled.half_widths, completeness)
 }
 
@@ -111,7 +95,17 @@ mod tests {
     use crate::config::OutputMode;
     use crate::tasks::ExpertRelevanceTask;
     use exes_expert_search::{PropagationRanker, TfIdfRanker};
-    use exes_graph::{CollabGraphBuilder, PersonId};
+    use exes_graph::{CollabGraphBuilder, PersonId, Query};
+
+    /// Explains `task`'s subject in a fresh, cache-less session.
+    fn explain(
+        task: &ExpertRelevanceTask<'_, impl exes_expert_search::ExpertRanker + Sync>,
+        (g, q): (&CollabGraph, &Query),
+        cfg: &ExesConfig,
+        pruned: bool,
+    ) -> FactualExplanation {
+        explain_skills(&ProbeBatch::new(task, g, q, false, None), cfg, pruned)
+    }
 
     /// Ada(db, ml) — Bob(db) — Cig(vision); Dot(db, ml) is disconnected and
     /// competes with Ada for the top spot.
@@ -162,12 +156,12 @@ mod tests {
         let cfg = ExesConfig::fast()
             .with_k(1)
             .with_output_mode(OutputMode::SmoothRank);
-        let exp = explain_skills(&task, &g, &q, &cfg, true, None);
+        let exp = explain(&task, (&g, &q), &cfg, true);
         let db = g.vocab().id("db").unwrap();
         let ml = g.vocab().id("ml").unwrap();
         assert!(exp.value_of(&Feature::Skill(PersonId(0), db)).unwrap() > 0.0);
         assert!(exp.value_of(&Feature::Skill(PersonId(0), ml)).unwrap() > 0.0);
-        assert!(exp.probes() > 0);
+        assert!(exp.accounting().probed > 0);
     }
 
     #[test]
@@ -190,7 +184,7 @@ mod tests {
             .with_k(2)
             .with_output_mode(OutputMode::SmoothRank)
             .with_skill_radius(1);
-        let exp = explain_skills(&task, &g, &q, &cfg, true, None);
+        let exp = explain(&task, (&g, &q), &cfg, true);
         let ml = g.vocab().id("ml").unwrap();
         let ada_ml = exp.value_of(&Feature::Skill(ada, ml)).unwrap();
         assert!(
@@ -208,7 +202,7 @@ mod tests {
         let base = ExesConfig::fast()
             .with_k(1)
             .with_output_mode(OutputMode::SmoothRank);
-        let unbounded = explain_skills(&task, &g, &q, &base, false, None);
+        let unbounded = explain(&task, (&g, &q), &base, false);
         assert_eq!(
             unbounded.completeness(),
             crate::probe::Completeness::Exhaustive
@@ -218,11 +212,12 @@ mod tests {
         // so the anytime sampler takes over and reports the truncation.
         let budget = 10;
         let cfg = base.with_probe_budget(crate::probe::ProbeBudget::bounded(budget));
-        let exp = explain_skills(&task, &g, &q, &cfg, false, None);
-        assert!(exp.probes() <= budget, "spent {} > {budget}", exp.probes());
+        let exp = explain(&task, (&g, &q), &cfg, false);
+        let probed = exp.accounting().probed;
+        assert!(probed <= budget, "spent {probed} > {budget}");
         match exp.completeness() {
             crate::probe::Completeness::Budgeted { spent, budget: b } => {
-                assert_eq!(spent, exp.probes());
+                assert_eq!(spent, probed);
                 assert_eq!(b, budget);
             }
             crate::probe::Completeness::Exhaustive => {
@@ -239,7 +234,7 @@ mod tests {
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
         let cfg = ExesConfig::fast().with_k(1);
-        let exp = explain_skills(&task, &g, &q, &cfg, true, None);
+        let exp = explain(&task, (&g, &q), &cfg, true);
         assert!(exp.size() <= exp.num_features());
     }
 
@@ -252,7 +247,7 @@ mod tests {
         let cfg = ExesConfig::fast()
             .with_k(1)
             .with_output_mode(OutputMode::SmoothRank);
-        let exp = explain_skills(&task, &g, &q, &cfg, false, None);
+        let exp = explain(&task, (&g, &q), &cfg, false);
         let ml = g.vocab().id("ml").unwrap();
         // Dot's competing "ml" skill is only visible to the exhaustive variant
         // and should *oppose* Ada's relevance (Dot competes for the top spot).

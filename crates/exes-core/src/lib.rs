@@ -54,7 +54,9 @@ pub use factual::FactualExplanation;
 pub use features::Feature;
 pub use metrics::{counterfactual_precision, factual_precision_at_k, PrecisionReport};
 pub use model::{ModelFamilyKind, ModelId, ModelRegistry, ModelSpec, ModelSpecError, SeedPolicy};
-pub use probe::{BaselinePlan, Completeness, CostEstimate, ProbeBatch, ProbeBudget, ProbeCache};
+pub use probe::{
+    BaselinePlan, BatchStats, Completeness, CostEstimate, ProbeBatch, ProbeBudget, ProbeCache,
+};
 pub use service::{
     ExesService, Explanation, ExplanationKind, ExplanationRequest, RequestError, ServiceReport,
 };

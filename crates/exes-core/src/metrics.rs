@@ -91,7 +91,7 @@ mod tests {
 
     fn factual(features: Vec<Feature>, values: Vec<f64>) -> FactualExplanation {
         let shap = ShapValues::new(values, 0.0, 1.0);
-        FactualExplanation::with_cache_hits(features, shap, 0, 0)
+        FactualExplanation::new(features, shap, Default::default())
     }
 
     fn cf(size: usize) -> CounterfactualExplanation {

@@ -493,7 +493,8 @@ mod tests {
         let ranker = TfIdfRanker::default();
         let direct = ExpertRelevanceTask::new(&ranker, ada, 1);
         assert_eq!(bound.subject_id(), ada);
-        assert_eq!(bound.probe_graph(&g, &q), direct.probe(&g, &q));
+        let identity = exes_graph::PerturbationSet::new().apply_to_graph(&g);
+        assert_eq!(bound.probe_overlay(&identity, &q), direct.probe(&g, &q));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! The same purity makes probes memoisable: [`ProbeCache`] is a sharded,
 //! bounded memo table keyed by the canonical (sorted) perturbation set, shared
 //! freely between parallel workers and across repeated explanation requests.
-//! Attach one with [`ProbeBatch::with_cache`] and repeated probes become hash
-//! lookups — with results still byte-identical to uncached scoring, because a
-//! cached probe *is* the probe that would have been issued.
+//! Hand one to [`ProbeBatch::new`] and repeated probes become hash lookups —
+//! with results still byte-identical to uncached scoring, because a cached
+//! probe *is* the probe that would have been issued.
 
 use crate::config::ExesConfig;
 use crate::tasks::{ErasedDecisionModel, Probe};
@@ -220,33 +220,6 @@ impl std::fmt::Debug for BaselinePlan {
     }
 }
 
-/// Acquires the baseline plan for a probing context: memoised through the
-/// cache's plan store when a cache is attached, built directly otherwise.
-/// `None` when the model has no planned evaluation path.
-///
-/// The returned [`BatchStats`] carries only the plan-memo accounting of this
-/// acquisition (`plan_hits` when the memo served it, `plan_misses` when a
-/// plan had to be built), ready to merge into a search's running stats.
-pub(crate) fn acquire_plan<D: ErasedDecisionModel + ?Sized>(
-    task: &D,
-    graph: &CollabGraph,
-    query: &Query,
-    cache: Option<&ProbeCache>,
-) -> (Option<Arc<BaselinePlan>>, BatchStats) {
-    let mut stats = BatchStats::default();
-    let plan = match cache {
-        Some(cache) => cache.plan_for_counted(graph, query, task, &mut stats),
-        None => {
-            let plan = task.plan(graph, query).map(Arc::new);
-            if plan.is_some() {
-                stats.plan_misses = 1;
-            }
-            plan
-        }
-    };
-    (plan, stats)
-}
-
 // ---------------------------------------------------------------------------
 // ProbeCache
 // ---------------------------------------------------------------------------
@@ -288,8 +261,8 @@ struct Shard {
 ///
 /// Interior locking is sharded: parallel probe workers contend only when their
 /// keys hash to the same shard. Hit/miss counters are global atomics, cheap
-/// enough to keep always-on; the search loops additionally report per-request
-/// counts in [`crate::counterfactual::CounterfactualResult`].
+/// enough to keep always-on; every explanation additionally reports its own
+/// request's counts in its [`BatchStats`] accounting.
 ///
 /// When `capacity` is exceeded, the over-full shard evicts its
 /// least-recently-used quarter in one sweep — O(shard len) per eviction, but
@@ -363,7 +336,10 @@ impl ProbeCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    fn lookup_key(&self, key: &CacheKey) -> Option<Probe> {
+    /// Looks `key` up, refreshing its recency on a hit. A hit always counts;
+    /// a miss counts only when `count_miss` — a lookup that could not have
+    /// probed on a miss is admission control, not a miss.
+    fn lookup_key(&self, key: &CacheKey, count_miss: bool) -> Option<Probe> {
         let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
@@ -377,7 +353,9 @@ impl ProbeCache {
             }
             None => {
                 drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                if count_miss {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
@@ -413,11 +391,14 @@ impl ProbeCache {
         model: &dyn ErasedDecisionModel,
         delta: &PerturbationSet,
     ) -> Option<Probe> {
-        self.lookup_key(&(
-            Self::context(graph, query, model.fingerprint()),
-            model.subject_id(),
-            delta.canonical_key(),
-        ))
+        self.lookup_key(
+            &(
+                Self::context(graph, query, model.fingerprint()),
+                model.subject_id(),
+                delta.canonical_key(),
+            ),
+            true,
+        )
     }
 
     /// Memoises a probe under the canonical key of `delta`.
@@ -456,27 +437,12 @@ impl ProbeCache {
         query: &Query,
         model: &D,
     ) -> Option<Arc<BaselinePlan>> {
-        let mut stats = BatchStats::default();
-        self.plan_for_counted(graph, query, model, &mut stats)
-    }
-
-    /// [`ProbeCache::plan_for`] with plan-memo accounting: sets `plan_hits`
-    /// or `plan_misses` on `stats` (and the cache's lifetime counters) so the
-    /// memo's efficiency is observable like the probe cache's already is.
-    pub fn plan_for_counted<D: ErasedDecisionModel + ?Sized>(
-        &self,
-        graph: &CollabGraph,
-        query: &Query,
-        model: &D,
-        stats: &mut BatchStats,
-    ) -> Option<Arc<BaselinePlan>> {
         let ctx = Self::context(graph, query, model.fingerprint());
         {
             let plans = self.plans.lock().expect("plan store poisoned");
             if let Some((_, plan)) = plans.iter().find(|(key, _)| *key == ctx) {
                 let plan = Arc::clone(plan);
                 drop(plans);
-                stats.plan_hits += 1;
                 self.plan_hits.fetch_add(1, Ordering::Relaxed);
                 return Some(plan);
             }
@@ -485,7 +451,6 @@ impl ProbeCache {
         // and concurrent builders for the same context produce identical
         // plans (probes are pure), so the race is benign.
         let plan = Arc::new(model.plan(graph, query)?);
-        stats.plan_misses += 1;
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let mut plans = self.plans.lock().expect("plan store poisoned");
         if !plans.iter().any(|(key, _)| *key == ctx) {
@@ -683,33 +648,34 @@ impl std::fmt::Debug for ProbeCache {
 // ProbeBatch
 // ---------------------------------------------------------------------------
 
-/// Per-batch accounting returned by [`ProbeBatch::score_counted`].
+/// The probe accounting of one scoring call, and the record every
+/// explanation carries for its whole request
+/// ([`crate::counterfactual::CounterfactualResult::accounting`],
+/// [`crate::factual::FactualExplanation::accounting`]).
+///
+/// Each answered probe is counted once: as a cache hit, or as a black-box
+/// probe (`probed`) that the plan answered (`incremental_rescores`) or a full
+/// re-rank did (`full_rescores`). So `probed == incremental_rescores +
+/// full_rescores` holds for every record, the reference probe included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Probes actually issued to the black box (cache misses, or the whole
-    /// batch when no cache is attached).
+    /// Probes actually issued to the black box (cache misses, or every
+    /// answered set when the session has no cache).
     pub probed: usize,
     /// Probes answered from the memo cache (always 0 without a cache).
     pub cache_hits: usize,
-    /// Probes that went through an attached cache and missed (always 0
+    /// Probes that went through the session's cache and missed (always 0
     /// without a cache; equal to `probed` with one).
     pub cache_misses: usize,
-    /// Overlay probes answered from an attached [`BaselinePlan`] (always 0
-    /// without one) — by rescoring only the delta's neighbourhood, or, for a
-    /// ranker that can, everyone from the plan's stored state when the delta
-    /// reaches too far to localize.
+    /// Black-box probes answered from the session's [`BaselinePlan`] — by
+    /// rescoring only the delta's neighbourhood, or, for a ranker that can,
+    /// everyone from the plan's stored state when the delta reaches too far
+    /// to localize.
     pub incremental_rescores: usize,
-    /// Overlay probes that fell back to a full re-rank — no plan attached,
-    /// the model has no planned path, or the model declined the delta (a
-    /// perturbed query, or a delta its plan cannot rescore exactly).
-    /// `incremental_rescores + full_rescores == probed`.
+    /// Black-box probes that fell back to a full re-rank — the model has no
+    /// plan, or declined the delta (a perturbed query, or a delta its plan
+    /// cannot rescore exactly).
     pub full_rescores: usize,
-    /// Baseline-plan acquisitions served from the [`ProbeCache`] plan memo
-    /// (always 0 for plain scoring — plans are acquired per search, not per
-    /// batch, and merged in by the search loops).
-    pub plan_hits: usize,
-    /// Baseline-plan acquisitions that built a fresh plan.
-    pub plan_misses: usize,
 }
 
 impl BatchStats {
@@ -720,17 +686,22 @@ impl BatchStats {
         self.cache_misses += other.cache_misses;
         self.incremental_rescores += other.incremental_rescores;
         self.full_rescores += other.full_rescores;
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
     }
 }
 
-/// Scores batches of candidate [`PerturbationSet`]s against one decision
-/// model, in parallel when profitable, optionally memoised.
+/// One explanation request's probe session: the decision model, graph,
+/// query, memo cache and baseline plan that every probe of the request goes
+/// through.
 ///
-/// The engine is deliberately stateless between calls: each probe builds its
-/// own [`exes_graph::PerturbedGraph`] overlay (construction cost proportional
-/// to the delta, not the graph) and ranks through it. Overlay accessors are
+/// [`crate::explainer::Exes`] opens one session per family call and hands
+/// it down, so the reference probe (the empty perturbation set), link-removal
+/// candidate scoring, search chunks and SHAP coalitions are all answered by
+/// [`ProbeBatch::score`] — the cache first, then the plan, then a full
+/// ranking — and counted in the same [`BatchStats`].
+///
+/// Scoring is otherwise stateless: each probe builds its own
+/// [`exes_graph::PerturbedGraph`] overlay (construction cost proportional to
+/// the delta, not the graph) and ranks through it. Overlay accessors are
 /// allocation-free borrows, so per-probe cost is dominated by the black box
 /// itself — which is what makes spreading probes across threads worthwhile,
 /// and skipping repeated probes through a [`ProbeCache`] worthwhile again.
@@ -748,17 +719,9 @@ pub struct ProbeBatch<'a, D: ?Sized> {
     cache: Option<&'a ProbeCache>,
     /// Precomputed [`ProbeCache::context`] fingerprint (0 when uncached).
     ctx: u64,
-    /// Shared baseline plan for the incremental rescoring path, if any.
-    plan: Option<&'a BaselinePlan>,
+    /// The context's baseline plan, when the model has one.
+    plan: Option<Arc<BaselinePlan>>,
 }
-
-impl<D: ?Sized> Clone for ProbeBatch<'_, D> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<D: ?Sized> Copy for ProbeBatch<'_, D> {}
 
 impl<D: ?Sized> std::fmt::Debug for ProbeBatch<'_, D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -772,78 +735,59 @@ impl<D: ?Sized> std::fmt::Debug for ProbeBatch<'_, D> {
 }
 
 impl<'a, D: ErasedDecisionModel + ?Sized> ProbeBatch<'a, D> {
-    /// Creates the engine. `parallel == false` forces sequential scoring
-    /// (useful for differential tests and single-core deployments); the
-    /// results are identical either way.
-    pub fn new(task: &'a D, graph: &'a CollabGraph, query: &'a Query, parallel: bool) -> Self {
+    /// Opens the session and fetches the context's baseline plan once:
+    /// through `cache`'s plan memo ([`ProbeCache::plan_for`]) when a cache is
+    /// given, built directly otherwise.
+    ///
+    /// `parallel == false` forces sequential scoring (useful for
+    /// differential tests and single-core deployments). Neither the thread
+    /// count nor the cache changes an answer; a cache changes only how many
+    /// probes reach the black box.
+    pub fn new(
+        task: &'a D,
+        graph: &'a CollabGraph,
+        query: &'a Query,
+        parallel: bool,
+        cache: Option<&'a ProbeCache>,
+    ) -> Self {
+        let (ctx, plan) = match cache {
+            Some(cache) => (
+                ProbeCache::context(graph, query, task.fingerprint()),
+                cache.plan_for(graph, query, task),
+            ),
+            None => (0, task.plan(graph, query).map(Arc::new)),
+        };
         ProbeBatch {
             task,
             graph,
             query,
             parallel,
-            cache: None,
-            ctx: 0,
-            plan: None,
+            cache,
+            ctx,
+            plan,
         }
     }
 
-    /// Attaches a memo cache. Results stay byte-identical to uncached scoring;
-    /// only the number of black-box probes changes.
-    pub fn with_cache(mut self, cache: &'a ProbeCache) -> Self {
-        self.ctx = ProbeCache::context(self.graph, self.query, self.task.fingerprint());
-        self.cache = Some(cache);
-        self
+    /// The decision model every probe of the session asks.
+    pub(crate) fn task(&self) -> &'a D {
+        self.task
     }
 
-    /// Attaches a memo cache when one is provided ([`ProbeBatch::with_cache`]
-    /// otherwise a no-op), keeping call sites free of `match`es.
-    pub fn with_cache_opt(self, cache: Option<&'a ProbeCache>) -> Self {
-        match cache {
-            Some(cache) => self.with_cache(cache),
-            None => self,
-        }
+    /// The unperturbed graph.
+    pub(crate) fn graph(&self) -> &'a CollabGraph {
+        self.graph
     }
 
-    /// Attaches a shared [`BaselinePlan`]: each overlay probe is first offered
-    /// to the model's incremental rescoring path
-    /// ([`crate::tasks::DecisionModel::probe_with_plan`]) and only falls back
-    /// to a full re-rank when the model declines. Every planned answer is
-    /// byte-identical to the full path's.
-    pub fn with_plan(mut self, plan: &'a BaselinePlan) -> Self {
-        self.plan = Some(plan);
-        self
+    /// The unperturbed query.
+    pub(crate) fn query(&self) -> &'a Query {
+        self.query
     }
 
-    /// Attaches a plan when one is provided ([`ProbeBatch::with_plan`]
-    /// otherwise a no-op), mirroring [`ProbeBatch::with_cache_opt`].
-    pub fn with_plan_opt(self, plan: Option<&'a BaselinePlan>) -> Self {
-        match plan {
-            Some(plan) => self.with_plan(plan),
-            None => self,
-        }
-    }
-
-    /// Whether this engine scores batches in parallel.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// Whether a memo cache is attached.
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Whether a baseline plan is attached.
-    pub fn is_planned(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// Evaluates one candidate set, preferring the incremental path when a
-    /// plan is attached. Returns the probe and whether the incremental path
-    /// answered it.
+    /// Evaluates one candidate set, preferring the plan when there is one.
+    /// Returns the probe and whether the plan answered it.
     fn eval(&self, set: &PerturbationSet) -> (Probe, bool) {
         let (view, perturbed_query) = set.apply(self.graph, self.query);
-        if let Some(plan) = self.plan {
+        if let Some(plan) = &self.plan {
             if let Some(probe) = self
                 .task
                 .probe_overlay_planned(plan, &view, &perturbed_query)
@@ -854,192 +798,82 @@ impl<'a, D: ErasedDecisionModel + ?Sized> ProbeBatch<'a, D> {
         (self.task.probe_overlay(&view, &perturbed_query), false)
     }
 
-    fn eval_batch(&self, sets: &[PerturbationSet]) -> Vec<(Probe, bool)> {
-        let eval = |set: &PerturbationSet| self.eval(set);
-        if self.parallel {
-            exes_parallel::parallel_map(sets, eval)
-        } else {
-            sets.iter().map(eval).collect()
-        }
-    }
-
-    /// Probes the black box once per candidate set, returning probes in input
-    /// order. Equivalent to [`ProbeBatch::score_counted`] with the accounting
-    /// discarded.
-    pub fn score(&self, sets: &[PerturbationSet]) -> Vec<Probe> {
-        self.score_counted(sets).0
-    }
-
-    /// Scores a batch and reports how many probes actually reached the black
-    /// box versus were answered by the attached [`ProbeCache`].
+    /// Scores `sets` in input order and counts every probe. The reference
+    /// probe — the unperturbed input — is the empty set,
+    /// `PerturbationSet::new()`.
     ///
-    /// The returned probes are byte-identical to an uncached, sequential
-    /// scoring of the same batch: a memoised probe is the value the black box
-    /// returned for that exact canonical key earlier (probes are pure), and
-    /// misses are scored in input order.
-    pub fn score_counted(&self, sets: &[PerturbationSet]) -> (Vec<Probe>, BatchStats) {
-        let Some(cache) = self.cache else {
-            let evals = self.eval_batch(sets);
-            let incremental = evals.iter().filter(|&&(_, inc)| inc).count();
-            let stats = BatchStats {
-                probed: sets.len(),
-                incremental_rescores: incremental,
-                full_rescores: sets.len() - incremental,
-                ..BatchStats::default()
-            };
-            return (evals.into_iter().map(|(p, _)| p).collect(), stats);
-        };
-        let subject = self.task.subject_id();
-        let mut out: Vec<Option<Probe>> = vec![None; sets.len()];
-        // Canonicalise each key exactly once; misses keep theirs for the
-        // insert below, and the sets themselves are scored by reference.
-        let mut misses: Vec<(usize, CacheKey)> = Vec::new();
-        for (i, set) in sets.iter().enumerate() {
-            let key = (self.ctx, subject, set.canonical_key());
-            match cache.lookup_key(&key) {
-                Some(probe) => out[i] = Some(probe),
-                None => misses.push((i, key)),
-            }
-        }
-        let mut stats = BatchStats {
-            probed: misses.len(),
-            cache_hits: sets.len() - misses.len(),
-            cache_misses: misses.len(),
-            ..BatchStats::default()
-        };
-        if !misses.is_empty() {
-            let eval = |&(i, _): &(usize, CacheKey)| self.eval(&sets[i]);
-            let probes = if self.parallel {
-                exes_parallel::parallel_map(&misses, eval)
-            } else {
-                misses.iter().map(eval).collect()
-            };
-            for ((i, key), (probe, incremental)) in misses.into_iter().zip(probes) {
-                if incremental {
-                    stats.incremental_rescores += 1;
-                } else {
-                    stats.full_rescores += 1;
-                }
-                cache.insert_key(key, probe);
-                out[i] = Some(probe);
-            }
-        }
-        let probes = out
-            .into_iter()
-            .map(|p| p.expect("every batch slot scored"))
-            .collect();
-        (probes, stats)
-    }
-
-    /// Budget-aware scoring: answers the longest prefix of `sets` that fits
-    /// within `max_probes` black-box probes, returning the prefix's probes,
-    /// the accounting, and how many sets were answered.
+    /// A memoised set is answered by the cache; any other set by the model,
+    /// from the plan when it accepts the delta and by a full ranking when
+    /// not. The answers are byte-identical to uncached, sequential, full
+    /// scoring: a memoised probe is the value the black box returned for
+    /// that exact canonical key earlier (probes are pure), and misses are
+    /// scored in input order.
     ///
-    /// Cache hits are free — with a warm cache the whole batch can be
-    /// answered under a zero budget — and the prefix stops at the first set
-    /// that would need a probe the budget no longer allows, so `stats.probed
-    /// <= max_probes` always holds. `None` is unbounded and equivalent to
-    /// [`ProbeBatch::score_counted`]. Answered probes are byte-identical to
-    /// the unbudgeted scoring of the same prefix.
-    pub fn score_counted_budgeted(
+    /// `max_probes` caps the black-box probes. The longest prefix of `sets`
+    /// the cap allows is answered, so `probes.len()` is the number of sets
+    /// answered and `stats.probed <= max_probes` always holds. Cache hits
+    /// are free, so a warm cache answers a whole batch under a zero cap. The
+    /// set at the cap's edge is looked up once, under the shard lock: a
+    /// memoised probe counts as a hit, an absent one stops the prefix and
+    /// counts as nothing. `None` is unbounded.
+    pub fn score(
         &self,
         sets: &[PerturbationSet],
         max_probes: Option<usize>,
-    ) -> (Vec<Probe>, BatchStats, usize) {
-        let Some(limit) = max_probes else {
-            let (probes, stats) = self.score_counted(sets);
-            let answered = sets.len();
-            return (probes, stats, answered);
-        };
-        let Some(cache) = self.cache else {
-            // Every uncached probe reaches the black box: the affordable
-            // prefix is exactly `limit` sets long.
-            let answered = sets.len().min(limit);
-            let (probes, stats) = self.score_counted(&sets[..answered]);
-            return (probes, stats, answered);
-        };
+    ) -> (Vec<Probe>, BatchStats) {
         let subject = self.task.subject_id();
-        let mut out: Vec<Option<Probe>> = vec![None; sets.len()];
-        let mut misses: Vec<(usize, CacheKey)> = Vec::new();
-        let mut answered = sets.len();
+        let mut stats = BatchStats::default();
+        let mut out: Vec<Option<Probe>> = Vec::with_capacity(sets.len());
+        // Cached keys are canonicalised exactly once; misses keep theirs for
+        // the insert below, and the sets themselves are scored by reference.
+        let mut misses: Vec<(usize, Option<CacheKey>)> = Vec::new();
         for (i, set) in sets.iter().enumerate() {
-            let key = (self.ctx, subject, set.canonical_key());
-            if misses.len() >= limit {
-                // Only a memoised probe can answer this slot now. Peek first:
-                // stopping here is admission control, not a lookup, and must
-                // not distort the miss counters.
-                if !cache.peek_key(&key) {
-                    answered = i;
-                    break;
+            let affordable = max_probes.is_none_or(|limit| misses.len() < limit);
+            let (hit, key) = match self.cache {
+                Some(cache) => {
+                    let key = (self.ctx, subject, set.canonical_key());
+                    (cache.lookup_key(&key, affordable), Some(key))
                 }
-            }
-            match cache.lookup_key(&key) {
-                Some(probe) => out[i] = Some(probe),
-                None => misses.push((i, key)),
-            }
-        }
-        let mut stats = BatchStats {
-            probed: misses.len(),
-            cache_hits: answered - misses.len(),
-            cache_misses: misses.len(),
-            ..BatchStats::default()
-        };
-        if !misses.is_empty() {
-            let eval = |&(i, _): &(usize, CacheKey)| self.eval(&sets[i]);
-            let probes = if self.parallel {
-                exes_parallel::parallel_map(&misses, eval)
-            } else {
-                misses.iter().map(eval).collect()
+                None => (None, None),
             };
-            for ((i, key), (probe, incremental)) in misses.into_iter().zip(probes) {
-                if incremental {
-                    stats.incremental_rescores += 1;
-                } else {
-                    stats.full_rescores += 1;
+            match hit {
+                Some(probe) => {
+                    stats.cache_hits += 1;
+                    out.push(Some(probe));
                 }
-                cache.insert_key(key, probe);
-                out[i] = Some(probe);
+                None if affordable => {
+                    misses.push((i, key));
+                    out.push(None);
+                }
+                None => break,
             }
         }
-        out.truncate(answered);
+        stats.probed = misses.len();
+        if self.cache.is_some() {
+            stats.cache_misses = misses.len();
+        }
+        let eval = |&(i, _): &(usize, Option<CacheKey>)| self.eval(&sets[i]);
+        let evals: Vec<(Probe, bool)> = if self.parallel {
+            exes_parallel::parallel_map(&misses, eval)
+        } else {
+            misses.iter().map(eval).collect()
+        };
+        for ((i, key), (probe, incremental)) in misses.into_iter().zip(evals) {
+            if incremental {
+                stats.incremental_rescores += 1;
+            } else {
+                stats.full_rescores += 1;
+            }
+            if let (Some(cache), Some(key)) = (self.cache, key) {
+                cache.insert_key(key, probe);
+            }
+            out[i] = Some(probe);
+        }
         let probes = out
             .into_iter()
-            .map(|p| p.expect("every answered slot scored"))
+            .map(|p| p.expect("every answered set scored"))
             .collect();
-        (probes, stats, answered)
-    }
-
-    /// Probes the unperturbed input (the reference decision).
-    pub fn score_identity(&self) -> Probe {
-        self.score_identity_counted().0
-    }
-
-    /// Serves the identity probe from the attached cache, without ever
-    /// issuing one — `None` when uncached or not memoised. A served probe
-    /// counts as a cache hit (it is one); a refusal bumps no counters.
-    pub fn peek_identity(&self) -> Option<Probe> {
-        let cache = self.cache?;
-        let key = (self.ctx, self.task.subject_id(), Vec::new());
-        if cache.peek_key(&key) {
-            cache.lookup_key(&key)
-        } else {
-            None
-        }
-    }
-
-    /// Probes the unperturbed input, reporting whether the probe was answered
-    /// by the cache (`true`) or issued to the black box (`false`).
-    pub fn score_identity_counted(&self) -> (Probe, bool) {
-        if let Some(cache) = self.cache {
-            let key = (self.ctx, self.task.subject_id(), Vec::new());
-            if let Some(probe) = cache.lookup_key(&key) {
-                return (probe, true);
-            }
-            let probe = self.task.probe_graph(self.graph, self.query);
-            cache.insert_key(key, probe);
-            return (probe, false);
-        }
-        (self.task.probe_graph(self.graph, self.query), false)
+        (probes, stats)
     }
 }
 
@@ -1082,8 +916,8 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let sets = candidate_sets(&g);
         assert!(sets.len() > exes_parallel::MIN_PARALLEL_ITEMS);
-        let parallel = ProbeBatch::new(&task, &g, &q, true).score(&sets);
-        let sequential = ProbeBatch::new(&task, &g, &q, false).score(&sets);
+        let parallel = ProbeBatch::new(&task, &g, &q, true, None).score(&sets, None);
+        let sequential = ProbeBatch::new(&task, &g, &q, false, None).score(&sets, None);
         assert_eq!(parallel, sequential);
         // Drive the probe closure through real worker threads regardless of
         // the host's core count (the engine itself sizes its pool from the
@@ -1093,7 +927,7 @@ mod tests {
             task.probe(&view, &pq)
         };
         let threaded = exes_parallel::parallel_map_with_threads(&sets, 4, eval);
-        assert_eq!(threaded, sequential);
+        assert_eq!(threaded, sequential.0);
     }
 
     #[test]
@@ -1102,10 +936,12 @@ mod tests {
         let q = Query::parse("common", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(2), 3);
-        let engine = ProbeBatch::new(&task, &g, &q, true);
-        assert_eq!(engine.score_identity(), task.probe(&g, &q));
-        assert!(engine.is_parallel());
-        assert!(!engine.is_cached());
+        // The reference probe is the empty set, answered from TF-IDF's plan.
+        let engine = ProbeBatch::new(&task, &g, &q, true, None);
+        let (probes, stats) = engine.score(&[PerturbationSet::new()], None);
+        assert_eq!(probes, [task.probe(&g, &q)]);
+        assert_eq!((stats.probed, stats.incremental_rescores), (1, 1));
+        assert_eq!(stats.cache_misses, 0);
     }
 
     #[test]
@@ -1146,7 +982,9 @@ mod tests {
         let q = Query::parse("common", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
-        assert!(ProbeBatch::new(&task, &g, &q, true).score(&[]).is_empty());
+        let (probes, stats) = ProbeBatch::new(&task, &g, &q, true, None).score(&[], None);
+        assert!(probes.is_empty());
+        assert_eq!(stats, BatchStats::default());
     }
 
     #[test]
@@ -1157,14 +995,13 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let sets = candidate_sets(&g);
         let cache = ProbeCache::new(0);
-        let uncached = ProbeBatch::new(&task, &g, &q, false).score(&sets);
-        let engine = ProbeBatch::new(&task, &g, &q, true).with_cache(&cache);
-        assert!(engine.is_cached());
-        let (cold, cold_stats) = engine.score_counted(&sets);
+        let (uncached, _) = ProbeBatch::new(&task, &g, &q, false, None).score(&sets, None);
+        let engine = ProbeBatch::new(&task, &g, &q, true, Some(&cache));
+        let (cold, cold_stats) = engine.score(&sets, None);
         assert_eq!(cold, uncached);
         assert_eq!(cold_stats.probed, sets.len());
         assert_eq!(cold_stats.cache_hits, 0);
-        let (warm, warm_stats) = engine.score_counted(&sets);
+        let (warm, warm_stats) = engine.score(&sets, None);
         assert_eq!(warm, uncached);
         assert_eq!(warm_stats.probed, 0);
         assert_eq!(warm_stats.cache_hits, sets.len());
@@ -1193,22 +1030,22 @@ mod tests {
         let ab: PerturbationSet = [a, b].into_iter().collect();
         let ba: PerturbationSet = [b, a].into_iter().collect();
         let cache = ProbeCache::new(0);
-        let engine = ProbeBatch::new(&task, &g, &q, false).with_cache(&cache);
-        let (_, cold) = engine.score_counted(std::slice::from_ref(&ab));
+        let engine = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
+        let (_, cold) = engine.score(std::slice::from_ref(&ab), None);
         assert_eq!(cold.probed, 1);
         // Reversed insertion order canonicalises to the same key: pure hit.
-        let (_, warm) = engine.score_counted(std::slice::from_ref(&ba));
+        let (_, warm) = engine.score(std::slice::from_ref(&ba), None);
         assert_eq!(warm.probed, 0);
         assert_eq!(warm.cache_hits, 1);
         // A different subject must not alias, even with an identical delta.
         let other_task = ExpertRelevanceTask::new(&ranker, PersonId(5), 3);
-        let other = ProbeBatch::new(&other_task, &g, &q, false).with_cache(&cache);
-        let (_, other_stats) = other.score_counted(std::slice::from_ref(&ab));
+        let other = ProbeBatch::new(&other_task, &g, &q, false, Some(&cache));
+        let (_, other_stats) = other.score(std::slice::from_ref(&ab), None);
         assert_eq!(other_stats.probed, 1);
         // A different query changes the context fingerprint: miss again.
         let q2 = Query::parse("s1", g.vocab()).unwrap();
-        let requeried = ProbeBatch::new(&task, &g, &q2, false).with_cache(&cache);
-        let (_, requeried_stats) = requeried.score_counted(std::slice::from_ref(&ab));
+        let requeried = ProbeBatch::new(&task, &g, &q2, false, Some(&cache));
+        let (_, requeried_stats) = requeried.score(std::slice::from_ref(&ab), None);
         assert_eq!(requeried_stats.probed, 1);
     }
 
@@ -1219,13 +1056,14 @@ mod tests {
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(2), 3);
         let cache = ProbeCache::new(0);
-        let engine = ProbeBatch::new(&task, &g, &q, false).with_cache(&cache);
-        let (cold, cold_hit) = engine.score_identity_counted();
-        assert!(!cold_hit);
-        let (warm, warm_hit) = engine.score_identity_counted();
-        assert!(warm_hit);
+        let engine = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
+        let reference = [PerturbationSet::new()];
+        let (cold, cold_stats) = engine.score(&reference, None);
+        assert_eq!((cold_stats.cache_misses, cold_stats.cache_hits), (1, 0));
+        let (warm, warm_stats) = engine.score(&reference, None);
+        assert_eq!((warm_stats.probed, warm_stats.cache_hits), (0, 1));
         assert_eq!(cold, warm);
-        assert_eq!(cold, task.probe(&g, &q));
+        assert_eq!(cold, [task.probe(&g, &q)]);
     }
 
     #[test]
@@ -1238,9 +1076,9 @@ mod tests {
         // Tiny single-shard cache: far smaller than the batch, so it must
         // evict repeatedly — correctness (output identity) must survive.
         let cache = ProbeCache::with_shards(4, 1);
-        let uncached = ProbeBatch::new(&task, &g, &q, false).score(&sets);
-        let engine = ProbeBatch::new(&task, &g, &q, false).with_cache(&cache);
-        let (cold, _) = engine.score_counted(&sets);
+        let (uncached, _) = ProbeBatch::new(&task, &g, &q, false, None).score(&sets, None);
+        let engine = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
+        let (cold, _) = engine.score(&sets, None);
         assert_eq!(cold, uncached);
         assert!(cache.len() <= 4, "capacity bound violated: {}", cache.len());
         // Eviction pressure is visible: the batch overflows the bound many
@@ -1248,7 +1086,7 @@ mod tests {
         assert!(cache.evicted() > 0);
         assert!(cache.eviction_sweeps() > 0);
         assert!(format!("{cache:?}").contains("evicted"));
-        let (warm, _) = engine.score_counted(&sets);
+        let (warm, _) = engine.score(&sets, None);
         assert_eq!(warm, uncached);
         // clear() resets eviction counters alongside hits/misses.
         cache.clear();
@@ -1267,9 +1105,9 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let sets = candidate_sets(&g);
         let cache = ProbeCache::new(0);
-        let engine = ProbeBatch::new(&task, &g, &q, false).with_cache(&cache);
-        engine.score(&sets);
-        engine.score(&sets);
+        let engine = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
+        engine.score(&sets, None);
+        engine.score(&sets, None);
         assert_eq!(cache.evicted(), 0);
         assert_eq!(cache.eviction_sweeps(), 0);
     }
@@ -1314,17 +1152,13 @@ mod tests {
         // a different model fingerprint, so nothing may alias.
         let k3 = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let k4 = ExpertRelevanceTask::new(&ranker, PersonId(0), 4);
-        let (_, cold) = ProbeBatch::new(&k3, &g, &q, false)
-            .with_cache(&cache)
-            .score_counted(&sets);
+        let (_, cold) = ProbeBatch::new(&k3, &g, &q, false, Some(&cache)).score(&sets, None);
         assert_eq!(cold.probed, sets.len());
-        let (probes, other) = ProbeBatch::new(&k4, &g, &q, false)
-            .with_cache(&cache)
-            .score_counted(&sets);
+        let (probes, other) = ProbeBatch::new(&k4, &g, &q, false, Some(&cache)).score(&sets, None);
         assert_eq!(other.cache_hits, 0, "k=4 must not replay k=3's probes");
         assert_eq!(other.probed, sets.len());
         // And the k=4 answers really are the k=4 model's own.
-        let uncached = ProbeBatch::new(&k4, &g, &q, false).score(&sets);
+        let (uncached, _) = ProbeBatch::new(&k4, &g, &q, false, None).score(&sets, None);
         assert_eq!(probes, uncached);
     }
 
@@ -1336,33 +1170,35 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let sets = candidate_sets(&g);
         let cache = ProbeCache::new(0);
-        let concrete = ProbeBatch::new(&task, &g, &q, false)
-            .with_cache(&cache)
-            .score(&sets);
+        let (concrete, _) = ProbeBatch::new(&task, &g, &q, false, Some(&cache)).score(&sets, None);
         // The boxed, type-erased view of the same task shares fingerprints
         // and results with the concrete one — warm from its cache entries.
         let erased: &dyn crate::tasks::ErasedDecisionModel = &task;
         let engine: ProbeBatch<'_, dyn crate::tasks::ErasedDecisionModel> =
-            ProbeBatch::new(erased, &g, &q, false).with_cache(&cache);
-        let (probes, stats) = engine.score_counted(&sets);
+            ProbeBatch::new(erased, &g, &q, false, Some(&cache));
+        let (probes, stats) = engine.score(&sets, None);
         assert_eq!(probes, concrete);
         assert_eq!(stats.probed, 0, "erased view must hit the concrete entries");
-        assert_eq!(engine.score_identity(), task.probe(&g, &q));
+        let (reference, _) = engine.score(&[PerturbationSet::new()], None);
+        assert_eq!(reference, [task.probe(&g, &q)]);
     }
 
     #[test]
     fn planned_scoring_is_identical_and_counts_incremental_rescores() {
-        use crate::tasks::ErasedDecisionModel;
         let g = graph();
         let q = Query::parse("common s0", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let sets = candidate_sets(&g);
-        let unplanned = ProbeBatch::new(&task, &g, &q, false).score(&sets);
-        let plan = ErasedDecisionModel::plan(&task, &g, &q).expect("tf-idf supports plans");
-        let engine = ProbeBatch::new(&task, &g, &q, false).with_plan(&plan);
-        assert!(engine.is_planned());
-        let (probes, stats) = engine.score_counted(&sets);
+        let unplanned: Vec<Probe> = sets
+            .iter()
+            .map(|set| {
+                let (view, pq) = set.apply(&g, &q);
+                task.probe(&view, &pq)
+            })
+            .collect();
+        // TF-IDF plans, so a cache-less session builds its plan directly.
+        let (probes, stats) = ProbeBatch::new(&task, &g, &q, false, None).score(&sets, None);
         // TF-IDF's incremental path is exact: planned scoring is
         // byte-identical to the full path.
         assert_eq!(probes, unplanned);
@@ -1406,14 +1242,14 @@ mod tests {
         let a = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let b = ExpertRelevanceTask::new(&ranker, PersonId(5), 3);
         assert_eq!((cache.plan_hits(), cache.plan_misses()), (0, 0));
-        let mut stats = BatchStats::default();
-        let _ = cache.plan_for_counted(&g, &q, &a, &mut stats);
-        assert_eq!((stats.plan_hits, stats.plan_misses), (0, 1));
-        // A second subject of the same context is a memo hit.
-        let mut stats = BatchStats::default();
-        let _ = cache.plan_for_counted(&g, &q, &b, &mut stats);
-        assert_eq!((stats.plan_hits, stats.plan_misses), (1, 0));
+        let _ = cache.plan_for(&g, &q, &a);
+        assert_eq!((cache.plan_hits(), cache.plan_misses()), (0, 1));
+        // A second subject of the same context is a memo hit, and so is the
+        // plan fetch of a session opened on the cache.
+        let _ = cache.plan_for(&g, &q, &b);
         assert_eq!((cache.plan_hits(), cache.plan_misses()), (1, 1));
+        let _ = ProbeBatch::new(&a, &g, &q, false, Some(&cache));
+        assert_eq!((cache.plan_hits(), cache.plan_misses()), (2, 1));
         // clear() resets the lifetime counters alongside everything else.
         cache.clear();
         assert_eq!((cache.plan_hits(), cache.plan_misses()), (0, 0));
@@ -1434,8 +1270,8 @@ mod tests {
         let _ = cache.plan_for(&g, &q, &task).expect("plan built");
         assert_eq!(cache.estimate(&g, &q, &task), CostEstimate::Incremental);
         // A memoised identity probe upgrades the subject to warm …
-        let engine = ProbeBatch::new(&task, &g, &q, false).with_cache(&cache);
-        let _ = engine.score_identity_counted();
+        let engine = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
+        let _ = engine.score(&[PerturbationSet::new()], None);
         assert_eq!(cache.estimate(&g, &q, &task), CostEstimate::Warm);
         assert!(!CostEstimate::Warm.is_cold());
         // … but only for that subject: another subject of the same context
@@ -1494,35 +1330,38 @@ mod tests {
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let sets = candidate_sets(&g);
-        let reference = ProbeBatch::new(&task, &g, &q, false).score(&sets);
+        let engine = ProbeBatch::new(&task, &g, &q, false, None);
+        let (reference, _) = engine.score(&sets, None);
 
         // Uncached: the prefix is exactly the budget.
-        let engine = ProbeBatch::new(&task, &g, &q, false);
-        let (probes, stats, answered) = engine.score_counted_budgeted(&sets, Some(5));
-        assert_eq!(answered, 5);
+        let (probes, stats) = engine.score(&sets, Some(5));
+        assert_eq!(probes.len(), 5);
         assert_eq!(stats.probed, 5);
         assert_eq!(probes, reference[..5]);
-        // Unbounded budget is plain scoring.
-        let (all, _, n) = engine.score_counted_budgeted(&sets, None);
-        assert_eq!(n, sets.len());
-        assert_eq!(all, reference);
 
         // Cached & warm: hits are free, so a zero budget answers everything.
         let cache = ProbeCache::new(0);
-        let cached = ProbeBatch::new(&task, &g, &q, false).with_cache(&cache);
-        let (_, cold_stats, cold_n) = cached.score_counted_budgeted(&sets, Some(3));
-        assert_eq!(cold_n, 3);
+        let cached = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
+        let (cold, cold_stats) = cached.score(&sets, Some(3));
+        assert_eq!(cold.len(), 3);
         assert_eq!(cold_stats.probed, 3);
-        let (warm, warm_stats, warm_n) = cached.score_counted_budgeted(&sets, Some(0));
-        assert_eq!(warm_n, 3, "the three memoised probes are free");
+        // The stop slot is looked up once and is no miss: only the three
+        // probed sets count as misses.
+        assert_eq!((cache.misses(), cold_stats.cache_misses), (3, 3));
+        let (warm, warm_stats) = cached.score(&sets, Some(0));
+        assert_eq!(warm.len(), 3, "the three memoised probes are free");
         assert_eq!(warm_stats.probed, 0);
+        assert_eq!(warm_stats.cache_hits, 3);
         assert_eq!(warm, reference[..3]);
+        assert_eq!(cache.misses(), 3, "a refused stop slot is not a miss");
         // Fully warmed, a zero budget answers the entire batch.
-        let _ = cached.score_counted(&sets);
-        let (full, full_stats, full_n) = cached.score_counted_budgeted(&sets, Some(0));
-        assert_eq!(full_n, sets.len());
+        let _ = cached.score(&sets, None);
+        let misses = cache.misses();
+        let (full, full_stats) = cached.score(&sets, Some(0));
+        assert_eq!(full.len(), sets.len());
         assert_eq!(full_stats.probed, 0);
         assert_eq!(full, reference);
+        assert_eq!(cache.misses(), misses);
     }
 
     #[test]
@@ -1531,18 +1370,22 @@ mod tests {
         let q = Query::parse("common", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(2), 3);
-        // Uncached engines have nothing to peek at.
-        assert!(ProbeBatch::new(&task, &g, &q, false)
-            .peek_identity()
-            .is_none());
+        let reference = [PerturbationSet::new()];
+        // Without a cache, a zero budget cannot answer the reference.
+        let uncached = ProbeBatch::new(&task, &g, &q, false, None);
+        assert!(uncached.score(&reference, Some(0)).0.is_empty());
         let cache = ProbeCache::new(0);
-        let engine = ProbeBatch::new(&task, &g, &q, false).with_cache(&cache);
-        assert!(engine.peek_identity().is_none());
-        // A refused peek bumps no counters.
+        let engine = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
+        let (refused, stats) = engine.score(&reference, Some(0));
+        assert!(refused.is_empty());
+        assert_eq!(stats, BatchStats::default());
+        // A refused lookup bumps no counters.
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        let (probe, _) = engine.score_identity_counted();
-        // A served peek is a real cache hit and counts as one.
-        assert_eq!(engine.peek_identity(), Some(probe));
+        let (probe, _) = engine.score(&reference, None);
+        // A memoised reference is a real cache hit under a zero budget.
+        let (served, stats) = engine.score(&reference, Some(0));
+        assert_eq!(served, probe);
+        assert_eq!((stats.cache_hits, stats.probed), (1, 0));
         assert_eq!(cache.hits(), 1);
     }
 
@@ -1554,8 +1397,6 @@ mod tests {
             cache_misses: 3,
             incremental_rescores: 4,
             full_rescores: 5,
-            plan_hits: 6,
-            plan_misses: 7,
         };
         acc.merge(&acc.clone());
         assert_eq!(
@@ -1566,8 +1407,6 @@ mod tests {
                 cache_misses: 6,
                 incremental_rescores: 8,
                 full_rescores: 10,
-                plan_hits: 12,
-                plan_misses: 14,
             }
         );
     }

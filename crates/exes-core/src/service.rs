@@ -50,7 +50,7 @@ use crate::counterfactual::CounterfactualResult;
 use crate::explainer::Exes;
 use crate::factual::FactualExplanation;
 use crate::model::{ModelId, ModelRegistry, ModelSpec, ModelSpecError};
-use crate::probe::{Completeness, CostEstimate, ProbeCache};
+use crate::probe::{BatchStats, Completeness, CostEstimate, ProbeCache};
 use exes_graph::{CollabGraph, GraphSnapshot, GraphStore, GraphView, PersonId, Query, UpdateBatch};
 use rustc_hash::FxHashMap;
 use std::fmt;
@@ -271,36 +271,11 @@ impl Explanation {
             .expect("response answers a counterfactual request, not a factual one")
     }
 
-    /// Black-box probes issued while computing this explanation.
-    pub fn probes(&self) -> usize {
+    /// Every probe computing this explanation cost.
+    pub fn accounting(&self) -> BatchStats {
         match self {
-            Explanation::Counterfactual(r) => r.probes,
-            Explanation::Factual(f) => f.probes(),
-        }
-    }
-
-    /// Probe requests answered by the service's persistent cache.
-    pub fn cache_hits(&self) -> usize {
-        match self {
-            Explanation::Counterfactual(r) => r.cache_hits,
-            Explanation::Factual(f) => f.cache_hits(),
-        }
-    }
-
-    /// Black-box probes answered through the incremental (delta-localized)
-    /// rescoring path of a per-context baseline plan.
-    pub fn incremental_rescores(&self) -> usize {
-        match self {
-            Explanation::Counterfactual(r) => r.incremental_rescores,
-            Explanation::Factual(f) => f.incremental_rescores(),
-        }
-    }
-
-    /// Black-box probes that performed a full re-rank (the honest fallback).
-    pub fn full_rescores(&self) -> usize {
-        match self {
-            Explanation::Counterfactual(r) => r.full_rescores,
-            Explanation::Factual(f) => f.full_rescores(),
+            Explanation::Counterfactual(r) => r.accounting,
+            Explanation::Factual(f) => f.accounting(),
         }
     }
 
@@ -344,7 +319,8 @@ pub struct ServiceReport {
     pub cache_evictions: u64,
     /// Black-box probes issued while answering the batch (summed over
     /// *unique* computations — deduplicated responses are clones and issue
-    /// none).
+    /// none). Every one of them lands in exactly one rescoring bucket:
+    /// `probes == incremental_rescores + full_fallback_rescores`.
     pub probes: usize,
     /// Of the batch's black-box probes, those answered through the
     /// incremental (delta-localized) rescoring path of a baseline plan.
@@ -353,13 +329,14 @@ pub struct ServiceReport {
     /// no plan for the model, a perturbed query, or a delta outside the plan's
     /// localization guarantees.
     pub full_fallback_rescores: u64,
-    /// Baseline-plan requests served from the plan memo over this batch's
-    /// window. Like `cache_evictions`, a delta over a cache-global counter:
+    /// Plan fetches served from the plan memo over this batch's window (one
+    /// per probe session). Like `cache_evictions`, a delta over a
+    /// cache-global counter:
     /// windows of concurrent batches overlap, so read it as a gauge
     /// (`ProbeCache::plan_hits()` holds the exact lifetime total).
     pub plan_hits: u64,
-    /// Baseline-plan requests that built a fresh plan over this batch's
-    /// window (same windowing caveat as `plan_hits`).
+    /// Plan fetches that built a fresh plan over this batch's window (same
+    /// windowing caveat as `plan_hits`).
     pub plan_misses: u64,
     /// Responses whose computation was cut short by the configured
     /// [`crate::probe::ProbeBudget`] and returned best-so-far (marked
@@ -604,6 +581,7 @@ impl ExesService {
         let num_people = graph.num_people();
         let mut responses: Vec<Option<Result<Explanation, RequestError>>> =
             vec![None; requests.len()];
+        let mut accounting = BatchStats::default();
         for idxs in &groups {
             // Deduplicate identical requests inside the group: the first
             // occurrence computes, the rest clone its response. Queries are
@@ -639,20 +617,11 @@ impl ExesService {
                 exes_parallel::parallel_map(&answerable, |&i| self.answer(graph, &requests[i]));
             for (&i, result) in answerable.iter().zip(answered) {
                 // Only unique computations issue probes; duplicate responses
-                // below are clones and must not be double-counted. Hit/miss
+                // below are clones and must not be double-counted. Probe
                 // counts come from the per-request results, so they stay
                 // exact even when several batches share the service (and its
-                // cache) concurrently. Factual explanations count only the
-                // probes that reached the black box, all of which were cache
-                // misses here (the service always attaches its cache).
-                report.probes += result.probes();
-                report.cache_hits += result.cache_hits() as u64;
-                report.incremental_rescores += result.incremental_rescores() as u64;
-                report.full_fallback_rescores += result.full_rescores() as u64;
-                report.cache_misses += match &result {
-                    Explanation::Counterfactual(r) => r.cache_misses as u64,
-                    Explanation::Factual(f) => f.probes() as u64,
-                };
+                // cache) concurrently.
+                accounting.merge(&result.accounting());
                 if result.completeness().is_budgeted() {
                     report.budgeted_results += 1;
                 }
@@ -662,6 +631,11 @@ impl ExesService {
                 responses[i] = responses[rep].clone();
             }
         }
+        report.probes = accounting.probed;
+        report.cache_hits = accounting.cache_hits as u64;
+        report.cache_misses = accounting.cache_misses as u64;
+        report.incremental_rescores = accounting.incremental_rescores as u64;
+        report.full_fallback_rescores = accounting.full_rescores as u64;
         // Eviction pressure is a cache-global gauge, reported as the delta
         // over this batch's window. Windows of concurrent batches overlap,
         // so the same eviction can appear in several reports: read it as a
@@ -1326,14 +1300,14 @@ mod tests {
             let answered = results[0].as_ref().unwrap();
             let sibling = ExplanationRequest::factual_skills(model, PersonId(1), query.clone());
             if model == planned {
-                assert!(answered.incremental_rescores() > 0);
+                assert!(answered.accounting().incremental_rescores > 0);
                 assert_eq!(report.plan_misses, 1);
                 assert_eq!(
                     service.estimate(&snapshot, &sibling),
                     Ok(CostEstimate::Incremental)
                 );
             } else {
-                assert_eq!(answered.incremental_rescores(), 0);
+                assert_eq!(answered.accounting().incremental_rescores, 0);
                 assert_eq!(report.plan_misses, 0);
                 assert_eq!(
                     service.estimate(&snapshot, &sibling),
@@ -1391,7 +1365,7 @@ mod tests {
         assert!(report.probes <= 3 * requests.len());
         for response in &responses {
             if response.completeness().is_budgeted() {
-                assert!(response.probes() <= 3);
+                assert!(response.accounting().probed <= 3);
             }
         }
         // An unbounded service reports none.

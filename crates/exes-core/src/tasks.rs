@@ -7,12 +7,13 @@
 //! `Box<dyn DecisionModel>` cannot exist — which is fine for the single-model
 //! facade but not for a serving layer hosting *many* model configurations
 //! behind one door. [`ErasedDecisionModel`] is the sealed, object-safe twin
-//! that closes the gap: it probes the two concrete graph variants the probe
-//! engine actually constructs ([`CollabGraph`] for the identity probe,
-//! [`PerturbedGraph`] for everything else) and is blanket-implemented for
-//! every [`DecisionModel`], so `Box<dyn ErasedDecisionModel>` is always one
-//! coercion away and the [`crate::model::ModelRegistry`] can store arbitrary
-//! rankers and team formers side by side.
+//! that closes the gap: it probes the one graph variant the probe engine
+//! constructs, a [`PerturbedGraph`] overlay (the reference probe is the
+//! overlay of the empty perturbation set), plans on the base
+//! [`CollabGraph`], and is blanket-implemented for every [`DecisionModel`],
+//! so `Box<dyn ErasedDecisionModel>` is always one coercion away and the
+//! [`crate::model::ModelRegistry`] can store arbitrary rankers and team
+//! formers side by side.
 
 use crate::model::ModelSpecError;
 use crate::probe::BaselinePlan;
@@ -125,12 +126,11 @@ mod sealed {
 ///
 /// `DecisionModel::probe` is generic over `G: GraphView + ?Sized` and so
 /// cannot go in a vtable. This trait replaces the generic method with one
-/// method per concrete graph variant the probe engine constructs — the base
-/// [`CollabGraph`] (identity probes) and the [`PerturbedGraph`] overlay
-/// (perturbed probes) — which *is* object-safe. It is **sealed**: every
-/// [`DecisionModel`] implements it automatically and nothing else can, so
-/// `&dyn ErasedDecisionModel` and `&ConcreteTask` are guaranteed to probe
-/// identically.
+/// for the concrete graph variant the probe engine constructs — the
+/// [`PerturbedGraph`] overlay, the unperturbed reference included — which
+/// *is* object-safe. It is **sealed**: every [`DecisionModel`] implements it
+/// automatically and nothing else can, so `&dyn ErasedDecisionModel` and
+/// `&ConcreteTask` are guaranteed to probe identically.
 ///
 /// The whole explanation stack ([`crate::probe::ProbeBatch`], beam search,
 /// the exhaustive baselines, factual SHAP) is generic over
@@ -141,9 +141,6 @@ pub trait ErasedDecisionModel: sealed::Sealed + Sync {
     /// The person whose selection is being explained
     /// ([`DecisionModel::subject`]).
     fn subject_id(&self) -> PersonId;
-
-    /// Evaluates the black box on the unperturbed base graph.
-    fn probe_graph(&self, graph: &CollabGraph, query: &Query) -> Probe;
 
     /// Evaluates the black box on a perturbed overlay.
     fn probe_overlay(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe;
@@ -173,10 +170,6 @@ pub trait ErasedDecisionModel: sealed::Sealed + Sync {
 impl<D: DecisionModel> ErasedDecisionModel for D {
     fn subject_id(&self) -> PersonId {
         self.subject()
-    }
-
-    fn probe_graph(&self, graph: &CollabGraph, query: &Query) -> Probe {
-        self.probe(graph, query)
     }
 
     fn probe_overlay(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe {
@@ -529,7 +522,8 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
         let erased: &dyn ErasedDecisionModel = &task;
         assert_eq!(erased.subject_id(), DecisionModel::subject(&task));
-        assert_eq!(erased.probe_graph(&g, &q), task.probe(&g, &q));
+        let identity = PerturbationSet::new().apply_to_graph(&g);
+        assert_eq!(erased.probe_overlay(&identity, &q), task.probe(&g, &q));
         let ml = g.vocab().id("ml").unwrap();
         let delta = PerturbationSet::singleton(Perturbation::RemoveSkill {
             person: PersonId(0),

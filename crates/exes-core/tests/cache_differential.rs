@@ -4,15 +4,17 @@
 
 use exes_core::counterfactual::beam::beam_search;
 use exes_core::counterfactual::exhaustive::{all_skill_removals, exhaustive_search};
-use exes_core::counterfactual::CounterfactualKind;
+use exes_core::counterfactual::{CounterfactualKind, CounterfactualResult};
 use exes_core::service::{ExesService, Explanation, ExplanationRequest};
-use exes_core::{Exes, ExesConfig, ExpertRelevanceTask, ModelSpec, OutputMode, ProbeCache};
+use exes_core::{
+    Exes, ExesConfig, ExpertRelevanceTask, ModelSpec, OutputMode, ProbeBatch, ProbeCache,
+};
 use exes_datasets::{
     DatasetConfig, QueryWorkload, SyntheticDataset, UpdateStream, UpdateStreamConfig,
 };
 use exes_embedding::{EmbeddingConfig, SkillEmbedding};
 use exes_expert_search::{ExpertRanker, PropagationRanker};
-use exes_graph::{GraphView, PersonId, Perturbation, Query};
+use exes_graph::{GraphView, PersonId, Perturbation, PerturbationSet, Query};
 use exes_linkpred::CommonNeighbors;
 use std::sync::Arc;
 
@@ -58,47 +60,65 @@ fn top_subject(f: &Fixture) -> PersonId {
     f.ranker.rank_all(&f.ds.graph, &f.query).top_k(1)[0]
 }
 
+type Task<'t> = ExpertRelevanceTask<'t, PropagationRanker>;
+
+/// `beam_search` or `exhaustive_search` over one task type.
+type Search<'t> = fn(
+    &ProbeBatch<'_, Task<'t>>,
+    exes_core::Probe,
+    &[Perturbation],
+    CounterfactualKind,
+    &ExesConfig,
+    Option<std::time::Instant>,
+) -> CounterfactualResult;
+
+/// A counterfactual search over `candidates` in one probe session, as
+/// `Exes` runs it: the reference probe first, counted with the search.
+fn session_search<'t>(
+    f: &Fixture,
+    task: &Task<'t>,
+    (candidates, cfg): (&[Perturbation], &ExesConfig),
+    search: Search<'t>,
+    cache: Option<&ProbeCache>,
+) -> CounterfactualResult {
+    let engine = ProbeBatch::new(task, &f.ds.graph, &f.query, cfg.parallel_probes, cache);
+    let (reference, stats) = engine.score(&[PerturbationSet::new()], None);
+    let kind = CounterfactualKind::SkillRemoval;
+    let mut result = search(&engine, reference[0], candidates, kind, cfg, None);
+    result.accounting.merge(&stats);
+    result
+}
+
 #[test]
 fn cached_beam_search_is_byte_identical_and_warm_runs_probe_less() {
     let f = fixture();
     let subject = top_subject(&f);
     let task = ExpertRelevanceTask::new(&f.ranker, subject, f.cfg.k);
     let candidates = removal_candidates(&f, subject);
-    let run = |cache: Option<&ProbeCache>| {
-        beam_search(
-            &task,
-            &f.ds.graph,
-            &f.query,
-            &candidates,
-            CounterfactualKind::SkillRemoval,
-            &f.cfg,
-            None,
-            cache,
-        )
-    };
+    let run = |cache| session_search(&f, &task, (&candidates, &f.cfg), beam_search, cache);
 
     let uncached = run(None);
-    assert_eq!(uncached.cache_hits, 0);
-    assert_eq!(uncached.cache_misses, 0);
-    assert!(uncached.probes > 1);
+    assert_eq!(uncached.accounting.cache_hits, 0);
+    assert_eq!(uncached.accounting.cache_misses, 0);
+    assert!(uncached.accounting.probed > 1);
 
     let cache = ProbeCache::new(0);
     let cold = run(Some(&cache));
     // Cold cache: every probe misses, so the black box sees exactly the
     // uncached workload and the explanations are byte-identical.
     assert_eq!(cold.explanations, uncached.explanations);
-    assert_eq!(cold.probes, uncached.probes);
-    assert_eq!(cold.cache_misses, cold.probes);
-    assert_eq!(cold.cache_hits, 0);
+    assert_eq!(cold.accounting.probed, uncached.accounting.probed);
+    assert_eq!(cold.accounting.cache_misses, cold.accounting.probed);
+    assert_eq!(cold.accounting.cache_hits, 0);
 
     let warm = run(Some(&cache));
     // Warm cache: identical explanations, but the search re-probes nothing —
     // beam search never generates a duplicate candidate within one run, so
     // every request is a hit and the black box is not consulted at all.
     assert_eq!(warm.explanations, uncached.explanations);
-    assert_eq!(warm.cache_hits, cold.cache_misses);
-    assert_eq!(warm.probes, 0);
-    assert!(warm.probes < cold.probes);
+    assert_eq!(warm.accounting.cache_hits, cold.accounting.cache_misses);
+    assert_eq!(warm.accounting.probed, 0);
+    assert!(warm.accounting.probed < cold.accounting.probed);
     assert_eq!(warm.probe_requests(), cold.probe_requests());
 }
 
@@ -110,28 +130,17 @@ fn cached_exhaustive_search_is_byte_identical_and_warm_runs_probe_less() {
     let mut cfg = f.cfg.clone();
     cfg.max_explanation_size = 2;
     let candidates = all_skill_removals(&f.ds.graph);
-    let run = |cache: Option<&ProbeCache>| {
-        exhaustive_search(
-            &task,
-            &f.ds.graph,
-            &f.query,
-            &candidates,
-            CounterfactualKind::SkillRemoval,
-            &cfg,
-            None,
-            cache,
-        )
-    };
+    let run = |cache| session_search(&f, &task, (&candidates, &cfg), exhaustive_search, cache);
 
     let uncached = run(None);
     let cache = ProbeCache::new(0);
     let cold = run(Some(&cache));
     let warm = run(Some(&cache));
     assert_eq!(cold.explanations, uncached.explanations);
-    assert_eq!(cold.probes, uncached.probes);
+    assert_eq!(cold.accounting.probed, uncached.accounting.probed);
     assert_eq!(warm.explanations, uncached.explanations);
-    assert_eq!(warm.probes, 0);
-    assert!(warm.cache_hits > 0);
+    assert_eq!(warm.accounting.probed, 0);
+    assert!(warm.accounting.cache_hits > 0);
     assert_eq!(warm.probe_requests(), cold.probe_requests());
 }
 
@@ -160,10 +169,10 @@ fn cached_shap_explanations_are_identical_and_warm_runs_probe_less() {
     // SHAP values are byte-identical across uncached, cold and warm runs.
     assert_eq!(uncached.shap_values().values(), cold.shap_values().values());
     assert_eq!(uncached.shap_values().values(), warm.shap_values().values());
-    assert_eq!(cold.probes(), uncached.probes());
+    assert_eq!(cold.accounting().probed, uncached.accounting().probed);
     // The warm run answers its coalitions from the cache.
-    assert!(warm.probes() < cold.probes());
-    assert!(warm.cache_hits() > 0);
+    assert!(warm.accounting().probed < cold.accounting().probed);
+    assert!(warm.accounting().cache_hits > 0);
     assert!(cache.hits() > 0);
 
     // The counterfactual search for the same (graph, query, subject) shares

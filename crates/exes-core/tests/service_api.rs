@@ -257,3 +257,68 @@ fn distinct_rankers_on_one_service_are_isolated_and_addressable() {
         fresh_responses[0].expect_counterfactual().explanations
     );
 }
+
+/// Every black-box probe of a request — its reference probe included — is
+/// answered either from the plan or by a full re-rank, so each result's
+/// accounting and the batch report split their probes exactly into the two
+/// rescoring buckets.
+#[test]
+fn every_black_box_probe_lands_in_exactly_one_rescoring_bucket() {
+    let ds = SyntheticDataset::generate(&DatasetConfig::tiny("inv", 7));
+    let embedding = SkillEmbedding::train(
+        ds.corpus.token_bags(),
+        ds.graph.vocab().len(),
+        &EmbeddingConfig {
+            dim: 16,
+            ..Default::default()
+        },
+    );
+    let cfg = ExesConfig::fast()
+        .with_k(4)
+        .with_output_mode(OutputMode::SmoothRank);
+    let exes = Exes::new(cfg, embedding, CommonNeighbors);
+    let mut service = ExesService::from_graph(&exes, ds.graph.clone());
+    let ranker = PropagationRanker::default();
+    let propagation = service
+        .register("propagation@4", ModelSpec::expert_ranker(ranker, 4))
+        .unwrap();
+    let team = service
+        .register(
+            "greedy",
+            ModelSpec::team_former(
+                GreedyCoverTeamFormer::new(TfIdfRanker::default()),
+                TfIdfRanker::default(),
+                SeedPolicy::Unseeded,
+            ),
+        )
+        .unwrap();
+    let query = Arc::new(QueryWorkload::answerable(&ds.graph, 1, 2, 3, 3, 11).queries()[0].clone());
+    let subject = ranker.rank_all(&ds.graph, &query).top_k(1)[0];
+    let requests: Vec<ExplanationRequest> = [propagation, team]
+        .into_iter()
+        .flat_map(|model| {
+            let query = query.clone();
+            ALL_KINDS
+                .into_iter()
+                .map(move |kind| ExplanationRequest::new(model, subject, query.clone(), kind))
+        })
+        .collect();
+
+    let (responses, report) = explain_all(&service, &requests);
+    for (request, response) in requests.iter().zip(&responses) {
+        let accounting = response.accounting();
+        assert_eq!(
+            accounting.probed,
+            accounting.incremental_rescores + accounting.full_rescores,
+            "{:?} of model {:?}: {accounting:?}",
+            request.kind,
+            request.model
+        );
+    }
+    assert!(report.probes > 0);
+    assert_eq!(
+        report.probes as u64,
+        report.incremental_rescores + report.full_fallback_rescores,
+        "{report:?}"
+    );
+}

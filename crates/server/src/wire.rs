@@ -23,8 +23,8 @@
 use crate::json::{self, Json};
 use exes_core::counterfactual::{CounterfactualKind, CounterfactualResult};
 use exes_core::{
-    Completeness, Explanation, ExplanationKind, ExplanationRequest, FactualExplanation, Feature,
-    ModelId, RequestError, ServiceReport,
+    BatchStats, Completeness, Explanation, ExplanationKind, ExplanationRequest, FactualExplanation,
+    Feature, ModelId, RequestError, ServiceReport,
 };
 use exes_graph::{CollabGraph, GraphView, PersonId, Perturbation, Query, SkillVocab, UpdateBatch};
 use std::collections::HashMap;
@@ -274,6 +274,20 @@ fn completeness_json(completeness: Completeness) -> String {
     }
 }
 
+/// Serialises an explanation's probe accounting, the same object for both
+/// families.
+fn accounting_json(accounting: &BatchStats) -> String {
+    format!(
+        "{{\"probes\":{},\"cache_hits\":{},\"cache_misses\":{},\
+         \"incremental_rescores\":{},\"full_rescores\":{}}}",
+        accounting.probed,
+        accounting.cache_hits,
+        accounting.cache_misses,
+        accounting.incremental_rescores,
+        accounting.full_rescores
+    )
+}
+
 fn counterfactual_json(result: &CounterfactualResult, graph: &CollabGraph) -> String {
     let mut out = String::from("{\"counterfactual\":{\"explanations\":[");
     for (i, e) in result.explanations.iter().enumerate() {
@@ -297,16 +311,10 @@ fn counterfactual_json(result: &CounterfactualResult, graph: &CollabGraph) -> St
     }
     let _ = write!(
         out,
-        "],\"completeness\":{},\"timed_out\":{},\"accounting\":{{\"probes\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\"incremental_rescores\":{},\
-         \"full_rescores\":{}}}}}}}",
+        "],\"completeness\":{},\"timed_out\":{},\"accounting\":{}}}}}",
         completeness_json(result.completeness),
         result.timed_out,
-        result.probes,
-        result.cache_hits,
-        result.cache_misses,
-        result.incremental_rescores,
-        result.full_rescores
+        accounting_json(&result.accounting)
     );
     out
 }
@@ -335,16 +343,11 @@ fn factual_json(explanation: &FactualExplanation, graph: &CollabGraph) -> String
     }
     let _ = write!(
         out,
-        "],\"base_value\":{},\"full_value\":{},\"completeness\":{},\
-         \"accounting\":{{\"probes\":{},\"cache_hits\":{},\"incremental_rescores\":{},\
-         \"full_rescores\":{}}}}}}}",
+        "],\"base_value\":{},\"full_value\":{},\"completeness\":{},\"accounting\":{}}}}}",
         json::fmt_f64(explanation.shap_values().base_value()),
         json::fmt_f64(explanation.shap_values().full_value()),
         completeness_json(explanation.completeness()),
-        explanation.probes(),
-        explanation.cache_hits(),
-        explanation.incremental_rescores(),
-        explanation.full_rescores()
+        accounting_json(&explanation.accounting())
     );
     out
 }
@@ -354,10 +357,10 @@ fn factual_json(explanation: &FactualExplanation, graph: &CollabGraph) -> String
 ///
 /// The explanation's own fields come first; the object ends with an
 /// `"accounting":{…}` object of per-request probe counters (`probes`,
-/// `cache_hits`, `incremental_rescores`, `full_rescores`, and for a
-/// counterfactual `cache_misses`). Those depend on what else shared the
-/// probe cache, not on the explanation, so equal explanations compare equal
-/// once `accounting` is removed.
+/// `cache_hits`, `cache_misses`, `incremental_rescores`, `full_rescores`).
+/// Those depend on what else shared the probe cache, not on the
+/// explanation, so equal explanations compare equal once `accounting` is
+/// removed.
 pub fn explanation_json(explanation: &Explanation, graph: &CollabGraph) -> String {
     match explanation {
         Explanation::Counterfactual(r) => counterfactual_json(r, graph),
@@ -675,11 +678,13 @@ mod tests {
                 new_signal: 2.5,
                 kind: CounterfactualKind::SkillRemoval,
             }],
-            probes: 7,
-            cache_hits: 1,
-            cache_misses: 6,
-            incremental_rescores: 5,
-            full_rescores: 2,
+            accounting: BatchStats {
+                probed: 7,
+                cache_hits: 1,
+                cache_misses: 6,
+                incremental_rescores: 5,
+                full_rescores: 2,
+            },
             completeness: Completeness::Exhaustive,
             timed_out: false,
         };

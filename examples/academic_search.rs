@@ -64,7 +64,7 @@ fn main() {
     println!(
         "  [{} features scored, {} probes, {:.2?}]",
         pruned.num_features(),
-        pruned.probes(),
+        pruned.accounting().probed,
         pruned_time
     );
 
@@ -75,7 +75,7 @@ fn main() {
     println!(
         "  [{} features scored, {} probes, {:.2?}] — Precision@5 of the pruned explanation: {:.2}",
         exhaustive.num_features(),
-        exhaustive.probes(),
+        exhaustive.accounting().probed,
         exhaustive_time,
         factual_precision_at_k(&pruned, &exhaustive, 5)
     );

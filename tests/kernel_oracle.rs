@@ -276,6 +276,10 @@ fn subjects(graph: &CollabGraph, reference: &[f64]) -> Vec<PersonId> {
     subjects
 }
 
+/// Every ranker's full path, bitwise against the frozen reference, on each
+/// overlay of [`overlays`] — and on the unperturbed graph itself against the
+/// identity overlay's reference: the reference probe runs on the empty
+/// overlay but shares its cache key with probes computed on the base graph.
 #[test]
 fn full_paths_match_the_frozen_reference() {
     let mut cases: Vec<(String, CollabGraph, Query)> = (0..24u64)
@@ -293,6 +297,7 @@ fn full_paths_match_the_frozen_reference() {
         for (overlay, set) in overlays(graph, query) {
             let view = set.apply_to_graph(graph);
             let label = format!("{name}, {overlay}");
+            let identity = set.is_empty();
             let reference = reference_propagation(&propagation, &view, query);
             let people = subjects(graph, &reference);
             check_full_path(
@@ -303,6 +308,16 @@ fn full_paths_match_the_frozen_reference() {
                 &people,
                 &format!("propagation, {label}"),
             );
+            if identity {
+                check_full_path(
+                    &propagation,
+                    graph,
+                    query,
+                    &reference,
+                    &people,
+                    &format!("propagation, {name}, base graph"),
+                );
+            }
             let reference = reference_gcn(&view, query);
             let forward = gcn.forward(&view, query);
             assert_eq!(
@@ -318,6 +333,16 @@ fn full_paths_match_the_frozen_reference() {
                 &people,
                 &format!("gcn, {label}"),
             );
+            if identity {
+                check_full_path(
+                    &gcn,
+                    graph,
+                    query,
+                    &reference,
+                    &people,
+                    &format!("gcn, {name}, base graph"),
+                );
+            }
             // TF-IDF's counted rank_of against its own sorted ranking.
             let mut reference = vec![0.0; graph.num_people()];
             for &(p, s) in tfidf.rank_all(&view, query).entries() {
@@ -331,6 +356,16 @@ fn full_paths_match_the_frozen_reference() {
                 &people,
                 &format!("tfidf, {label}"),
             );
+            if identity {
+                check_full_path(
+                    &tfidf,
+                    graph,
+                    query,
+                    &reference,
+                    &people,
+                    &format!("tfidf, {name}, base graph"),
+                );
+            }
         }
     }
 }

@@ -244,7 +244,7 @@ fn parallel_and_sequential_counterfactuals_are_identical() {
                 CommonNeighbors,
             );
             let result = exes.counterfactual_skills(&task, &graph, &query);
-            (result.probes, result.timed_out, result.explanations)
+            (result.accounting, result.timed_out, result.explanations)
         };
         assert_eq!(run(true), run(false), "case {case}");
     }
@@ -475,13 +475,14 @@ fn churn_scale_graph(seed: u64) -> (CollabGraph, Query) {
     (graph, Query::new(qskills).unwrap())
 }
 
-/// The deterministic mixed singleton deltas cold probes are made of: skill
-/// removals (which hit query terms whenever one comes first, exercising the
-/// global-IDF fallbacks), non-query skill additions (which every incremental
-/// path localizes), edge removals, and long-range edge additions.
+/// The deterministic deltas cold probes are made of: the empty delta (the
+/// reference probe), then mixed singletons — skill removals (which hit query
+/// terms whenever one comes first, exercising the global-IDF fallbacks),
+/// non-query skill additions (which every incremental path localizes), edge
+/// removals, and long-range edge additions.
 fn probe_deltas(graph: &CollabGraph, query: &Query) -> Vec<PerturbationSet> {
     let n = graph.num_people();
-    let mut sets = Vec::new();
+    let mut sets = vec![PerturbationSet::new()];
     for i in 0..12usize {
         let p = PersonId::from_index((i * 7) % n);
         let delta = match i % 4 {
@@ -613,12 +614,16 @@ fn check_planned_batch<D: DecisionModel>(
 
     let sets = probe_deltas(g, query);
     let task = bind(PersonId(0));
-    let plain = ProbeBatch::new(&task, g, query, false).score(&sets);
+    let plain: Vec<_> = sets
+        .iter()
+        .map(|set| {
+            let (view, perturbed) = set.apply(g, query);
+            task.probe(&view, &perturbed)
+        })
+        .collect();
+    let engine = ProbeBatch::new(&task, g, query, false, Some(cache));
     let plan = cache.plan_for(g, query, &task).expect("plan built");
-    let engine = ProbeBatch::new(&task, g, query, false)
-        .with_cache(cache)
-        .with_plan(&plan);
-    let (cold, cold_stats) = engine.score_counted(&sets);
+    let (cold, cold_stats) = engine.score(&sets, None);
     assert_eq!(cold, plain, "{label}: planned == full");
     assert_eq!(
         cold_stats.cache_hits, 0,
@@ -633,7 +638,7 @@ fn check_planned_batch<D: DecisionModel>(
         cold_stats.incremental_rescores > 0,
         "{label}: the planned path must localize"
     );
-    let (warm, warm_stats) = engine.score_counted(&sets);
+    let (warm, warm_stats) = engine.score(&sets, None);
     assert_eq!(warm, plain, "{label}: warm == full");
     assert_eq!(warm_stats.probed, 0, "{label}");
     // A second subject reuses the per-context plan: the baseline is
