@@ -1,7 +1,7 @@
-//! Micro-benchmarks of the Shapley estimators (exact vs permutation vs kernel).
+//! Micro-benchmarks of the Shapley estimators (exact vs permutation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use exes_shap::{exact_shapley, kernel_shap, permutation_shapley, FnModel};
+use exes_shap::{exact_shapley, permutation_shapley, FnModel};
 
 fn model(n: usize) -> FnModel<impl Fn(&[bool]) -> f64> {
     FnModel::new(n, move |mask: &[bool]| {
@@ -29,11 +29,7 @@ fn bench_shap(c: &mut Criterion) {
     for features in [32usize, 128] {
         group.bench_function(BenchmarkId::new("permutation_16", features), |b| {
             let m = model(features);
-            b.iter(|| permutation_shapley(&m, 16, 7))
-        });
-        group.bench_function(BenchmarkId::new("kernel_256", features), |b| {
-            let m = model(features);
-            b.iter(|| kernel_shap(&m, 256, 7))
+            b.iter(|| permutation_shapley(&m, 16, 7, None))
         });
     }
     group.finish();

@@ -6,7 +6,7 @@ use exes_embedding::{EmbeddingConfig, SkillEmbedding};
 use exes_expert_search::{ExpertRanker, GcnRanker};
 use exes_graph::{PersonId, Query};
 use exes_linkpred::{EmbeddingLinkPredictor, WalkConfig};
-use exes_shap::{ShapConfig, ShapMethod};
+use exes_shap::ShapConfig;
 use exes_team::GreedyCoverTeamFormer;
 use std::time::Duration;
 
@@ -50,7 +50,9 @@ pub struct HarnessConfig {
     pub num_queries: usize,
     /// Number of explained individuals per (dataset, category) cell.
     pub num_subjects: usize,
-    /// Per-explanation timeout for the exhaustive baselines, in seconds.
+    /// Per-explanation timeout, in seconds, for every counterfactual search:
+    /// ExES's and the exhaustive baselines'. Factual estimators are not timed;
+    /// `ExesConfig::probe_budget` bounds them.
     pub baseline_timeout_secs: u64,
     /// Permutation budget for sampled SHAP on large feature spaces.
     pub shap_permutations: usize,
@@ -134,9 +136,7 @@ impl HarnessConfig {
         cfg.timeout = Some(Duration::from_secs(self.baseline_timeout_secs));
         cfg.output_mode = OutputMode::Binary;
         cfg.shap = ShapConfig {
-            method: ShapMethod::Auto,
-            exact_threshold: 10,
-            auto_permutations: self.shap_permutations,
+            permutations: self.shap_permutations,
             seed: self.seed,
         };
         cfg

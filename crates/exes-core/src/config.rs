@@ -41,8 +41,10 @@ pub struct ExesConfig {
     /// SHAP threshold `τ` used by the influential-collaboration expansion
     /// (paper default: 0.1).
     pub tau: f64,
-    /// Wall-clock budget for a single explanation request; `None` means no limit.
-    /// The paper uses 1000 s for its (much larger) datasets.
+    /// Wall-clock budget for every counterfactual search, ExES's and the
+    /// exhaustive baselines'; `None` means no limit. The paper uses 1000 s
+    /// for its (much larger) datasets. Factual estimators are not timed:
+    /// [`ExesConfig::probe_budget`] bounds them.
     pub timeout: Option<Duration>,
     /// How the decision is scalarised for SHAP.
     pub output_mode: OutputMode,
@@ -55,7 +57,8 @@ pub struct ExesConfig {
     /// exceeded the least-recently-used quarter of the affected shard is
     /// evicted in bulk, keeping eviction cost amortised O(1) per insert.
     pub probe_cache_capacity: usize,
-    /// Shapley estimator configuration.
+    /// Configuration of the permutation sampler that factual explanations
+    /// run when exact enumeration does not apply (see [`exes_shap::shapley`]).
     pub shap: ShapConfig,
     /// Upper bound on *black-box* probes a single explanation may spend
     /// (cache hits are free). The whole request is billed against it: the
@@ -193,6 +196,15 @@ mod tests {
         assert!(c.parallel_probes);
         assert_eq!(c.probe_cache_capacity, 1 << 18);
         assert_eq!(c.probe_budget, ProbeBudget::UNBOUNDED);
+        // Every served factual answer depends on these.
+        assert_eq!(
+            c.shap,
+            ShapConfig {
+                permutations: 32,
+                seed: 0x5A4B
+            }
+        );
+        assert_eq!(exes_shap::EXACT_MAX_FEATURES, 10);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Collaboration factual explanations (Pruning Strategy 2: influential collaborations).
 
-use super::{skill::explain_features, FactualExplanation, FeatureMaskModel};
+use super::{attribute, skill::explain_features, FactualExplanation};
 use crate::config::ExesConfig;
 use crate::features::Feature;
 use crate::probe::{BatchStats, Completeness, ProbeBatch, ProbeBudget};
 use crate::tasks::ErasedDecisionModel;
 use exes_graph::{CollabGraph, Neighborhood, PersonId};
-use exes_shap::{CachingModel, ShapExplainer};
 use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
 
@@ -86,13 +85,11 @@ pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
         if incident.is_empty() {
             continue;
         }
-        let model = CachingModel::new(FeatureMaskModel::new(engine, &incident, cfg));
-        let sampled = ShapExplainer::new(cfg.shap).explain_sampled(&model, budget.remaining());
+        let (sampled, pass) = attribute(engine, cfg, &incident, budget.remaining());
         let shap = sampled.values;
         if sampled.truncated {
             expansion_truncated = true;
         }
-        let pass = model.into_inner().accounting();
         budget.charge(pass.probed);
         accounting.merge(&pass);
         for (i, &feature) in incident.iter().enumerate() {

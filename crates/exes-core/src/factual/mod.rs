@@ -13,7 +13,7 @@ use crate::features::Feature;
 use crate::probe::{BatchStats, Completeness, ProbeBatch};
 use crate::tasks::ErasedDecisionModel;
 use exes_graph::{CollabGraph, PerturbationSet};
-use exes_shap::{MaskedModel, ShapValues};
+use exes_shap::{shapley, CachingModel, MaskedModel, SampledShap, ShapValues};
 use std::cell::Cell;
 
 /// A factual explanation: one SHAP value per scored feature.
@@ -23,8 +23,8 @@ pub struct FactualExplanation {
     shap: ShapValues,
     /// Every coalition probe computing it cost.
     accounting: BatchStats,
-    /// Per-feature 95% confidence half-widths (all zero for deterministic
-    /// estimators; parallel to `features`).
+    /// Per-feature 95% confidence half-widths (all zero for exact
+    /// enumeration; parallel to `features`).
     half_widths: Vec<f64>,
     /// Whether the estimator ran to its natural end or was cut short by the
     /// configured probe budget.
@@ -102,7 +102,7 @@ impl FactualExplanation {
 
     /// Per-feature 95% confidence half-widths, parallel to
     /// [`FactualExplanation::features`]. All zero when the attribution came
-    /// from a deterministic estimator (exact enumeration, kernel regression).
+    /// from exact enumeration.
     pub fn half_widths(&self) -> &[f64] {
         &self.half_widths
     }
@@ -162,6 +162,24 @@ impl FactualExplanation {
     }
 }
 
+/// Runs [`shapley`] over `features`, probing every coalition through the
+/// session `engine`, and returns the estimate with every probe it cost. A
+/// per-call coalition memo sits in front of the mask model, so `probed`
+/// counts *distinct* coalitions — and with a [`crate::probe::ProbeCache`]
+/// behind the session, only those the cache could not answer.
+/// `max_evaluations` caps the estimator's model evaluations; distinct probes
+/// never exceed evaluations, so it bounds black-box probes too.
+fn attribute<D: ErasedDecisionModel + ?Sized>(
+    engine: &ProbeBatch<'_, D>,
+    cfg: &ExesConfig,
+    features: &[Feature],
+    max_evaluations: Option<usize>,
+) -> (SampledShap, BatchStats) {
+    let model = CachingModel::new(FeatureMaskModel::new(engine, features, cfg));
+    let sampled = shapley(&model, &cfg.shap, max_evaluations);
+    (sampled, model.into_inner().accounting())
+}
+
 /// The masked model handed to the Shapley engine: masking a feature out applies
 /// its removal perturbation to the graph/query before probing the black box.
 /// Every coalition evaluation goes through the request's probe session, so it
@@ -171,13 +189,12 @@ impl FactualExplanation {
 /// subject). The all-present coalition is the session's reference probe.
 ///
 /// Only a batch of at least `exes_parallel::MIN_PARALLEL_ITEMS` coalitions
-/// can spread across threads. Exact-SHAP enumeration and KernelSHAP hand
-/// over such batches. The permutation sampler does not: it calls `evaluate`
-/// once per coalition, a one-element batch that runs on the calling thread.
-/// `ShapMethod::Auto` samples permutations above `ShapConfig::exact_threshold`
-/// features (10 by default), which neighbourhood-skill and collaboration
-/// feature sets usually exceed.
-pub(crate) struct FeatureMaskModel<'a, D: ?Sized> {
+/// can spread across threads. Exact enumeration hands over such batches.
+/// The permutation sampler does not: it calls `evaluate` once per
+/// coalition, a one-element batch that runs on the calling thread.
+/// [`shapley`] samples above [`exes_shap::EXACT_MAX_FEATURES`] features,
+/// which neighbourhood-skill and collaboration feature sets usually exceed.
+struct FeatureMaskModel<'a, D: ?Sized> {
     engine: &'a ProbeBatch<'a, D>,
     features: &'a [Feature],
     output_mode: OutputMode,
@@ -187,11 +204,7 @@ pub(crate) struct FeatureMaskModel<'a, D: ?Sized> {
 }
 
 impl<'a, D: ErasedDecisionModel + ?Sized> FeatureMaskModel<'a, D> {
-    pub(crate) fn new(
-        engine: &'a ProbeBatch<'a, D>,
-        features: &'a [Feature],
-        cfg: &ExesConfig,
-    ) -> Self {
+    fn new(engine: &'a ProbeBatch<'a, D>, features: &'a [Feature], cfg: &ExesConfig) -> Self {
         FeatureMaskModel {
             engine,
             features,
@@ -208,7 +221,7 @@ impl<'a, D: ErasedDecisionModel + ?Sized> FeatureMaskModel<'a, D> {
     }
 
     /// Every coalition probe this model asked the session for.
-    pub(crate) fn accounting(&self) -> BatchStats {
+    fn accounting(&self) -> BatchStats {
         self.accounting.get()
     }
 

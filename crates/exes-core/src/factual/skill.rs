@@ -1,12 +1,11 @@
 //! Skill factual explanations (Pruning Strategy 1: network locality).
 
-use super::{FactualExplanation, FeatureMaskModel};
+use super::{attribute, FactualExplanation};
 use crate::config::ExesConfig;
 use crate::features::Feature;
 use crate::probe::{Completeness, ProbeBatch};
 use crate::tasks::ErasedDecisionModel;
 use exes_graph::{CollabGraph, GraphView, Neighborhood};
-use exes_shap::{CachingModel, ShapExplainer};
 
 /// The pruned skill feature space `S_N(p_i)`: every `(person, skill)` pair held
 /// by someone within `radius` hops of the subject.
@@ -60,24 +59,16 @@ pub fn explain_skills<D: ErasedDecisionModel + ?Sized>(
     explain_features(engine, cfg, features)
 }
 
-/// Shared driver: score an arbitrary feature list with the configured Shapley
-/// estimator. A per-explanation coalition-dedup wrapper sits in front of the
-/// mask model regardless, so `probed` counts *distinct* coalitions — and with
-/// a [`crate::probe::ProbeCache`] behind the session, only the coalitions
-/// the cache could not answer.
-///
-/// `cfg.probe_budget` caps the estimator's *model evaluations*; distinct
-/// probes never exceed evaluations, so the budget bounds black-box probes
-/// too. A truncated sample is reported as [`Completeness::Budgeted`] with
-/// honest (wider) confidence half-widths.
+/// Shared driver: score an arbitrary feature list with Shapley values,
+/// spending at most `cfg.probe_budget` model evaluations. A truncated sample
+/// is reported as [`Completeness::Budgeted`] with honest (wider) confidence
+/// half-widths.
 pub(crate) fn explain_features<D: ErasedDecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     features: Vec<Feature>,
 ) -> FactualExplanation {
-    let model = CachingModel::new(FeatureMaskModel::new(engine, &features, cfg));
-    let sampled = ShapExplainer::new(cfg.shap).explain_sampled(&model, cfg.probe_budget.limit());
-    let accounting = model.into_inner().accounting();
+    let (sampled, accounting) = attribute(engine, cfg, &features, cfg.probe_budget.limit());
     let completeness = match (sampled.truncated, cfg.probe_budget.limit()) {
         (true, Some(budget)) => Completeness::Budgeted {
             spent: accounting.probed,

@@ -264,10 +264,23 @@ pub fn read_request<R: BufRead>(
             "both Content-Length and Transfer-Encoding present".into(),
         ));
     }
+    if request
+        .headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .count()
+        > 1
+    {
+        // RFC 9110 §8.6: two lengths are ambiguous framing too.
+        return Err(HttpError::Malformed("more than one Content-Length".into()));
+    }
     if let Some(length) = request.header("content-length") {
-        let length: usize = length
-            .parse()
-            .map_err(|_| HttpError::Malformed("unparsable Content-Length".into()))?;
+        // RFC 9112 §6.3: the value is ASCII digits only (`usize::parse`
+        // alone would also take a leading `+`).
+        let length: usize = Some(length)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| HttpError::Malformed("unparsable Content-Length".into()))?;
         if length > max_body {
             return Err(HttpError::BodyTooLarge { limit: max_body });
         }
@@ -416,6 +429,8 @@ mod tests {
             b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
             b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
             b"POST / HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\nbody",
+            b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nbody",
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 40\r\n\r\nbody",
             b"GET / HTTP/1.1\r\nHost: \xff\xfe\r\n\r\n",
             b"GET / HTTP",
         ];

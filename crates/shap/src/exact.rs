@@ -5,10 +5,11 @@ use crate::{MaskedModel, ShapValues};
 /// Computes exact Shapley values by enumerating all `2^M` coalitions.
 ///
 /// Complexity is `O(2^M)` model evaluations (each coalition is evaluated once
-/// and reused for every feature), so this is only practical for small `M`; the
-/// [`crate::ShapExplainer`] switches to sampling beyond a threshold. Intended
-/// both for small factual explanations (e.g. query-term attributions, `|q| ≤ 5`)
-/// and as the ground truth in estimator tests.
+/// and reused for every feature), so this is only practical for small `M`;
+/// [`crate::shapley`] switches to sampling above
+/// [`crate::EXACT_MAX_FEATURES`]. Intended both for small factual
+/// explanations (e.g. query-term attributions, `|q| ≤ 5`) and as the ground
+/// truth in estimator tests.
 ///
 /// # Panics
 /// Panics if `M > 24` to protect against accidental exponential blow-ups.

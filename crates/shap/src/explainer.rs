@@ -1,160 +1,55 @@
-//! The estimator-selecting front end used by ExES.
+//! The estimator selector used by ExES: exact enumeration for small feature
+//! sets, the budgeted permutation sampler otherwise.
 
-use crate::{
-    exact_shapley, kernel_shap, permutation_shapley, truncated_permutation_shapley, MaskedModel,
-    SampledShap, ShapValues,
-};
+use crate::{exact_shapley, permutation_shapley, MaskedModel, SampledShap};
 
-/// Which Shapley estimator to run.
+/// Feature count up to which [`shapley`] enumerates every coalition exactly,
+/// when the `2^M` evaluations fit the budget.
+pub const EXACT_MAX_FEATURES: usize = 10;
+
+/// Configuration of the permutation sampler behind [`shapley`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShapMethod {
-    /// Full enumeration (only for small feature counts).
-    Exact,
-    /// Permutation sampling with the given number of permutations.
-    Permutation {
-        /// Number of random feature orderings.
-        permutations: usize,
-    },
-    /// KernelSHAP weighted regression with the given number of sampled coalitions.
-    Kernel {
-        /// Number of sampled coalitions.
-        samples: usize,
-    },
-    /// Pick automatically: exact below `exact_threshold`, permutation sampling above.
-    Auto,
-}
-
-/// Configuration of a [`ShapExplainer`].
-#[derive(Debug, Clone, Copy)]
 pub struct ShapConfig {
-    /// Estimation method.
-    pub method: ShapMethod,
-    /// Feature count up to which `Auto` uses exact enumeration.
-    pub exact_threshold: usize,
-    /// Sampling budget used by `Auto` (permutations).
-    pub auto_permutations: usize,
-    /// RNG seed for the sampling estimators.
+    /// Number of random feature orderings the sampler averages over.
+    pub permutations: usize,
+    /// RNG seed of the sampler.
     pub seed: u64,
 }
 
 impl Default for ShapConfig {
     fn default() -> Self {
         ShapConfig {
-            method: ShapMethod::Auto,
-            exact_threshold: 10,
-            auto_permutations: 32,
+            permutations: 32,
             seed: 0x5A4B,
         }
     }
 }
 
-/// Computes Shapley values for masked models according to a [`ShapConfig`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShapExplainer {
-    config: ShapConfig,
-}
-
-impl ShapExplainer {
-    /// Creates an explainer with the given configuration.
-    pub fn new(config: ShapConfig) -> Self {
-        ShapExplainer { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ShapConfig {
-        &self.config
-    }
-
-    /// Computes Shapley values for `model`.
-    pub fn explain<M: MaskedModel>(&self, model: &M) -> ShapValues {
-        match self.config.method {
-            ShapMethod::Exact => exact_shapley(model),
-            ShapMethod::Permutation { permutations } => {
-                permutation_shapley(model, permutations, self.config.seed)
-            }
-            ShapMethod::Kernel { samples } => kernel_shap(model, samples, self.config.seed),
-            ShapMethod::Auto => {
-                if model.num_features() <= self.config.exact_threshold {
-                    exact_shapley(model)
-                } else {
-                    permutation_shapley(model, self.config.auto_permutations, self.config.seed)
-                }
-            }
-        }
-    }
-
-    /// Computes Shapley values under an optional model-evaluation budget,
-    /// reporting per-feature confidence half-widths and whether the estimate
-    /// was truncated.
-    ///
-    /// With `max_evaluations: None` the returned values are **bitwise
-    /// identical** to [`ShapExplainer::explain`] — the deterministic
-    /// estimators (exact, kernel) report zero half-widths (no sampling
-    /// noise), and the permutation path runs the same sampler with variance
-    /// bookkeeping on the side.
-    ///
-    /// With a finite budget, a deterministic estimator whose fixed evaluation
-    /// count does not fit falls back to the anytime permutation sampler
-    /// (`auto_permutations` passes), which spends whole permutations until
-    /// the budget runs out and marks the result `truncated`.
-    pub fn explain_sampled<M: MaskedModel>(
-        &self,
-        model: &M,
-        max_evaluations: Option<usize>,
-    ) -> SampledShap {
-        let m = model.num_features();
-        let fits = |needed: usize| max_evaluations.is_none_or(|max| needed <= max);
-        let exact_cost = if m == 0 {
-            1
-        } else if m <= 24 {
-            1usize << m
-        } else {
-            usize::MAX
-        };
-        let kernel_cost = |samples: usize| match m {
-            0 => 1,
-            1 => 2,
-            _ => 2 + samples.max(2 * m),
-        };
-        match self.config.method {
-            ShapMethod::Exact if fits(exact_cost) => {
-                Self::deterministic(exact_shapley(model), exact_cost)
-            }
-            ShapMethod::Kernel { samples } if fits(kernel_cost(samples)) => {
-                Self::deterministic(kernel_shap(model, samples, self.config.seed), {
-                    kernel_cost(samples)
-                })
-            }
-            ShapMethod::Permutation { permutations } => truncated_permutation_shapley(
-                model,
-                permutations,
-                self.config.seed,
-                max_evaluations,
-            ),
-            ShapMethod::Auto if m <= self.config.exact_threshold && fits(exact_cost) => {
-                Self::deterministic(exact_shapley(model), exact_cost)
-            }
-            _ => truncated_permutation_shapley(
-                model,
-                self.config.auto_permutations,
-                self.config.seed,
-                max_evaluations,
-            ),
-        }
-    }
-
-    /// Wraps a deterministic (non-sampled) estimate: zero half-widths, never
-    /// truncated.
-    fn deterministic(values: ShapValues, evaluations: usize) -> SampledShap {
-        let m = values.len();
-        SampledShap {
+/// Computes Shapley values for `model` under an optional model-evaluation
+/// budget.
+///
+/// A model with at most [`EXACT_MAX_FEATURES`] features whose `2^M`
+/// coalitions fit `max_evaluations` is enumerated exactly
+/// ([`exact_shapley`]): zero half-widths, `2^M` evaluations, never
+/// truncated. Every other model runs [`permutation_shapley`] with
+/// `cfg.permutations` passes, which stops at whole-permutation boundaries
+/// when the budget runs out and marks the result `truncated`.
+pub fn shapley<M: MaskedModel>(
+    model: &M,
+    cfg: &ShapConfig,
+    max_evaluations: Option<usize>,
+) -> SampledShap {
+    let m = model.num_features();
+    if m <= EXACT_MAX_FEATURES && max_evaluations.is_none_or(|max| 1usize << m <= max) {
+        return SampledShap {
+            values: exact_shapley(model),
             half_widths: vec![0.0; m],
             permutations_completed: 0,
-            evaluations,
+            evaluations: 1 << m,
             truncated: false,
-            values,
-        }
+        };
     }
+    permutation_shapley(model, cfg.permutations, cfg.seed, max_evaluations)
 }
 
 #[cfg(test)]
@@ -174,8 +69,7 @@ mod tests {
     #[test]
     fn auto_uses_exact_for_small_models() {
         let model = CachingModel::new(linear_model(4));
-        let explainer = ShapExplainer::new(ShapConfig::default());
-        let v = explainer.explain(&model);
+        let v = shapley(&model, &ShapConfig::default(), None).values;
         // Exact enumeration of 4 features = 16 distinct coalitions.
         assert_eq!(model.distinct_evaluations(), 16);
         assert!((v.value(3) - 4.0).abs() < 1e-12);
@@ -183,86 +77,47 @@ mod tests {
 
     #[test]
     fn auto_switches_to_sampling_for_large_models() {
-        let model = CachingModel::new(linear_model(16));
-        let explainer = ShapExplainer::new(ShapConfig {
-            auto_permutations: 8,
+        let cfg = ShapConfig {
+            permutations: 8,
             ..Default::default()
-        });
-        let v = explainer.explain(&model);
-        // Sampling evaluates far fewer coalitions than 2^16.
-        assert!(model.distinct_evaluations() < 2000);
-        // Linear model is still recovered exactly by permutation sampling.
-        assert!((v.value(0) - 1.0).abs() < 1e-9);
-        assert!((v.value(15) - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn explicit_methods_are_honoured() {
-        let model = linear_model(5);
-        for method in [
-            ShapMethod::Exact,
-            ShapMethod::Permutation { permutations: 20 },
-            ShapMethod::Kernel { samples: 200 },
-        ] {
-            let v = ShapExplainer::new(ShapConfig {
-                method,
-                ..Default::default()
-            })
-            .explain(&model);
-            assert_eq!(v.len(), 5);
-            assert!(
-                (v.value(4) - 5.0).abs() < 0.2,
-                "{method:?} estimate {}",
-                v.value(4)
-            );
-        }
-    }
-
-    #[test]
-    fn sampled_unbounded_matches_explain_for_every_method() {
-        let model = linear_model(6);
-        for method in [
-            ShapMethod::Exact,
-            ShapMethod::Permutation { permutations: 12 },
-            ShapMethod::Kernel { samples: 64 },
-            ShapMethod::Auto,
-        ] {
-            let explainer = ShapExplainer::new(ShapConfig {
-                method,
-                ..Default::default()
-            });
-            let sampled = explainer.explain_sampled(&model, None);
-            assert_eq!(sampled.values, explainer.explain(&model), "{method:?}");
-            assert!(!sampled.truncated, "{method:?}");
-            assert_eq!(sampled.half_widths.len(), 6);
+        };
+        // 25 features is past exact enumeration's own 24-feature guard: an
+        // unbounded budget must still sample rather than enumerate.
+        for n in [16, 25] {
+            let model = CachingModel::new(linear_model(n));
+            let sampled = shapley(&model, &cfg, None);
+            // Sampling evaluates far fewer coalitions than 2^n.
+            assert_eq!(sampled.permutations_completed, 8);
+            assert!(model.distinct_evaluations() < 2000);
+            // Linear model is still recovered exactly by permutation sampling.
+            assert!((sampled.values.value(0) - 1.0).abs() < 1e-9);
+            assert!((sampled.values.value(n - 1) - n as f64).abs() < 1e-9);
         }
     }
 
     #[test]
     fn deterministic_methods_report_zero_half_widths_and_costs() {
-        let model = CachingModel::new(linear_model(4));
-        let explainer = ShapExplainer::new(ShapConfig {
-            method: ShapMethod::Exact,
-            ..Default::default()
-        });
-        let sampled = explainer.explain_sampled(&model, Some(16));
-        assert_eq!(sampled.evaluations, 16);
-        assert_eq!(model.distinct_evaluations(), 16);
-        assert!(sampled.half_widths.iter().all(|&w| w == 0.0));
-        assert!(!sampled.truncated);
+        for n in [0, 4] {
+            let model = CachingModel::new(linear_model(n));
+            let sampled = shapley(&model, &ShapConfig::default(), Some(16));
+            assert_eq!(sampled.evaluations, 1 << n);
+            assert_eq!(model.distinct_evaluations(), 1 << n);
+            assert_eq!(sampled.half_widths, vec![0.0; n]);
+            assert_eq!(sampled.permutations_completed, 0);
+            assert!(!sampled.truncated);
+        }
     }
 
     #[test]
     fn exact_without_budget_falls_back_to_the_anytime_sampler() {
         let model = CachingModel::new(linear_model(4));
-        let explainer = ShapExplainer::new(ShapConfig {
-            method: ShapMethod::Exact,
-            auto_permutations: 8,
+        let cfg = ShapConfig {
+            permutations: 8,
             ..Default::default()
-        });
+        };
         // 2^4 = 16 exact evaluations don't fit in 10: the sampler takes over
         // (2 anchors + 2 whole permutations of 4).
-        let sampled = explainer.explain_sampled(&model, Some(10));
+        let sampled = shapley(&model, &cfg, Some(10));
         assert!(sampled.truncated);
         assert_eq!(sampled.permutations_completed, 2);
         assert_eq!(sampled.evaluations, 10);
@@ -272,23 +127,12 @@ mod tests {
     #[test]
     fn auto_under_budget_prefers_exact_only_when_it_fits() {
         let model = linear_model(3);
-        let explainer = ShapExplainer::new(ShapConfig::default());
-        let exact = explainer.explain_sampled(&model, Some(8));
+        let cfg = ShapConfig::default();
+        let exact = shapley(&model, &cfg, Some(8));
         assert_eq!(exact.evaluations, 8);
         assert!(!exact.truncated);
-        let sampled = explainer.explain_sampled(&model, Some(7));
+        let sampled = shapley(&model, &cfg, Some(7));
         assert!(sampled.truncated || sampled.permutations_completed > 0);
         assert!(sampled.evaluations <= 7);
-    }
-
-    #[test]
-    fn config_accessor_roundtrips() {
-        let cfg = ShapConfig {
-            method: ShapMethod::Exact,
-            exact_threshold: 3,
-            auto_permutations: 5,
-            seed: 9,
-        };
-        assert_eq!(ShapExplainer::new(cfg).config().exact_threshold, 3);
     }
 }

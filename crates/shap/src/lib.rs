@@ -10,28 +10,25 @@
 //! this with "rank the perturbed collaboration network and report the relevance
 //! or membership status of one person".
 //!
-//! Four estimators are provided:
+//! ExES calls [`shapley`], which runs one of two estimators under an optional
+//! evaluation budget:
 //!
-//! * [`exact_shapley`] — full enumeration of all `2^M` coalitions (used when `M`
-//!   is small, and as the ground truth in tests),
+//! * [`exact_shapley`] — full enumeration of all `2^M` coalitions, for at most
+//!   [`EXACT_MAX_FEATURES`] features when they fit the budget (also the
+//!   ground truth in tests),
 //! * [`permutation_shapley`] — Monte-Carlo estimation over random feature
-//!   orderings (the workhorse; unbiased, exactly efficient per sample),
-//! * [`truncated_permutation_shapley`] — the same sampler under an evaluation
-//!   budget, reporting per-feature confidence half-widths and stopping at
-//!   whole-permutation boundaries when the budget runs out,
-//! * [`kernel_shap`] — the weighted-least-squares KernelSHAP estimator.
-//!
-//! [`ShapExplainer`] picks an estimator automatically based on the feature
-//! count and a sampling budget.
+//!   orderings (unbiased, exactly efficient per sample), reporting
+//!   per-feature confidence half-widths and stopping at whole-permutation
+//!   boundaries when the budget runs out.
 //!
 //! ```
-//! use exes_shap::{FnModel, ShapConfig, ShapExplainer};
+//! use exes_shap::{shapley, FnModel, ShapConfig};
 //!
 //! // A simple additive model: f(mask) = 3*x0 + 1*x1.
 //! let model = FnModel::new(2, |mask: &[bool]| {
 //!     3.0 * f64::from(mask[0]) + f64::from(mask[1])
 //! });
-//! let values = ShapExplainer::new(ShapConfig::default()).explain(&model);
+//! let values = shapley(&model, &ShapConfig::default(), None).values;
 //! assert!((values.value(0) - 3.0).abs() < 1e-9);
 //! assert!((values.value(1) - 1.0).abs() < 1e-9);
 //! ```
@@ -41,16 +38,12 @@
 
 mod exact;
 mod explainer;
-mod kernel;
 mod model;
 mod permutation;
-mod truncated;
 mod values;
 
 pub use exact::exact_shapley;
-pub use explainer::{ShapConfig, ShapExplainer, ShapMethod};
-pub use kernel::kernel_shap;
+pub use explainer::{shapley, ShapConfig, EXACT_MAX_FEATURES};
 pub use model::{CachingModel, FnModel, MaskedModel};
-pub use permutation::permutation_shapley;
-pub use truncated::{truncated_permutation_shapley, SampledShap};
+pub use permutation::{permutation_shapley, SampledShap};
 pub use values::ShapValues;

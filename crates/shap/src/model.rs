@@ -69,7 +69,6 @@ impl<F: Fn(&[bool]) -> f64> MaskedModel for FnModel<F> {
 pub struct CachingModel<M> {
     inner: M,
     cache: Mutex<FxHashMap<Vec<bool>, f64>>,
-    calls: Mutex<usize>,
 }
 
 impl<M: MaskedModel> CachingModel<M> {
@@ -78,18 +77,12 @@ impl<M: MaskedModel> CachingModel<M> {
         CachingModel {
             inner,
             cache: Mutex::new(FxHashMap::default()),
-            calls: Mutex::new(0),
         }
     }
 
     /// Number of *distinct* evaluations forwarded to the wrapped model.
     pub fn distinct_evaluations(&self) -> usize {
         self.cache.lock().expect("cache poisoned").len()
-    }
-
-    /// Total number of evaluation requests (cache hits included).
-    pub fn total_requests(&self) -> usize {
-        *self.calls.lock().expect("counter poisoned")
     }
 
     /// Consumes the wrapper, returning the inner model.
@@ -104,7 +97,6 @@ impl<M: MaskedModel> MaskedModel for CachingModel<M> {
     }
 
     fn evaluate(&self, mask: &[bool]) -> f64 {
-        *self.calls.lock().expect("counter poisoned") += 1;
         if let Some(&v) = self.cache.lock().expect("cache poisoned").get(mask) {
             return v;
         }
@@ -120,7 +112,6 @@ impl<M: MaskedModel> MaskedModel for CachingModel<M> {
     /// the batch) to the wrapped model's own `evaluate_batch`, so an inner
     /// parallel implementation sees each distinct coalition exactly once.
     fn evaluate_batch(&self, masks: &[Vec<bool>]) -> Vec<f64> {
-        *self.calls.lock().expect("counter poisoned") += masks.len();
         let mut misses: Vec<Vec<bool>> = Vec::new();
         {
             let cache = self.cache.lock().expect("cache poisoned");
@@ -146,6 +137,15 @@ impl<M: MaskedModel> MaskedModel for CachingModel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// A model over two features that counts the evaluations reaching it.
+    fn counted(calls: &Cell<usize>) -> FnModel<impl Fn(&[bool]) -> f64 + '_> {
+        FnModel::new(2, move |mask: &[bool]| {
+            calls.set(calls.get() + 1);
+            f64::from(mask[0]) * 2.0 + f64::from(mask[1])
+        })
+    }
 
     #[test]
     fn fn_model_evaluates_closure() {
@@ -160,14 +160,13 @@ mod tests {
 
     #[test]
     fn caching_model_deduplicates_calls() {
-        let m = CachingModel::new(FnModel::new(2, |mask: &[bool]| {
-            f64::from(mask[0]) * 2.0 + f64::from(mask[1])
-        }));
+        let calls = Cell::new(0);
+        let m = CachingModel::new(counted(&calls));
         assert_eq!(m.evaluate(&[true, false]), 2.0);
         assert_eq!(m.evaluate(&[true, false]), 2.0);
         assert_eq!(m.evaluate(&[false, true]), 1.0);
         assert_eq!(m.distinct_evaluations(), 2);
-        assert_eq!(m.total_requests(), 3);
+        assert_eq!(calls.get(), 2);
     }
 
     #[test]
@@ -184,9 +183,8 @@ mod tests {
 
     #[test]
     fn batch_evaluation_matches_sequential_and_dedups() {
-        let m = CachingModel::new(FnModel::new(2, |mask: &[bool]| {
-            f64::from(mask[0]) * 2.0 + f64::from(mask[1])
-        }));
+        let calls = Cell::new(0);
+        let m = CachingModel::new(counted(&calls));
         let masks = vec![
             vec![true, false],
             vec![true, false],
@@ -195,11 +193,11 @@ mod tests {
         ];
         let batch = m.evaluate_batch(&masks);
         assert_eq!(batch, vec![2.0, 2.0, 1.0, 3.0]);
-        // 4 requests, 3 distinct coalitions.
-        assert_eq!(m.total_requests(), 4);
+        // 4 requests, 3 distinct coalitions reach the wrapped model.
+        assert_eq!(calls.get(), 3);
         assert_eq!(m.distinct_evaluations(), 3);
         // Repeating the batch is pure cache hits.
         assert_eq!(m.evaluate_batch(&masks), batch);
-        assert_eq!(m.distinct_evaluations(), 3);
+        assert_eq!(calls.get(), 3);
     }
 }

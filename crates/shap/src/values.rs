@@ -77,13 +77,6 @@ impl ShapValues {
         self.ranked_by_magnitude().into_iter().take(k).collect()
     }
 
-    /// Indices of features whose |value| exceeds `threshold`.
-    pub fn above_threshold(&self, threshold: f64) -> Vec<usize> {
-        (0..self.values.len())
-            .filter(|&i| self.values[i].abs() > threshold)
-            .collect()
-    }
-
     /// Number of features with a non-zero attribution (the paper's
     /// "explanation size" for factual explanations).
     pub fn explanation_size(&self) -> usize {
@@ -117,7 +110,6 @@ mod tests {
         let v = sample();
         assert_eq!(v.ranked_by_magnitude(), vec![1, 3, 0, 2]);
         assert_eq!(v.top_k(2), vec![1, 3]);
-        assert_eq!(v.above_threshold(0.6), vec![1, 3]);
         assert_eq!(v.explanation_size(), 3);
     }
 

@@ -12,7 +12,7 @@
 //! | [`linkpred`] | Link prediction (DeepWalk-style encoder + heuristics) — Pruning Strategy 5 |
 //! | [`expert_search`] | Expert-search black boxes (TF-IDF, propagation, PageRank, GCN-style) |
 //! | [`team`] | Team-formation black boxes (greedy cover, min-distance) |
-//! | [`shap`] | Shapley-value engine (exact, permutation, KernelSHAP) |
+//! | [`shap`] | Shapley-value engine (exact enumeration, budgeted permutation sampling) |
 //! | [`core`] | The ExES explainer: factual + counterfactual explanations with pruning |
 //! | [`server`] | Networked serving front-end: HTTP/1.1, micro-batching, admission control |
 //!
@@ -72,6 +72,6 @@ pub mod prelude {
         AdamicAdar, CommonNeighbors, EmbeddingLinkPredictor, Jaccard, LinkPredictor, WalkConfig,
     };
     pub use exes_server::{HttpClient, HttpResponse, ServerConfig, ServerHandle};
-    pub use exes_shap::{ShapConfig, ShapExplainer, ShapMethod, ShapValues};
+    pub use exes_shap::{ShapConfig, ShapValues};
     pub use exes_team::{GreedyCoverTeamFormer, MinDistanceTeamFormer, Team, TeamFormer};
 }

@@ -138,7 +138,7 @@ fn shapley_efficiency_axiom_holds() {
         });
         let exact = exact_shapley(&model);
         assert!(exact.efficiency_gap() < 1e-9, "case {case}");
-        let sampled = permutation_shapley(&model, 10, 7);
+        let sampled = permutation_shapley(&model, 10, 7, None).values;
         assert!(sampled.efficiency_gap() < 1e-9, "case {case}");
         // Additive part: non-endpoint features get exactly their weight.
         for (i, &w) in weights.iter().enumerate().take(n.saturating_sub(1)).skip(1) {
