@@ -1,6 +1,7 @@
 //! Micro-benchmarks of one full counterfactual explanation request
 //! (pruned beam search vs the exhaustive baseline), matching Table 8's setup
-//! at reduced scale.
+//! at reduced scale. Both run under the quick harness's probe budget, so each
+//! iteration does the same, fixed work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exes_bench::scenario::{DatasetKind, HarnessConfig, Scenario};
@@ -8,9 +9,7 @@ use exes_core::explainer::SkillAdditionBaseline;
 use exes_core::ExpertRelevanceTask;
 
 fn bench_counterfactual(c: &mut Criterion) {
-    let mut harness = HarnessConfig::quick();
-    harness.baseline_timeout_secs = 1;
-    let scenario = Scenario::build(DatasetKind::Github, &harness);
+    let scenario = Scenario::build(DatasetKind::Github, &HarnessConfig::quick());
     let graph = &scenario.dataset.graph;
     let (experts, _) = scenario.sample_experts_and_non_experts(1);
     let (query, person) = experts[0].clone();

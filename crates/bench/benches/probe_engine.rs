@@ -93,7 +93,7 @@ fn bench_beam_through_engine(c: &mut Criterion) {
                     let engine = ProbeBatch::new(&task, &ds.graph, &query, parallel, None);
                     let (reference, _) = engine.score(&[PerturbationSet::new()], None);
                     let kind = CounterfactualKind::SkillRemoval;
-                    beam_search(&engine, reference[0], &candidates, kind, &cfg, None)
+                    beam_search(&engine, reference[0], &candidates, kind, &cfg)
                 })
             });
         }

@@ -34,6 +34,14 @@ pub struct CounterfactualCell {
     pub precision: f64,
     /// Mean Precision* (within one perturbation of minimal).
     pub precision_star: f64,
+    /// Mean black-box probes per ExES request.
+    pub exes_probes: f64,
+    /// Mean black-box probes per baseline request.
+    pub baseline_probes: f64,
+    /// Number of ExES searches the probe budget cut short.
+    pub exes_budgeted: usize,
+    /// Number of baseline searches the probe budget cut short.
+    pub baseline_budgeted: usize,
 }
 
 struct Accumulator {
@@ -46,6 +54,10 @@ struct Accumulator {
     base_count: usize,
     precision: Mean,
     precision_star: Mean,
+    exes_probes: Mean,
+    base_probes: Mean,
+    exes_budgeted: usize,
+    base_budgeted: usize,
 }
 
 impl Accumulator {
@@ -60,6 +72,10 @@ impl Accumulator {
             base_count: 0,
             precision: Mean::new(),
             precision_star: Mean::new(),
+            exes_probes: Mean::new(),
+            base_probes: Mean::new(),
+            exes_budgeted: 0,
+            base_budgeted: 0,
         }
     }
 
@@ -80,6 +96,10 @@ impl Accumulator {
         }
         self.exes_count += exes.len();
         self.base_count += baseline.len();
+        self.exes_probes.add(exes.accounting.probed as f64);
+        self.base_probes.add(baseline.accounting.probed as f64);
+        self.exes_budgeted += usize::from(exes.completeness.is_budgeted());
+        self.base_budgeted += usize::from(baseline.completeness.is_budgeted());
         if let Some(report) = counterfactual_precision(exes, baseline) {
             self.precision.add(report.precision);
             self.precision_star.add(report.precision_star);
@@ -103,6 +123,10 @@ impl Accumulator {
             baseline_explanations: self.base_count,
             precision: self.precision.mean(),
             precision_star: self.precision_star.mean(),
+            exes_probes: self.exes_probes.mean(),
+            baseline_probes: self.base_probes.mean(),
+            exes_budgeted: self.exes_budgeted,
+            baseline_budgeted: self.base_budgeted,
         }
     }
 }
@@ -267,6 +291,8 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
             "Latency (s) Baseline",
             "Expl. size ExES",
             "Expl. size Baseline",
+            "Probes ExES",
+            "Probes Baseline",
         ],
     );
     let mut precision_table = Table::new(
@@ -281,6 +307,8 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
             "# Expl. Baseline",
             "Precision",
             "Precision*",
+            "# Budget-cut ExES",
+            "# Budget-cut Baseline",
         ],
     );
     let mut all_cells: Vec<CounterfactualCell> = Vec::new();
@@ -312,6 +340,8 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
                 baseline_latency,
                 fmt_num(cell.exes_size),
                 fmt_num(cell.baseline_size),
+                fmt_num(cell.exes_probes),
+                fmt_num(cell.baseline_probes),
             ]);
             precision_table.push_row(vec![
                 cell.method.clone(),
@@ -320,6 +350,8 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
                 cell.baseline_explanations.to_string(),
                 fmt_num(cell.precision),
                 fmt_num(cell.precision_star),
+                cell.exes_budgeted.to_string(),
+                cell.baseline_budgeted.to_string(),
             ]);
         }
     }
@@ -330,36 +362,87 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
 mod tests {
     use super::*;
 
+    /// Small enough to cut at least one search on each side in both modes.
     fn tiny() -> HarnessConfig {
         HarnessConfig {
             dblp_scale: 0.004,
             github_scale: 0.02,
             num_queries: 3,
             num_subjects: 1,
-            baseline_timeout_secs: 1,
+            probe_budget: 1_000,
             shap_permutations: 2,
             seed: 9,
         }
     }
 
+    /// Every column of a cell but latency. Explanations are a pure function
+    /// of (model, graph, query, configuration), so these repeat exactly.
+    fn frozen(cell: &CounterfactualCell) -> String {
+        format!(
+            "{} | size {:?} {:?} | expl {} {} | precision {:?} {:?} | probes {:?} {:?} | cut {} {}",
+            cell.method,
+            cell.exes_size,
+            cell.baseline_size,
+            cell.exes_explanations,
+            cell.baseline_explanations,
+            cell.precision,
+            cell.precision_star,
+            cell.exes_probes,
+            cell.baseline_probes,
+            cell.exes_budgeted,
+            cell.baseline_budgeted
+        )
+    }
+
     #[test]
     fn expert_search_counterfactual_cells_cover_six_methods() {
         let scenario = Scenario::build(DatasetKind::Github, &tiny());
-        let cells = run_scenario(&scenario, TaskMode::ExpertSearch);
-        assert_eq!(cells.len(), 6);
-        let methods: Vec<&str> = cells.iter().map(|c| c.method.as_str()).collect();
-        assert!(methods.contains(&"Skill Removal (Experts)"));
-        assert!(methods.contains(&"Skill Addition (Non-experts)"));
-        for cell in &cells {
-            assert!(cell.exes_latency >= 0.0);
-            assert!((0.0..=1.0).contains(&cell.precision) || cell.precision == 0.0);
-            assert!(cell.precision_star >= cell.precision - 1e-9);
+        let expert = [
+            "Skill Removal (Experts) | size 0.0 0.0 | expl 0 0 | precision 0.0 0.0 \
+             | probes 1000.0 1000.0 | cut 1 1",
+            "Query Augment. (Experts) | size 0.0 0.0 | expl 0 0 | precision 0.0 0.0 \
+             | probes 306.0 1000.0 | cut 0 1",
+            "Link Removal (Experts) | size 0.0 0.0 | expl 0 0 | precision 0.0 0.0 \
+             | probes 611.0 1000.0 | cut 0 1",
+            "Skill Addition (Non-experts) | size 0.0 0.0 | expl 0 0 | precision 0.0 0.0 \
+             | probes 1000.0 1000.0 | cut 1 1",
+            "Query Augment. (Non-experts) | size 2.0 2.0 | expl 5 5 | precision 1.0 1.0 \
+             | probes 56.0 549.0 | cut 0 0",
+            "Link Addition (Non-experts) | size 3.0 2.0 | expl 5 5 | precision 0.0 1.0 \
+             | probes 156.0 436.0 | cut 0 0",
+        ];
+        let team = [
+            "Skill Removal (Members) | size 1.0 1.0 | expl 3 3 | precision 1.0 1.0 \
+             | probes 1000.0 306.0 | cut 1 0",
+            "Query Augment. (Members) | size 1.0 1.0 | expl 2 3 | precision 1.0 1.0 \
+             | probes 180.0 37.0 | cut 0 0",
+            "Link Removal (Members) | size 2.6 1.0 | expl 5 1 | precision 0.2 0.2 \
+             | probes 412.0 316.0 | cut 0 0",
+            "Skill Addition (Non-members) | size 1.0 1.0 | expl 1 1 | precision 1.0 1.0 \
+             | probes 1000.0 582.0 | cut 1 0",
+            "Query Augment. (Non-members) | size 1.0 1.0 | expl 1 1 | precision 1.0 1.0 \
+             | probes 248.0 37.0 | cut 0 0",
+            "Link Addition (Non-members) | size 0.0 0.0 | expl 0 0 | precision 0.0 0.0 \
+             | probes 309.0 1000.0 | cut 0 1",
+        ];
+        for (mode, expected) in [
+            (TaskMode::ExpertSearch, expert),
+            (TaskMode::TeamFormation, team),
+        ] {
+            let cells = run_scenario(&scenario, mode);
+            assert_eq!(
+                cells.iter().map(frozen).collect::<Vec<_>>(),
+                expected,
+                "{mode:?}"
+            );
+            // The budget cut searches on both sides, and the cells say so.
+            assert!(cells.iter().any(|c| c.exes_budgeted > 0), "{mode:?}");
+            assert!(cells.iter().any(|c| c.baseline_budgeted > 0), "{mode:?}");
+            for cell in &cells {
+                assert!(cell.exes_latency >= 0.0 && cell.baseline_latency >= 0.0);
+            }
+            // The skill-addition cell carries the secondary baseline.
+            assert!(cells[3].baseline_s_latency.is_some());
         }
-        // The Non-experts skill addition cell carries the secondary baseline.
-        let addition = cells
-            .iter()
-            .find(|c| c.method.starts_with("Skill Addition"))
-            .unwrap();
-        assert!(addition.baseline_s_latency.is_some());
     }
 }

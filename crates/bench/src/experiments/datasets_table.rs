@@ -53,7 +53,7 @@ mod tests {
             github_scale: 0.03,
             num_queries: 2,
             num_subjects: 1,
-            baseline_timeout_secs: 1,
+            probe_budget: 5_000,
             shap_permutations: 2,
             seed: 1,
         };

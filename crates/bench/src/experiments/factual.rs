@@ -27,6 +27,10 @@ pub struct FactualCell {
     pub precision_at_1: Option<f64>,
     /// Precision@5 of ExES against the baseline.
     pub precision_at_5: Option<f64>,
+    /// Mean black-box probes per ExES request.
+    pub exes_probes: f64,
+    /// Mean black-box probes per baseline request (`None` for query terms).
+    pub baseline_probes: Option<f64>,
 }
 
 /// Runs the factual experiments for one scenario, producing one cell per
@@ -81,6 +85,8 @@ fn measure<D: DecisionModel>(
     let mut base_size = Mean::new();
     let mut p1 = Mean::new();
     let mut p5 = Mean::new();
+    let mut exes_probes = Mean::new();
+    let mut base_probes = Mean::new();
     for (query, task) in subjects {
         let (pruned, t1) = timed(|| exes.factual_skills(task, graph, query, true));
         let (baseline, t2) = timed(|| exes.factual_skills(task, graph, query, false));
@@ -88,6 +94,8 @@ fn measure<D: DecisionModel>(
         base_lat.add_duration(t2);
         exes_size.add(pruned.size() as f64);
         base_size.add(baseline.size() as f64);
+        exes_probes.add(pruned.accounting().probed as f64);
+        base_probes.add(baseline.accounting().probed as f64);
         p1.add(factual_precision_at_k(&pruned, &baseline, 1));
         p5.add(factual_precision_at_k(&pruned, &baseline, 5));
     }
@@ -100,15 +108,19 @@ fn measure<D: DecisionModel>(
         baseline_size: Some(base_size.mean()),
         precision_at_1: Some(p1.mean()),
         precision_at_5: Some(p5.mean()),
+        exes_probes: exes_probes.mean(),
+        baseline_probes: Some(base_probes.mean()),
     });
 
     // --- Query terms (no pruning applies) -----------------------------------
     let mut q_lat = Mean::new();
     let mut q_size = Mean::new();
+    let mut q_probes = Mean::new();
     for (query, task) in subjects {
         let (exp, t) = timed(|| exes.factual_query_terms(task, graph, query));
         q_lat.add_duration(t);
         q_size.add(exp.size() as f64);
+        q_probes.add(exp.accounting().probed as f64);
     }
     cells.push(FactualCell {
         dataset: dataset.clone(),
@@ -119,6 +131,8 @@ fn measure<D: DecisionModel>(
         baseline_size: None,
         precision_at_1: None,
         precision_at_5: None,
+        exes_probes: q_probes.mean(),
+        baseline_probes: None,
     });
 
     // --- Collaborations ------------------------------------------------------
@@ -128,6 +142,8 @@ fn measure<D: DecisionModel>(
     let mut c_base_size = Mean::new();
     let mut c_p1 = Mean::new();
     let mut c_p5 = Mean::new();
+    let mut c_exes_probes = Mean::new();
+    let mut c_base_probes = Mean::new();
     for (query, task) in subjects {
         let (pruned, t1) = timed(|| exes.factual_collaborations(task, graph, query, true));
         let (baseline, t2) = timed(|| exes.factual_collaborations(task, graph, query, false));
@@ -135,6 +151,8 @@ fn measure<D: DecisionModel>(
         c_base_lat.add_duration(t2);
         c_exes_size.add(pruned.size() as f64);
         c_base_size.add(baseline.size() as f64);
+        c_exes_probes.add(pruned.accounting().probed as f64);
+        c_base_probes.add(baseline.accounting().probed as f64);
         c_p1.add(factual_precision_at_k(&pruned, &baseline, 1));
         c_p5.add(factual_precision_at_k(&pruned, &baseline, 5));
     }
@@ -147,6 +165,8 @@ fn measure<D: DecisionModel>(
         baseline_size: Some(c_base_size.mean()),
         precision_at_1: Some(c_p1.mean()),
         precision_at_5: Some(c_p5.mean()),
+        exes_probes: c_exes_probes.mean(),
+        baseline_probes: Some(c_base_probes.mean()),
     });
 
     cells
@@ -171,6 +191,8 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
             "Latency (s) Baseline",
             "Expl. size ExES",
             "Expl. size Baseline",
+            "Probes ExES",
+            "Probes Baseline",
         ],
     );
     let mut precision_table = Table::new(
@@ -194,6 +216,10 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
                 cell.baseline_size
                     .map(fmt_num)
                     .unwrap_or_else(|| "—".into()),
+                fmt_num(cell.exes_probes),
+                cell.baseline_probes
+                    .map(fmt_num)
+                    .unwrap_or_else(|| "—".into()),
             ]);
             if let (Some(p1), Some(p5)) = (cell.precision_at_1, cell.precision_at_5) {
                 precision_table.push_row(vec![
@@ -212,31 +238,51 @@ pub fn run(harness: &HarnessConfig, mode: TaskMode) -> (Table, Table) {
 mod tests {
     use super::*;
 
+    /// Above every call's probes on this scenario (the largest, the pruned
+    /// collaborations of the expert, takes 3,305), so no cell is cut.
     fn tiny() -> HarnessConfig {
         HarnessConfig {
             dblp_scale: 0.004,
             github_scale: 0.02,
             num_queries: 3,
             num_subjects: 1,
-            baseline_timeout_secs: 1,
+            probe_budget: 5_000,
             shap_permutations: 2,
             seed: 5,
         }
+    }
+
+    /// Every column of a cell but latency. Explanations are a pure function
+    /// of (model, graph, query, configuration), so these repeat exactly.
+    fn frozen(cell: &FactualCell) -> String {
+        format!(
+            "{} | size {:?} {:?} | precision@1,5 {:?} {:?} | probes {:?} {:?}",
+            cell.features,
+            cell.exes_size,
+            cell.baseline_size,
+            cell.precision_at_1,
+            cell.precision_at_5,
+            cell.exes_probes,
+            cell.baseline_probes
+        )
     }
 
     #[test]
     fn factual_cells_cover_three_feature_families() {
         let scenario = Scenario::build(DatasetKind::Github, &tiny());
         let cells = run_scenario(&scenario, TaskMode::ExpertSearch);
-        let families: Vec<&str> = cells.iter().map(|c| c.features.as_str()).collect();
-        assert_eq!(families, vec!["Skills", "Query terms", "Collaborations"]);
+        assert_eq!(
+            cells.iter().map(frozen).collect::<Vec<_>>(),
+            [
+                "Skills | size 2.0 Some(4.0) | precision@1,5 Some(0.0) Some(0.0) \
+                 | probes 114.0 Some(604.0)",
+                "Query terms | size 1.0 None | precision@1,5 None None | probes 8.0 None",
+                "Collaborations | size 4.0 Some(9.0) | precision@1,5 Some(0.0) Some(0.0) \
+                 | probes 3305.0 Some(630.0)",
+            ]
+        );
         for cell in &cells {
             assert!(cell.exes_latency >= 0.0);
-            assert!(cell.exes_size >= 0.0);
-            if let (Some(p1), Some(p5)) = (cell.precision_at_1, cell.precision_at_5) {
-                assert!((0.0..=1.0).contains(&p1));
-                assert!((0.0..=1.0).contains(&p5));
-            }
         }
     }
 
@@ -244,6 +290,15 @@ mod tests {
     fn team_mode_also_produces_cells() {
         let scenario = Scenario::build(DatasetKind::Github, &tiny());
         let cells = run_scenario(&scenario, TaskMode::TeamFormation);
-        assert_eq!(cells.len(), 3);
+        assert_eq!(
+            cells.iter().map(frozen).collect::<Vec<_>>(),
+            [
+                "Skills | size 1.0 Some(3.0) | precision@1,5 Some(1.0) Some(1.0) \
+                 | probes 68.0 Some(604.0)",
+                "Query terms | size 1.0 None | precision@1,5 None None | probes 8.0 None",
+                "Collaborations | size 6.0 Some(2.0) | precision@1,5 Some(1.0) Some(0.2) \
+                 | probes 1317.0 Some(630.0)",
+            ]
+        );
     }
 }

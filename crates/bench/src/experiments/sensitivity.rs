@@ -228,7 +228,7 @@ mod tests {
             github_scale: 0.02,
             num_queries: 2,
             num_subjects: 1,
-            baseline_timeout_secs: 1,
+            probe_budget: 5_000,
             shap_permutations: 2,
             seed: 11,
         };

@@ -2,7 +2,6 @@
 
 use crate::probe::ProbeBudget;
 use exes_shap::ShapConfig;
-use std::time::Duration;
 
 /// How the black box's answer is turned into the scalar that SHAP attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +40,6 @@ pub struct ExesConfig {
     /// SHAP threshold `τ` used by the influential-collaboration expansion
     /// (paper default: 0.1).
     pub tau: f64,
-    /// Wall-clock budget for every counterfactual search, ExES's and the
-    /// exhaustive baselines'; `None` means no limit. The paper uses 1000 s
-    /// for its (much larger) datasets. Factual estimators are not timed:
-    /// [`ExesConfig::probe_budget`] bounds them.
-    pub timeout: Option<Duration>,
     /// How the decision is scalarised for SHAP.
     pub output_mode: OutputMode,
     /// Whether probe batches (counterfactual candidate scoring and factual
@@ -61,14 +55,22 @@ pub struct ExesConfig {
     /// run when exact enumeration does not apply (see [`exes_shap::shapley`]).
     pub shap: ShapConfig,
     /// Upper bound on *black-box* probes a single explanation may spend
-    /// (cache hits are free). The whole request is billed against it: the
-    /// reference probe, candidate scoring, and the search itself all draw
-    /// from one allowance, through the request's one probe session. When the
-    /// budget runs out, counterfactual searches return best-so-far marked
+    /// (cache hits are free): the one bound on explanation work, ExES's and
+    /// the exhaustive baselines' alike, so every result is a pure function of
+    /// (model, graph, query, configuration). The whole request is billed
+    /// against it: the reference probe, candidate scoring, and the search
+    /// itself all draw from one allowance, through the request's one probe
+    /// session. When the budget runs out, counterfactual searches return
+    /// best-so-far marked
     /// [`Completeness::Budgeted`](crate::probe::Completeness) and factual
     /// SHAP truncates its permutation sample, reporting wider confidence
     /// intervals. [`ProbeBudget::UNBOUNDED`] (the default) leaves every byte
-    /// of every result unchanged. One caveat: a counterfactual request's
+    /// of every result unchanged; the pruned families are then bounded by
+    /// the configuration alone — a beam search by `beam_width ×
+    /// num_candidates × max_explanation_size` probes, a sampled factual by
+    /// `shap.permutations × (m + 1)` evaluations over `m` features — while
+    /// an exhaustive baseline can enumerate combinatorially many subsets
+    /// unless a budget is set. One caveat: a counterfactual request's
     /// reference probe — its one probe of the unperturbed input — is issued
     /// unconditionally when the cache cannot answer it (a counterfactual
     /// question cannot even be posed without the reference decision), so a
@@ -87,7 +89,6 @@ impl Default for ExesConfig {
             num_explanations: 5,
             num_candidates: 10,
             tau: 0.1,
-            timeout: Some(Duration::from_secs(1000)),
             output_mode: OutputMode::Binary,
             parallel_probes: true,
             probe_cache_capacity: 1 << 18,
@@ -111,7 +112,6 @@ impl ExesConfig {
             max_explanation_size: 3,
             num_explanations: 3,
             num_candidates: 5,
-            timeout: Some(Duration::from_secs(30)),
             ..Self::default()
         }
     }
@@ -191,7 +191,6 @@ mod tests {
         assert_eq!(c.skill_radius, 1);
         assert_eq!(c.collab_radius, 2);
         assert!((c.tau - 0.1).abs() < 1e-12);
-        assert_eq!(c.timeout, Some(Duration::from_secs(1000)));
         assert_eq!(c.output_mode, OutputMode::Binary);
         assert!(c.parallel_probes);
         assert_eq!(c.probe_cache_capacity, 1 << 18);

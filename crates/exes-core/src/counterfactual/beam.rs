@@ -13,7 +13,6 @@ use crate::probe::{ProbeBatch, PROBE_CHUNK};
 use crate::tasks::{ErasedDecisionModel, Probe};
 use exes_graph::{Perturbation, PerturbationSet};
 use rustc_hash::FxHashSet;
-use std::time::Instant;
 
 /// Runs the paper's beam search (Algorithm 1) over the given candidate
 /// perturbations, looking for up to `cfg.num_explanations` minimal perturbation
@@ -28,9 +27,6 @@ use std::time::Instant;
 ///   from.
 /// * `candidates` — the pruned candidate features produced by Pruning
 ///   Strategies 4/5 (or an unpruned list, for ablations).
-/// * `deadline` — optional wall-clock cutoff, checked between probe chunks;
-///   when reached, whatever has been found so far is returned with
-///   `timed_out = true`.
 ///
 /// The search runs under `cfg.probe_budget`: black-box probes (cache hits are
 /// free) are counted against it, and once the next probe would overdraw the
@@ -46,7 +42,6 @@ pub fn beam_search<D: ErasedDecisionModel + ?Sized>(
     candidates: &[Perturbation],
     kind: CounterfactualKind,
     cfg: &ExesConfig,
-    deadline: Option<Instant>,
 ) -> CounterfactualResult {
     let mut result = CounterfactualResult::default();
     let mut budget = cfg.probe_budget.tracker();
@@ -79,12 +74,6 @@ pub fn beam_search<D: ErasedDecisionModel + ?Sized>(
 
         let mut expanded_queue: Vec<(f64, PerturbationSet)> = Vec::new();
         for raw_chunk in pending.chunks(PROBE_CHUNK) {
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    result.timed_out = true;
-                    break 'outer;
-                }
-            }
             if result.explanations.len() >= cfg.num_explanations {
                 break 'outer;
             }
@@ -190,7 +179,7 @@ mod tests {
     ) -> CounterfactualResult {
         let engine = ProbeBatch::new(task, g, q, config.parallel_probes, cache);
         let (reference, _) = engine.score(&[PerturbationSet::new()], None);
-        beam_search(&engine, reference[0], candidates, kind, config, None)
+        beam_search(&engine, reference[0], candidates, kind, config)
     }
 
     #[test]
@@ -226,7 +215,7 @@ mod tests {
             assert!(!task.probe(&view, &pq).positive);
         }
         assert!(result.minimal_size().unwrap() <= 2);
-        assert!(!result.timed_out);
+        assert_eq!(result.completeness, Completeness::Exhaustive);
         assert!(result.accounting.probed > 0);
     }
 
@@ -322,25 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_short_circuits() {
-        let g = graph();
-        let q = Query::parse("db ml", g.vocab()).unwrap();
-        let ranker = TfIdfRanker::default();
-        let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
-        let ml = g.vocab().id("ml").unwrap();
-        let candidates = vec![Perturbation::RemoveSkill {
-            person: PersonId(0),
-            skill: ml,
-        }];
-        let engine = ProbeBatch::new(&task, &g, &q, false, None);
-        let (reference, _) = engine.score(&[PerturbationSet::new()], None);
-        let deadline = Some(Instant::now());
-        let kind = CounterfactualKind::SkillRemoval;
-        let result = beam_search(&engine, reference[0], &candidates, kind, &cfg(), deadline);
-        assert!(result.timed_out || !result.is_empty());
-    }
-
-    #[test]
     fn explanations_are_sorted_by_size() {
         let g = graph();
         let q = Query::parse("db ml", g.vocab()).unwrap();
@@ -394,7 +364,7 @@ mod tests {
         let par = run(&parallel_cfg);
         let seq = run(&sequential_cfg);
         assert_eq!(par.accounting, seq.accounting);
-        assert_eq!(par.timed_out, seq.timed_out);
+        assert_eq!(par.completeness, seq.completeness);
         assert_eq!(par.explanations, seq.explanations);
     }
 

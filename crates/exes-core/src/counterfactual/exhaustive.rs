@@ -8,23 +8,21 @@ use crate::tasks::{ErasedDecisionModel, Probe};
 use exes_graph::{
     CollabGraph, GraphView, Neighborhood, PersonId, Perturbation, PerturbationSet, Query, SkillId,
 };
-use std::time::Instant;
 
 /// Enumerates perturbation subsets in order of increasing size (1, then 2, ...)
 /// over the full candidate space, recording every subset that flips the
 /// `reference` decision, until `e` explanations are found, the size budget
-/// `γ` is exhausted, or the deadline passes.
+/// `γ` is exhausted, or the probe budget runs out.
 ///
 /// This is the paper's exhaustive baseline: no beam, no embedding/link-prediction
 /// guidance — only the subset-size ordering that guarantees minimality of the
 /// returned explanations. Combinations are buffered into fixed-size chunks and
 /// scored through the request's probe session `engine` (in parallel when the
 /// session is); chunks are processed in enumeration order, so results are
-/// byte-identical to the sequential path. The deadline is checked between
-/// chunks. `reference` is the session's probe of the unperturbed input, and
-/// a cache behind the session memoises probes exactly as in
-/// [`super::beam::beam_search`]: results are byte-identical with or without
-/// it, only `result.accounting` changes.
+/// byte-identical to the sequential path. `reference` is the session's probe
+/// of the unperturbed input, and a cache behind the session memoises probes
+/// exactly as in [`super::beam::beam_search`]: results are byte-identical
+/// with or without it, only `result.accounting` changes.
 ///
 /// `cfg.probe_budget` bounds the number of *black-box* probes (cache hits are
 /// free). When the budget runs out mid-enumeration the search stops at the
@@ -39,28 +37,19 @@ pub fn exhaustive_search<D: ErasedDecisionModel + ?Sized>(
     candidates: &[Perturbation],
     kind: CounterfactualKind,
     cfg: &ExesConfig,
-    deadline: Option<Instant>,
 ) -> CounterfactualResult {
     let mut result = CounterfactualResult::default();
     let mut budget = cfg.probe_budget.tracker();
     let initial_relevance = reference.positive;
 
     // Scores a buffered chunk in enumeration order; returns false when the
-    // search must stop (explanation count reached, probe budget spent, or
-    // deadline passed).
+    // search must stop (explanation count reached or probe budget spent).
     let score_chunk = |chunk: &mut Vec<PerturbationSet>,
                        result: &mut CounterfactualResult,
                        budget: &mut crate::probe::BudgetTracker|
      -> bool {
         if chunk.is_empty() {
             return true;
-        }
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                result.timed_out = true;
-                chunk.clear();
-                return false;
-            }
         }
         let (probes, stats) = engine.score(chunk, budget.remaining());
         budget.charge(stats.probed);
@@ -241,7 +230,6 @@ mod tests {
     use crate::tasks::{DecisionModel, ExpertRelevanceTask};
     use exes_expert_search::TfIdfRanker;
     use exes_graph::CollabGraphBuilder;
-    use std::time::Duration;
 
     /// Searches `candidates` in a fresh session, probing the reference
     /// outside the search's accounting and budget, as `Exes` does.
@@ -251,11 +239,10 @@ mod tests {
         candidates: &[Perturbation],
         kind: CounterfactualKind,
         cfg: &ExesConfig,
-        deadline: Option<Instant>,
     ) -> CounterfactualResult {
         let engine = ProbeBatch::new(task, g, q, cfg.parallel_probes, None);
         let (reference, _) = engine.score(&[PerturbationSet::new()], None);
-        exhaustive_search(&engine, reference[0], candidates, kind, cfg, deadline)
+        exhaustive_search(&engine, reference[0], candidates, kind, cfg)
     }
 
     fn graph() -> CollabGraph {
@@ -292,7 +279,6 @@ mod tests {
             &candidates,
             CounterfactualKind::SkillRemoval,
             &ExesConfig::fast().with_k(1),
-            None,
         );
         assert!(!result.is_empty());
         let minimal = result.minimal_size().unwrap();
@@ -324,25 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn instant_deadline_times_out() {
-        let g = graph();
-        let q = Query::parse("db ml", g.vocab()).unwrap();
-        let ranker = TfIdfRanker::default();
-        let task = ExpertRelevanceTask::new(&ranker, PersonId(2), 1);
-        let candidates = all_query_augmentations(&g, &q);
-        let deadline = Some(Instant::now() - Duration::from_millis(1));
-        let result = search(
-            &task,
-            (&g, &q),
-            &candidates,
-            CounterfactualKind::QueryAugmentation,
-            &ExesConfig::fast().with_k(1),
-            deadline,
-        );
-        assert!(result.timed_out || !result.is_empty());
-    }
-
-    #[test]
     fn budget_truncates_the_baseline_honestly() {
         let g = graph();
         let q = Query::parse("db ml", g.vocab()).unwrap();
@@ -356,7 +323,6 @@ mod tests {
                 &candidates,
                 CounterfactualKind::SkillRemoval,
                 &ExesConfig::fast().with_k(1).with_probe_budget(budget),
-                None,
             )
         };
         let unbounded = run(crate::probe::ProbeBudget::UNBOUNDED);
@@ -364,12 +330,16 @@ mod tests {
             unbounded.completeness,
             crate::probe::Completeness::Exhaustive
         );
-        // Matching the unbounded spend exactly changes nothing.
-        let matched = run(crate::probe::ProbeBudget::bounded(
-            unbounded.accounting.probed,
-        ));
-        assert_eq!(matched.explanations, unbounded.explanations);
-        assert_eq!(matched.completeness, crate::probe::Completeness::Exhaustive);
+        // Matching the unbounded spend exactly, or exceeding it, changes
+        // nothing: the whole result, accounting and completeness included.
+        let spent = unbounded.accounting.probed;
+        for ample in [spent, spent + 1, 10 * spent] {
+            assert_eq!(
+                run(crate::probe::ProbeBudget::bounded(ample)),
+                unbounded,
+                "budget {ample}"
+            );
+        }
         // A 2-probe budget (two of the four singletons) is overdrawn
         // mid-chunk.
         let starved = run(crate::probe::ProbeBudget::bounded(2));
@@ -395,9 +365,8 @@ mod tests {
             &[],
             CounterfactualKind::SkillRemoval,
             &ExesConfig::fast(),
-            None,
         );
         assert!(result.is_empty());
-        assert!(!result.timed_out);
+        assert_eq!(result.completeness, crate::probe::Completeness::Exhaustive);
     }
 }

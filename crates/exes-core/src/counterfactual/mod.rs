@@ -55,7 +55,7 @@ impl CounterfactualExplanation {
 }
 
 /// The outcome of a counterfactual search (pruned or exhaustive).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CounterfactualResult {
     /// Explanations found, sorted by size and then by how strongly they move the
     /// subject's rank in the desired direction.
@@ -65,8 +65,6 @@ pub struct CounterfactualResult {
     /// search. With a [`crate::probe::ProbeCache`], `probed` counts only the
     /// probes that reached the black box, so a warm cache makes it drop.
     pub accounting: BatchStats,
-    /// Whether the search stopped because the configured timeout elapsed.
-    pub timed_out: bool,
     /// Whether the search ran to its natural end or was cut short by the
     /// configured [`ProbeBudget`] (`ExesConfig::probe_budget`). A `Budgeted`
     /// result is best-so-far, never a panic or a silent truncation.

@@ -22,7 +22,6 @@ use exes_embedding::SkillEmbedding;
 use exes_graph::{CollabGraph, Perturbation, PerturbationSet, Query};
 use exes_linkpred::LinkPredictor;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Which of the two skill-addition exhaustive baselines to run (Section 4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +40,6 @@ type Search<D> = fn(
     &[Perturbation],
     CounterfactualKind,
     &ExesConfig,
-    Option<Instant>,
 ) -> CounterfactualResult;
 
 /// A search's candidate perturbations and their kind, plus the probes spent
@@ -122,10 +120,6 @@ impl Exes {
     /// The skill embedding used for Pruning Strategy 4.
     pub fn embedding(&self) -> &SkillEmbedding {
         &self.embedding
-    }
-
-    fn deadline(&self) -> Option<Instant> {
-        self.config.timeout.map(|t| Instant::now() + t)
     }
 
     /// Opens the probe session of one family call: every probe of the
@@ -372,17 +366,16 @@ impl Exes {
 
     /// The request-level path shared by every counterfactual family.
     ///
-    /// It starts the request's [`ExesConfig::timeout`] clock before anything
-    /// else and then opens the request's probe session. It probes the
-    /// reference decision — the empty perturbation set — once, through the
-    /// session, so a warm cache answers it for free and a plan answers it
-    /// without a full ranking. It generates the candidates from that
-    /// decision and the budget it left, and runs `search` on what the
-    /// request's [`ProbeBudget`] still allows. The reference probe and any
-    /// candidate scoring are merged into the result's accounting, so it
-    /// counts every probe of the request, and a [`Completeness::Budgeted`]
-    /// marker reports that total against the configured budget — set as well
-    /// when candidate scoring, not the search, ran out of budget.
+    /// It opens the request's probe session and probes the reference
+    /// decision — the empty perturbation set — once, through the session, so
+    /// a warm cache answers it for free and a plan answers it without a full
+    /// ranking. It generates the candidates from that decision and the budget
+    /// it left, and runs `search` on what the request's [`ProbeBudget`] still
+    /// allows. The reference probe and any candidate scoring are merged into
+    /// the result's accounting, so it counts every probe of the request, and
+    /// a [`Completeness::Budgeted`] marker reports that total against the
+    /// configured budget — set as well when candidate scoring, not the
+    /// search, ran out of budget.
     fn counterfactual<D: ErasedDecisionModel + ?Sized>(
         &self,
         task: &D,
@@ -391,7 +384,6 @@ impl Exes {
         search: Search<D>,
         candidates: impl FnOnce(&ProbeBatch<'_, D>, bool, Option<usize>) -> Candidates,
     ) -> CounterfactualResult {
-        let deadline = self.deadline();
         let engine = self.session(task, graph, query);
         let mut budget = self.config.probe_budget.tracker();
         // Unbounded: the reference is probed even when the budget cannot
@@ -407,14 +399,7 @@ impl Exes {
             .remaining()
             .map_or(ProbeBudget::UNBOUNDED, ProbeBudget::bounded);
         let search_cfg = self.config.clone().with_probe_budget(remaining);
-        let mut result = search(
-            &engine,
-            reference,
-            &perturbations,
-            kind,
-            &search_cfg,
-            deadline,
-        );
+        let mut result = search(&engine, reference, &perturbations, kind, &search_cfg);
         result.accounting.merge(&accounting);
         if let Some(limit) = self.config.probe_budget.limit() {
             if scoring_truncated || result.completeness.is_budgeted() {
@@ -441,7 +426,6 @@ mod tests {
     use exes_linkpred::CommonNeighbors;
     use exes_team::GreedyCoverTeamFormer;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     struct Fixture {
         ds: SyntheticDataset,
@@ -617,53 +601,54 @@ mod tests {
         assert_explain_matches_families(&f.exes, &team, &f.ds.graph, &q);
     }
 
-    /// An expert-relevance decision that sleeps before every probe and
-    /// counts the probes it answers.
-    struct Sleepy<'a> {
+    /// An expert-relevance decision that counts the probes it answers.
+    struct Counting<'a> {
         task: ExpertRelevanceTask<'a, PropagationRanker>,
-        delay: Duration,
         probes: AtomicUsize,
     }
 
-    impl DecisionModel for Sleepy<'_> {
+    impl DecisionModel for Counting<'_> {
         fn subject(&self) -> PersonId {
             self.task.subject()
         }
 
         fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe {
-            std::thread::sleep(self.delay);
             self.probes.fetch_add(1, Ordering::Relaxed);
             self.task.probe(graph, query)
         }
     }
 
     #[test]
-    fn the_timeout_runs_from_the_start_of_the_request() {
+    fn a_budget_spent_before_the_search_leaves_it_no_probe() {
         let mut f = fixture();
         let (q, inside, _) = query_and_subjects(&f);
-        let delay = Duration::from_millis(10);
-        f.exes.config_mut().parallel_probes = false;
-        f.exes.config_mut().timeout = Some(4 * delay);
-        let task = Sleepy {
+        let task = Counting {
             task: ExpertRelevanceTask::new(&f.ranker, inside, f.exes.config().k),
-            delay,
             probes: AtomicUsize::new(0),
         };
         // A selected subject's link-removal candidates are scored one probe
-        // per edge of its neighbourhood: on their own, those probes outlast
-        // the timeout.
+        // per edge of its neighbourhood; the budget covers exactly those and
+        // the reference probe.
         let scored = Neighborhood::compute(&f.ds.graph, inside, f.exes.config().collab_radius)
             .edges_within(&f.ds.graph)
             .len();
         assert!(scored > 4, "only {scored} candidate edges");
+        let budget = 1 + scored;
+        f.exes.config_mut().probe_budget = ProbeBudget::bounded(budget);
 
         let result = f.exes.counterfactual_links(&task, &f.ds.graph, &q);
-        assert!(result.timed_out);
         assert!(result.explanations.is_empty());
+        assert_eq!(
+            result.completeness,
+            Completeness::Budgeted {
+                spent: budget,
+                budget
+            }
+        );
         // The one reference probe and the candidate scoring ran; no search
         // chunk did.
-        assert_eq!(task.probes.load(Ordering::Relaxed), 1 + scored);
-        assert_eq!(result.accounting.probed, 1 + scored);
+        assert_eq!(task.probes.load(Ordering::Relaxed), budget);
+        assert_eq!(result.accounting.probed, budget);
     }
 
     /// A propagation relevance decision that counts its plan builds.

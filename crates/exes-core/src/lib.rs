@@ -53,7 +53,7 @@ pub use explainer::Exes;
 pub use factual::FactualExplanation;
 pub use features::Feature;
 pub use metrics::{counterfactual_precision, factual_precision_at_k, PrecisionReport};
-pub use model::{ModelFamilyKind, ModelId, ModelRegistry, ModelSpec, ModelSpecError, SeedPolicy};
+pub use model::{ModelId, ModelRegistry, ModelSpec, ModelSpecError, SeedPolicy};
 pub use probe::{
     BaselinePlan, BatchStats, Completeness, CostEstimate, ProbeBatch, ProbeBudget, ProbeCache,
 };

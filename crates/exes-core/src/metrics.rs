@@ -52,10 +52,11 @@ pub struct PrecisionReport {
 /// Computes Precision and Precision* of ExES's counterfactuals against the
 /// exhaustive baseline's minimal explanation size.
 ///
-/// When the baseline found nothing (e.g. it timed out before reaching any
-/// explanation), ExES's own minimal size is used as the reference — this is the
-/// most conservative interpretation that still yields a defined number, and it
-/// matches how incomparable cases are excluded from harm in the paper.
+/// When the baseline found nothing (e.g. it was cut by the probe budget
+/// before reaching any explanation), ExES's own minimal size is used as the
+/// reference — this is the most conservative interpretation that still yields
+/// a defined number, and it matches how incomparable cases are excluded from
+/// harm in the paper.
 /// Returns `None` when ExES itself found nothing (no explanations to score).
 pub fn counterfactual_precision(
     exes: &CounterfactualResult,

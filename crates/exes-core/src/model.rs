@@ -95,14 +95,11 @@ impl std::error::Error for ModelSpecError {}
 /// probe-ready [`ErasedDecisionModel`]. Object-safe so the registry can store
 /// arbitrary ranker / former types side by side.
 trait ModelFamily: Send + Sync {
-    /// Instantiates the decision model for one subject.
+    /// Binds the decision model to one subject.
     fn bind<'a>(&'a self, subject: PersonId) -> Box<dyn ErasedDecisionModel + 'a>;
 
     /// Validates the configuration without instantiating per-request state.
     fn validate(&self) -> Result<(), ModelSpecError>;
-
-    /// Which explanation family the model belongs to.
-    fn family(&self) -> ModelFamilyKind;
 
     /// The fixed seed handed to a team former, if any.
     fn seed(&self) -> Option<PersonId> {
@@ -111,15 +108,6 @@ trait ModelFamily: Send + Sync {
 
     /// Human-readable configuration summary (for `Debug` and diagnostics).
     fn describe(&self) -> String;
-}
-
-/// The two decision families the paper explains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelFamilyKind {
-    /// Top-`k` relevance under an [`ExpertRanker`].
-    ExpertRelevance,
-    /// Membership in the team formed by a [`TeamFormer`].
-    TeamMembership,
 }
 
 struct ExpertModel<R> {
@@ -136,10 +124,6 @@ impl<R: ExpertRanker + Send + Sync> ModelFamily for ExpertModel<R> {
         // Route through the non-panicking constructor so the registry and the
         // task agree on what "valid" means.
         ExpertRelevanceTask::try_new(&self.ranker, PersonId(0), self.k).map(|_| ())
-    }
-
-    fn family(&self) -> ModelFamilyKind {
-        ModelFamilyKind::ExpertRelevance
     }
 
     fn describe(&self) -> String {
@@ -169,10 +153,6 @@ where
 
     fn validate(&self) -> Result<(), ModelSpecError> {
         Ok(())
-    }
-
-    fn family(&self) -> ModelFamilyKind {
-        ModelFamilyKind::TeamMembership
     }
 
     fn seed(&self) -> Option<PersonId> {
@@ -229,11 +209,6 @@ impl ModelSpec {
                 seed,
             }),
         }
-    }
-
-    /// Which decision family this spec configures.
-    pub fn family(&self) -> ModelFamilyKind {
-        self.family.family()
     }
 
     /// Rejects a fixed team seed outside a graph of `num_people` people.
@@ -327,11 +302,6 @@ impl ModelRegistry {
         self.models.get(id.index()).map(|m| m.fingerprint)
     }
 
-    /// Which decision family a registered model belongs to.
-    pub fn family(&self, id: ModelId) -> Option<ModelFamilyKind> {
-        self.models.get(id.index()).map(|m| m.spec.family())
-    }
-
     /// Iterates over `(id, name)` pairs in registration order.
     pub fn models(&self) -> impl Iterator<Item = (ModelId, &str)> {
         self.models
@@ -350,7 +320,7 @@ impl ModelRegistry {
         self.models.is_empty()
     }
 
-    /// Instantiates the decision model `id` for one subject.
+    /// Binds the decision model `id` to one subject.
     ///
     /// # Panics
     ///
@@ -410,8 +380,6 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.id("tfidf@3"), Some(a));
         assert_eq!(reg.name(b), Some("team"));
-        assert_eq!(reg.family(a), Some(ModelFamilyKind::ExpertRelevance));
-        assert_eq!(reg.family(b), Some(ModelFamilyKind::TeamMembership));
         assert_eq!(reg.id("unknown"), None);
         let listed: Vec<_> = reg.models().collect();
         assert_eq!(listed, vec![(a, "tfidf@3"), (b, "team")]);

@@ -28,7 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of candidate sets scored per batch by the search loops. Bounds how
-/// much work is in flight between deadline checks and early-exit tests.
+/// much work is in flight between early-exit tests (explanation count
+/// reached, minimality pruning, probe budget spent).
 pub const PROBE_CHUNK: usize = 128;
 
 // ---------------------------------------------------------------------------
@@ -161,15 +162,6 @@ impl CostEstimate {
     /// True for the expensive class (no memoised state at all).
     pub fn is_cold(self) -> bool {
         matches!(self, CostEstimate::Cold)
-    }
-
-    /// Stable lowercase tag (`"warm"` / `"incremental"` / `"cold"`).
-    pub fn tag(self) -> &'static str {
-        match self {
-            CostEstimate::Warm => "warm",
-            CostEstimate::Incremental => "incremental",
-            CostEstimate::Cold => "cold",
-        }
     }
 }
 
@@ -1281,9 +1273,6 @@ mod tests {
         // A different query is a fresh, cold context.
         let q2 = Query::parse("s1", g.vocab()).unwrap();
         assert_eq!(cache.estimate(&g, &q2, &task), CostEstimate::Cold);
-        assert_eq!(CostEstimate::Warm.tag(), "warm");
-        assert_eq!(CostEstimate::Incremental.tag(), "incremental");
-        assert_eq!(CostEstimate::Cold.tag(), "cold");
     }
 
     #[test]

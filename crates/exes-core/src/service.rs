@@ -486,7 +486,7 @@ impl ExesService {
         self.registry.id(name)
     }
 
-    /// The service's model registry (names, families, fingerprints).
+    /// The service's model registry (names and fingerprints).
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
     }
@@ -815,7 +815,6 @@ mod tests {
         match (a, b) {
             (Explanation::Counterfactual(a), Explanation::Counterfactual(b)) => {
                 assert_eq!(a.explanations, b.explanations);
-                assert_eq!(a.timed_out, b.timed_out);
             }
             (Explanation::Factual(a), Explanation::Factual(b)) => {
                 assert_eq!(a.features(), b.features());

@@ -69,7 +69,6 @@ type Search<'t> = fn(
     &[Perturbation],
     CounterfactualKind,
     &ExesConfig,
-    Option<std::time::Instant>,
 ) -> CounterfactualResult;
 
 /// A counterfactual search over `candidates` in one probe session, as
@@ -84,7 +83,7 @@ fn session_search<'t>(
     let engine = ProbeBatch::new(task, &f.ds.graph, &f.query, cfg.parallel_probes, cache);
     let (reference, stats) = engine.score(&[PerturbationSet::new()], None);
     let kind = CounterfactualKind::SkillRemoval;
-    let mut result = search(&engine, reference[0], candidates, kind, cfg, None);
+    let mut result = search(&engine, reference[0], candidates, kind, cfg);
     result.accounting.merge(&stats);
     result
 }
@@ -189,7 +188,6 @@ fn assert_same_explanation(a: &Explanation, b: &Explanation, context: &str) {
     match (a, b) {
         (Explanation::Counterfactual(a), Explanation::Counterfactual(b)) => {
             assert_eq!(a.explanations, b.explanations, "{context}");
-            assert_eq!(a.timed_out, b.timed_out, "{context}");
         }
         (Explanation::Factual(a), Explanation::Factual(b)) => {
             assert_eq!(

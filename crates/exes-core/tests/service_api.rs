@@ -86,7 +86,6 @@ fn assert_same_explanation(got: &Explanation, reference: &Explanation) {
     match (got, reference) {
         (Explanation::Counterfactual(got), Explanation::Counterfactual(reference)) => {
             assert_eq!(got.explanations, reference.explanations);
-            assert_eq!(got.timed_out, reference.timed_out);
         }
         (Explanation::Factual(got), Explanation::Factual(reference)) => {
             assert_eq!(got.features(), reference.features());

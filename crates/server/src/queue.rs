@@ -182,14 +182,13 @@ impl AdmissionQueue {
             if now >= deadline {
                 break;
             }
-            let (next, timeout) = self
+            // A wait that runs out ends the batch at the deadline check
+            // above, after taking any job that arrived meanwhile.
+            state = self
                 .arrived
                 .wait_timeout(state, deadline - now)
-                .expect("queue poisoned");
-            state = next;
-            if timeout.timed_out() && state.jobs.is_empty() {
-                break;
-            }
+                .expect("queue poisoned")
+                .0;
         }
         state.queued_requests -= batch
             .iter()

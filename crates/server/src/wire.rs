@@ -311,9 +311,8 @@ fn counterfactual_json(result: &CounterfactualResult, graph: &CollabGraph) -> St
     }
     let _ = write!(
         out,
-        "],\"completeness\":{},\"timed_out\":{},\"accounting\":{}}}}}",
+        "],\"completeness\":{},\"accounting\":{}}}}}",
         completeness_json(result.completeness),
-        result.timed_out,
         accounting_json(&result.accounting)
     );
     out
@@ -686,7 +685,6 @@ mod tests {
                 full_rescores: 2,
             },
             completeness: Completeness::Exhaustive,
-            timed_out: false,
         };
         let text = explanation_json(&Explanation::Counterfactual(result), &g);
         assert_eq!(
@@ -694,8 +692,8 @@ mod tests {
             "{\"counterfactual\":{\"explanations\":[{\"kind\":\"skill_removal\",\
              \"size\":1,\"new_signal\":2.5,\"perturbations\":[{\"op\":\"remove_skill\",\
              \"person\":0,\"skill\":\"db\"}]}],\"completeness\":\"exhaustive\",\
-             \"timed_out\":false,\"accounting\":{\"probes\":7,\"cache_hits\":1,\
-             \"cache_misses\":6,\"incremental_rescores\":5,\"full_rescores\":2}}}"
+             \"accounting\":{\"probes\":7,\"cache_hits\":1,\"cache_misses\":6,\
+             \"incremental_rescores\":5,\"full_rescores\":2}}}"
         );
         // And it parses back as valid JSON.
         let parsed = json::parse(&text).unwrap();

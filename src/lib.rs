@@ -52,9 +52,9 @@ pub mod prelude {
     pub use exes_core::{
         counterfactual_precision, factual_precision_at_k, CounterfactualKind, DecisionModel,
         ErasedDecisionModel, Exes, ExesConfig, ExesService, ExpertRelevanceTask, Explanation,
-        ExplanationKind, ExplanationRequest, FactualExplanation, Feature, ModelFamilyKind, ModelId,
-        ModelRegistry, ModelSpec, ModelSpecError, OutputMode, ProbeCache, RequestError, SeedPolicy,
-        ServiceReport, TeamMembershipTask,
+        ExplanationKind, ExplanationRequest, FactualExplanation, Feature, ModelId, ModelRegistry,
+        ModelSpec, ModelSpecError, OutputMode, ProbeCache, RequestError, SeedPolicy, ServiceReport,
+        TeamMembershipTask,
     };
     pub use exes_datasets::{
         Corpus, DatasetConfig, QueryWorkload, SyntheticDataset, UpdateStream, UpdateStreamConfig,

@@ -244,7 +244,7 @@ fn parallel_and_sequential_counterfactuals_are_identical() {
                 CommonNeighbors,
             );
             let result = exes.counterfactual_skills(&task, &graph, &query);
-            (result.accounting, result.timed_out, result.explanations)
+            (result.accounting, result.completeness, result.explanations)
         };
         assert_eq!(run(true), run(false), "case {case}");
     }
