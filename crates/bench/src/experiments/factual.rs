@@ -286,6 +286,28 @@ mod tests {
         }
     }
 
+    /// Under a budget well below the unbounded 3,305 probes, the expansion
+    /// passes must leave the final pass enough probes to score the
+    /// impactful edges they found.
+    #[test]
+    fn budgeted_collaborations_keep_probes_for_the_final_pass() {
+        let harness = HarnessConfig {
+            probe_budget: 2_000,
+            ..tiny()
+        };
+        let scenario = Scenario::build(DatasetKind::Github, &harness);
+        let (experts, _) = scenario.sample_experts_and_non_experts(1);
+        let (query, subject) = &experts[0];
+        let task = ExpertRelevanceTask::new(&scenario.ranker, *subject, scenario.exes.config().k);
+        let explanation =
+            scenario
+                .exes
+                .factual_collaborations(&task, &scenario.dataset.graph, query, true);
+        assert!(explanation.size() >= 1, "the final pass found nothing");
+        assert!(explanation.accounting().probed <= 2_000);
+        assert!(explanation.completeness().is_budgeted());
+    }
+
     #[test]
     fn team_mode_also_produces_cells() {
         let scenario = Scenario::build(DatasetKind::Github, &tiny());

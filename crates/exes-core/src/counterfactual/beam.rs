@@ -10,7 +10,7 @@
 use super::{CounterfactualExplanation, CounterfactualKind, CounterfactualResult};
 use crate::config::ExesConfig;
 use crate::probe::{ProbeBatch, PROBE_CHUNK};
-use crate::tasks::{ErasedDecisionModel, Probe};
+use crate::tasks::{DecisionModel, Probe};
 use exes_graph::{Perturbation, PerturbationSet};
 use rustc_hash::FxHashSet;
 
@@ -36,7 +36,7 @@ use rustc_hash::FxHashSet;
 /// byte-identical to the unbudgeted search. The result counts the search's
 /// own probes; [`crate::Exes`] adds the reference probe and any candidate
 /// scoring of the request.
-pub fn beam_search<D: ErasedDecisionModel + ?Sized>(
+pub fn beam_search<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     reference: Probe,
     candidates: &[Perturbation],

@@ -3,7 +3,7 @@
 
 use crate::config::ExesConfig;
 use crate::probe::{BatchStats, ProbeBatch};
-use crate::tasks::ErasedDecisionModel;
+use crate::tasks::DecisionModel;
 use exes_embedding::SkillEmbedding;
 use exes_graph::{
     CollabGraph, GraphView, Neighborhood, PersonId, Perturbation, PerturbationSet, Query, SkillId,
@@ -22,8 +22,7 @@ mod sealed {
 /// Strategy 5. [`crate::Exes`] holds one behind an `Arc`, so neither the
 /// explainer nor anything serving it carries a link-predictor type
 /// parameter. Sealed and blanket-implemented for every thread-safe
-/// [`LinkPredictor`], exactly as [`crate::tasks::ErasedDecisionModel`]
-/// erases decision models.
+/// [`LinkPredictor`].
 pub trait ErasedLinkPredictor: sealed::Sealed + Send + Sync {
     /// [`LinkPredictor::top_candidates`] on the base graph.
     fn top_candidates(
@@ -178,13 +177,13 @@ pub fn query_augmentation_candidates(
 /// Returns the candidate perturbations, the scoring batch's probe accounting
 /// (`probed` is the number of probes that actually reached the black box),
 /// and whether the probe cap truncated the scoring.
-pub fn link_removal_candidates<D: ErasedDecisionModel + ?Sized>(
+pub fn link_removal_candidates<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     max_probes: Option<usize>,
 ) -> (Vec<Perturbation>, BatchStats, bool) {
     let graph = engine.graph();
-    let neighborhood = Neighborhood::compute(graph, engine.task().subject_id(), cfg.collab_radius);
+    let neighborhood = Neighborhood::compute(graph, engine.task().subject(), cfg.collab_radius);
     let edges = neighborhood.edges_within(graph);
     let perturbations: Vec<Perturbation> = edges
         .into_iter()

@@ -4,7 +4,7 @@
 use super::{CounterfactualExplanation, CounterfactualKind, CounterfactualResult};
 use crate::config::ExesConfig;
 use crate::probe::{ProbeBatch, PROBE_CHUNK};
-use crate::tasks::{ErasedDecisionModel, Probe};
+use crate::tasks::{DecisionModel, Probe};
 use exes_graph::{
     CollabGraph, GraphView, Neighborhood, PersonId, Perturbation, PerturbationSet, Query, SkillId,
 };
@@ -31,7 +31,7 @@ use exes_graph::{
 /// silent truncation. An unbounded budget leaves every byte of the result
 /// unchanged. The result counts the search's own probes; [`crate::Exes`]
 /// adds the reference probe of the request.
-pub fn exhaustive_search<D: ErasedDecisionModel + ?Sized>(
+pub fn exhaustive_search<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     reference: Probe,
     candidates: &[Perturbation],

@@ -17,7 +17,7 @@ use crate::factual::{
 };
 use crate::probe::{BatchStats, Completeness, ProbeBatch, ProbeBudget, ProbeCache};
 use crate::service::{Explanation, ExplanationKind};
-use crate::tasks::{ErasedDecisionModel, Probe};
+use crate::tasks::{DecisionModel, Probe};
 use exes_embedding::SkillEmbedding;
 use exes_graph::{CollabGraph, Perturbation, PerturbationSet, Query};
 use exes_linkpred::LinkPredictor;
@@ -58,10 +58,10 @@ fn unscored(perturbations: Vec<Perturbation>, kind: CounterfactualKind) -> Candi
 /// [`ErasedLinkPredictor`] — plus an optional probe memo cache shared by
 /// every explanation computed through this instance.
 ///
-/// Every method is generic over `D: ErasedDecisionModel + ?Sized` (every
-/// [`crate::tasks::DecisionModel`] qualifies, and so does the boxed
-/// `dyn ErasedDecisionModel` the model registry stores), so the same explainer
-/// instance serves expert-search relevance and team-membership questions.
+/// Every method is generic over `D: DecisionModel + ?Sized` (a concrete
+/// task, or the boxed `dyn DecisionModel` the model registry stores), so the
+/// same explainer instance serves expert-search relevance and
+/// team-membership questions.
 #[derive(Debug, Clone)]
 pub struct Exes {
     config: ExesConfig,
@@ -124,7 +124,7 @@ impl Exes {
 
     /// Opens the probe session of one family call: every probe of the
     /// request goes through it, its plan fetched once.
-    fn session<'a, D: ErasedDecisionModel + ?Sized>(
+    fn session<'a, D: DecisionModel + ?Sized>(
         &'a self,
         task: &'a D,
         graph: &'a CollabGraph,
@@ -143,7 +143,7 @@ impl Exes {
     /// [`ExplanationKind`] to its family method, with the factual families
     /// pruned. [`crate::service::ExesService`] answers every request through
     /// it.
-    pub fn explain<D: ErasedDecisionModel + ?Sized>(
+    pub fn explain<D: DecisionModel + ?Sized>(
         &self,
         kind: ExplanationKind,
         task: &D,
@@ -177,7 +177,7 @@ impl Exes {
     // ------------------------------------------------------------------
 
     /// Skill factual explanation (Pruning Strategy 1 when `pruned`).
-    pub fn factual_skills<D: ErasedDecisionModel + ?Sized>(
+    pub fn factual_skills<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -188,7 +188,7 @@ impl Exes {
     }
 
     /// Query-term factual explanation (no pruning applies).
-    pub fn factual_query_terms<D: ErasedDecisionModel + ?Sized>(
+    pub fn factual_query_terms<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -198,7 +198,7 @@ impl Exes {
     }
 
     /// Collaboration factual explanation (Pruning Strategy 2 when `pruned`).
-    pub fn factual_collaborations<D: ErasedDecisionModel + ?Sized>(
+    pub fn factual_collaborations<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -214,13 +214,13 @@ impl Exes {
 
     /// Skill counterfactuals: removals when the subject is currently selected,
     /// additions otherwise (Section 3.3.1).
-    pub fn counterfactual_skills<D: ErasedDecisionModel + ?Sized>(
+    pub fn counterfactual_skills<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
         query: &Query,
     ) -> CounterfactualResult {
-        let (subject, embedding, cfg) = (task.subject_id(), &self.embedding, &self.config);
+        let (subject, embedding, cfg) = (task.subject(), &self.embedding, &self.config);
         self.counterfactual(task, graph, query, beam_search, |_, selected, _| {
             if selected {
                 unscored(
@@ -237,7 +237,7 @@ impl Exes {
     }
 
     /// Query-augmentation counterfactuals (Section 3.3.2).
-    pub fn counterfactual_query<D: ErasedDecisionModel + ?Sized>(
+    pub fn counterfactual_query<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -248,7 +248,7 @@ impl Exes {
                 candidates::query_augmentation_candidates(
                     graph,
                     query,
-                    task.subject_id(),
+                    task.subject(),
                     selected,
                     &self.embedding,
                     &self.config,
@@ -260,7 +260,7 @@ impl Exes {
 
     /// Collaboration counterfactuals: link removals when the subject is selected,
     /// link additions otherwise (Section 3.3.3, Pruning Strategy 5).
-    pub fn counterfactual_links<D: ErasedDecisionModel + ?Sized>(
+    pub fn counterfactual_links<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -285,7 +285,7 @@ impl Exes {
                     unscored(
                         candidates::link_addition_candidates(
                             graph,
-                            task.subject_id(),
+                            task.subject(),
                             self.link_predictor.as_ref(),
                             &self.config,
                         ),
@@ -303,7 +303,7 @@ impl Exes {
     /// Exhaustive skill counterfactuals. For selected subjects this searches all
     /// skill removals in the network; for unselected subjects the
     /// `addition_baseline` chooses between the paper's N and S baselines.
-    pub fn counterfactual_skills_exhaustive<D: ErasedDecisionModel + ?Sized>(
+    pub fn counterfactual_skills_exhaustive<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -324,7 +324,7 @@ impl Exes {
                     skill_additions_all_people(graph, &skills)
                 }
                 SkillAdditionBaseline::AllSkills => {
-                    skill_additions_all_skills(graph, task.subject_id(), self.config.skill_radius)
+                    skill_additions_all_skills(graph, task.subject(), self.config.skill_radius)
                 }
             };
             unscored(additions, CounterfactualKind::SkillAddition)
@@ -332,7 +332,7 @@ impl Exes {
     }
 
     /// Exhaustive query-augmentation counterfactuals (every skill not in the query).
-    pub fn counterfactual_query_exhaustive<D: ErasedDecisionModel + ?Sized>(
+    pub fn counterfactual_query_exhaustive<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -348,7 +348,7 @@ impl Exes {
 
     /// Exhaustive collaboration counterfactuals: all edge removals (selected
     /// subjects) or all missing edges incident to the subject (unselected).
-    pub fn counterfactual_links_exhaustive<D: ErasedDecisionModel + ?Sized>(
+    pub fn counterfactual_links_exhaustive<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -358,7 +358,7 @@ impl Exes {
             if selected {
                 unscored(all_link_removals(graph), CounterfactualKind::LinkRemoval)
             } else {
-                let additions = all_link_additions(graph, task.subject_id());
+                let additions = all_link_additions(graph, task.subject());
                 unscored(additions, CounterfactualKind::LinkAddition)
             }
         })
@@ -376,7 +376,7 @@ impl Exes {
     /// a [`Completeness::Budgeted`] marker reports that total against the
     /// configured budget — set as well when candidate scoring, not the
     /// search, ran out of budget.
-    fn counterfactual<D: ErasedDecisionModel + ?Sized>(
+    fn counterfactual<D: DecisionModel + ?Sized>(
         &self,
         task: &D,
         graph: &CollabGraph,
@@ -547,7 +547,7 @@ mod tests {
 
     /// Asserts that `explain(kind, ...)` answers exactly what the family
     /// method for `kind` answers, factuals pruned.
-    fn assert_explain_matches_families<D: ErasedDecisionModel + ?Sized>(
+    fn assert_explain_matches_families<D: DecisionModel + ?Sized>(
         exes: &Exes,
         task: &D,
         graph: &CollabGraph,
@@ -612,7 +612,7 @@ mod tests {
             self.task.subject()
         }
 
-        fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe {
+        fn probe(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe {
             self.probes.fetch_add(1, Ordering::Relaxed);
             self.task.probe(graph, query)
         }
@@ -662,7 +662,7 @@ mod tests {
             self.task.subject()
         }
 
-        fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe {
+        fn probe(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe {
             self.task.probe(graph, query)
         }
 

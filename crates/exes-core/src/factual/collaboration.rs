@@ -4,7 +4,7 @@ use super::{attribute, skill::explain_features, FactualExplanation};
 use crate::config::ExesConfig;
 use crate::features::Feature;
 use crate::probe::{BatchStats, Completeness, ProbeBatch, ProbeBudget};
-use crate::tasks::ErasedDecisionModel;
+use crate::tasks::DecisionModel;
 use exes_graph::{CollabGraph, Neighborhood, PersonId};
 use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
@@ -29,10 +29,13 @@ pub fn collaboration_features_exhaustive(graph: &CollabGraph) -> Vec<Feature> {
 /// Every pass probes through the request's session `engine`, so all passes
 /// share its plan and cache, and the result's accounting sums one record
 /// per pass. `cfg.probe_budget` bounds the black-box probes of the *whole*
-/// explanation: each expansion pass spends against the remainder, and when
-/// it runs out the expansion stops and the result is marked
-/// [`Completeness::Budgeted`] — best-so-far, never a silent truncation.
-pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
+/// explanation. Each expansion pass holds back one whole permutation of the
+/// final pass over the largest impactful set it can leave, so the final
+/// pass always has the probes to score what the expansion found; when the
+/// remainder cannot cover that reserve the expansion stops and the result
+/// is marked [`Completeness::Budgeted`] — best-so-far, never a silent
+/// truncation.
+pub fn explain_collaborations<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     pruned: bool,
@@ -43,7 +46,7 @@ pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
         return explain_features(engine, cfg, features);
     }
 
-    let subject = engine.task().subject_id();
+    let subject = engine.task().subject();
     let neighborhood = Neighborhood::compute(graph, subject, cfg.collab_radius);
     let mut impactful: Vec<Feature> = Vec::new();
     let mut impactful_set: FxHashSet<(u32, u32)> = FxHashSet::default();
@@ -61,10 +64,6 @@ pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
             continue;
         }
         if impactful.len() >= max_impactful {
-            break;
-        }
-        if budget.remaining() == Some(0) {
-            expansion_truncated = true;
             break;
         }
         // Incident edges of px that stay inside the neighbourhood and are new.
@@ -85,7 +84,18 @@ pub fn explain_collaborations<D: ErasedDecisionModel + ?Sized>(
         if incident.is_empty() {
             continue;
         }
-        let (sampled, pass) = attribute(engine, cfg, &incident, budget.remaining());
+        // One permutation of the sampler over m features costs its two
+        // anchor coalitions plus one per feature; the pass can leave at most
+        // `impactful.len() + incident.len()` impactful edges.
+        let reserve = impactful.len() + incident.len() + 2;
+        let allowance = match budget.remaining() {
+            Some(remaining) if remaining <= reserve => {
+                expansion_truncated = true;
+                break;
+            }
+            remaining => remaining.map(|remaining| remaining - reserve),
+        };
+        let (sampled, pass) = attribute(engine, cfg, &incident, allowance);
         let shap = sampled.values;
         if sampled.truncated {
             expansion_truncated = true;

@@ -11,7 +11,7 @@ pub use skill::{explain_skills, skill_features_exhaustive, skill_features_pruned
 use crate::config::{ExesConfig, OutputMode};
 use crate::features::Feature;
 use crate::probe::{BatchStats, Completeness, ProbeBatch};
-use crate::tasks::ErasedDecisionModel;
+use crate::tasks::DecisionModel;
 use exes_graph::{CollabGraph, PerturbationSet};
 use exes_shap::{shapley, CachingModel, MaskedModel, SampledShap, ShapValues};
 use std::cell::Cell;
@@ -169,7 +169,7 @@ impl FactualExplanation {
 /// behind the session, only those the cache could not answer.
 /// `max_evaluations` caps the estimator's model evaluations; distinct probes
 /// never exceed evaluations, so it bounds black-box probes too.
-fn attribute<D: ErasedDecisionModel + ?Sized>(
+fn attribute<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     features: &[Feature],
@@ -203,7 +203,7 @@ struct FeatureMaskModel<'a, D: ?Sized> {
     accounting: Cell<BatchStats>,
 }
 
-impl<'a, D: ErasedDecisionModel + ?Sized> FeatureMaskModel<'a, D> {
+impl<'a, D: DecisionModel + ?Sized> FeatureMaskModel<'a, D> {
     fn new(engine: &'a ProbeBatch<'a, D>, features: &'a [Feature], cfg: &ExesConfig) -> Self {
         FeatureMaskModel {
             engine,
@@ -211,11 +211,11 @@ impl<'a, D: ErasedDecisionModel + ?Sized> FeatureMaskModel<'a, D> {
             output_mode: cfg.output_mode,
             // SmoothRank centres its sigmoid on the *model's* decision
             // boundary: a task probing a top-k cutoff reports it through
-            // `ErasedDecisionModel::cutoff`, so a model registered at its own
+            // `DecisionModel::rank_cutoff`, so a model registered at its own
             // k is attributed against that k, not the explainer-wide default
             // (models without a rank cutoff, e.g. team membership, keep the
             // configured smoothing anchor).
-            k: engine.task().cutoff().unwrap_or(cfg.k),
+            k: engine.task().rank_cutoff().unwrap_or(cfg.k),
             accounting: Cell::default(),
         }
     }
@@ -255,7 +255,7 @@ impl<'a, D: ErasedDecisionModel + ?Sized> FeatureMaskModel<'a, D> {
     }
 }
 
-impl<D: ErasedDecisionModel + ?Sized> MaskedModel for FeatureMaskModel<'_, D> {
+impl<D: DecisionModel + ?Sized> MaskedModel for FeatureMaskModel<'_, D> {
     fn num_features(&self) -> usize {
         self.features.len()
     }
@@ -282,7 +282,7 @@ mod tests {
     use super::*;
     use crate::tasks::{DecisionModel, ExpertRelevanceTask};
     use exes_expert_search::TfIdfRanker;
-    use exes_graph::{CollabGraphBuilder, PersonId, Query};
+    use exes_graph::{CollabGraphBuilder, PersonId, PerturbedGraph, Query};
     use exes_shap::ShapValues;
 
     fn graph() -> CollabGraph {
@@ -356,7 +356,7 @@ mod tests {
         // must centre on the task's boundary (2.5), not the config's (1.5).
         let bob = PersonId(1);
         let task = ExpertRelevanceTask::new(&ranker, bob, 2);
-        assert!(task.probe(&g, &q).positive);
+        assert!(task.probe(&PerturbedGraph::identity(&g), &q).positive);
         let db = g.vocab().id("db").unwrap();
         let features = vec![Feature::Skill(bob, db)];
         let cfg = ExesConfig::fast()

@@ -8,12 +8,12 @@ use super::{skill::explain_features, FactualExplanation};
 use crate::config::ExesConfig;
 use crate::features::Feature;
 use crate::probe::ProbeBatch;
-use crate::tasks::ErasedDecisionModel;
+use crate::tasks::DecisionModel;
 
 /// Computes SHAP values for every keyword of the session's query, probing
 /// every coalition through the request's session `engine` (and the cache
 /// behind it, if any).
-pub fn explain_query_terms<D: ErasedDecisionModel + ?Sized>(
+pub fn explain_query_terms<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
 ) -> FactualExplanation {

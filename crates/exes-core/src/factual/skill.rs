@@ -4,7 +4,7 @@ use super::{attribute, FactualExplanation};
 use crate::config::ExesConfig;
 use crate::features::Feature;
 use crate::probe::{Completeness, ProbeBatch};
-use crate::tasks::ErasedDecisionModel;
+use crate::tasks::DecisionModel;
 use exes_graph::{CollabGraph, GraphView, Neighborhood};
 
 /// The pruned skill feature space `S_N(p_i)`: every `(person, skill)` pair held
@@ -46,13 +46,13 @@ pub fn skill_features_exhaustive(graph: &CollabGraph) -> Vec<Feature> {
 /// session `engine`, so a cache behind it memoises coalition probes across
 /// repeated explanations of the same (graph, query, subject); SHAP values
 /// are identical either way.
-pub fn explain_skills<D: ErasedDecisionModel + ?Sized>(
+pub fn explain_skills<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     pruned: bool,
 ) -> FactualExplanation {
     let features = if pruned {
-        skill_features_pruned(engine.graph(), engine.task().subject_id(), cfg.skill_radius)
+        skill_features_pruned(engine.graph(), engine.task().subject(), cfg.skill_radius)
     } else {
         skill_features_exhaustive(engine.graph())
     };
@@ -63,7 +63,7 @@ pub fn explain_skills<D: ErasedDecisionModel + ?Sized>(
 /// spending at most `cfg.probe_budget` model evaluations. A truncated sample
 /// is reported as [`Completeness::Budgeted`] with honest (wider) confidence
 /// half-widths.
-pub(crate) fn explain_features<D: ErasedDecisionModel + ?Sized>(
+pub(crate) fn explain_features<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
     features: Vec<Feature>,

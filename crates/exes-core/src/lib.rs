@@ -7,7 +7,9 @@
 //!
 //! ExES is *post-hoc* and *model-agnostic*: it never inspects the system being
 //! explained, it only probes it with perturbed inputs through the
-//! [`DecisionModel`] trait. Two ready-made tasks are provided:
+//! object-safe [`DecisionModel`] trait, so a concrete task and a
+//! `Box<dyn DecisionModel>` from the [`ModelRegistry`] are explained by the
+//! same code. Two ready-made tasks are provided:
 //!
 //! * [`ExpertRelevanceTask`] — "is person *p* ranked inside the top-*k* by this
 //!   [`exes_expert_search::ExpertRanker`]?" (`C_{p_i}(q, G)` in the paper),
@@ -54,12 +56,8 @@ pub use factual::FactualExplanation;
 pub use features::Feature;
 pub use metrics::{counterfactual_precision, factual_precision_at_k, PrecisionReport};
 pub use model::{ModelId, ModelRegistry, ModelSpec, ModelSpecError, SeedPolicy};
-pub use probe::{
-    BaselinePlan, BatchStats, Completeness, CostEstimate, ProbeBatch, ProbeBudget, ProbeCache,
-};
+pub use probe::{BaselinePlan, BatchStats, Completeness, ProbeBatch, ProbeBudget, ProbeCache};
 pub use service::{
     ExesService, Explanation, ExplanationKind, ExplanationRequest, RequestError, ServiceReport,
 };
-pub use tasks::{
-    DecisionModel, ErasedDecisionModel, ExpertRelevanceTask, Probe, TeamMembershipTask,
-};
+pub use tasks::{DecisionModel, ExpertRelevanceTask, Probe, TeamMembershipTask};

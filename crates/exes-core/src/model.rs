@@ -4,14 +4,14 @@
 //! top-`k` expert under ranker X?" and "why is this person on the team formed
 //! by F?". A production service therefore hosts *many* model configurations
 //! at once: different rankers, different cutoffs, different team formers with
-//! their seed policies. [`ModelRegistry`] stores them behind the sealed
-//! [`crate::tasks::ErasedDecisionModel`] erasure layer and hands out opaque
+//! their seed policies. [`ModelRegistry`] binds each to a subject as a boxed
+//! [`crate::tasks::DecisionModel`] and hands out opaque
 //! [`ModelId`]s that [`crate::service::ExplanationRequest`]s address; the
 //! per-model fingerprint (ranker name + parameters + `k` + seed) is mixed
 //! into every [`crate::probe::ProbeCache`] key, so one persistent cache can
 //! soundly serve every registered model without cross-talk.
 
-use crate::tasks::{ErasedDecisionModel, ExpertRelevanceTask, TeamMembershipTask};
+use crate::tasks::{DecisionModel, ExpertRelevanceTask, TeamMembershipTask};
 use exes_expert_search::ExpertRanker;
 use exes_graph::PersonId;
 use exes_team::TeamFormer;
@@ -92,11 +92,11 @@ impl fmt::Display for ModelSpecError {
 impl std::error::Error for ModelSpecError {}
 
 /// Internal erasure of one model configuration: binds a subject to produce a
-/// probe-ready [`ErasedDecisionModel`]. Object-safe so the registry can store
+/// probe-ready [`DecisionModel`]. Object-safe so the registry can store
 /// arbitrary ranker / former types side by side.
 trait ModelFamily: Send + Sync {
     /// Binds the decision model to one subject.
-    fn bind<'a>(&'a self, subject: PersonId) -> Box<dyn ErasedDecisionModel + 'a>;
+    fn bind<'a>(&'a self, subject: PersonId) -> Box<dyn DecisionModel + 'a>;
 
     /// Validates the configuration without instantiating per-request state.
     fn validate(&self) -> Result<(), ModelSpecError>;
@@ -116,7 +116,7 @@ struct ExpertModel<R> {
 }
 
 impl<R: ExpertRanker + Send + Sync> ModelFamily for ExpertModel<R> {
-    fn bind<'a>(&'a self, subject: PersonId) -> Box<dyn ErasedDecisionModel + 'a> {
+    fn bind<'a>(&'a self, subject: PersonId) -> Box<dyn DecisionModel + 'a> {
         Box::new(ExpertRelevanceTask::new(&self.ranker, subject, self.k))
     }
 
@@ -142,7 +142,7 @@ where
     F: TeamFormer + Send + Sync,
     R: ExpertRanker + Send + Sync,
 {
-    fn bind<'a>(&'a self, subject: PersonId) -> Box<dyn ErasedDecisionModel + 'a> {
+    fn bind<'a>(&'a self, subject: PersonId) -> Box<dyn DecisionModel + 'a> {
         Box::new(TeamMembershipTask::new(
             &self.former,
             &self.signal_ranker,
@@ -276,7 +276,7 @@ impl ModelRegistry {
         // The spec's fingerprint is, by construction, the fingerprint every
         // task bound from it reports to the probe cache (the subject is a
         // separate key component, so any subject works here).
-        let fingerprint = spec.family.bind(PersonId(0)).fingerprint();
+        let fingerprint = spec.family.bind(PersonId(0)).model_fingerprint();
         let id = ModelId(u32::try_from(self.models.len()).expect("fewer than 2^32 models"));
         self.by_name.insert(name.clone(), id);
         self.models.push(RegisteredModel {
@@ -325,7 +325,7 @@ impl ModelRegistry {
     /// # Panics
     ///
     /// Panics when `id` was not issued by this registry.
-    pub(crate) fn bind(&self, id: ModelId, subject: PersonId) -> Box<dyn ErasedDecisionModel + '_> {
+    pub(crate) fn bind(&self, id: ModelId, subject: PersonId) -> Box<dyn DecisionModel + '_> {
         match self.models.get(id.index()) {
             Some(model) => model.spec.family.bind(subject),
             None => panic!(
@@ -351,9 +351,10 @@ impl fmt::Debug for ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tasks::DecisionModel;
     use exes_expert_search::{PropagationRanker, TfIdfRanker};
-    use exes_graph::CollabGraphBuilder;
+    use exes_graph::{
+        CollabGraph, CollabGraphBuilder, Perturbation, PerturbationSet, PerturbedGraph, Query,
+    };
     use exes_team::GreedyCoverTeamFormer;
 
     #[test]
@@ -441,6 +442,31 @@ mod tests {
         assert_eq!(reg.fingerprint(k3), Some(direct.model_fingerprint()));
     }
 
+    /// Asserts that `bound` answers every method the engine calls exactly
+    /// as `direct` does: the identity overlay, a perturbed overlay, the
+    /// fingerprint, the cutoff, and a planned probe of the identity overlay.
+    fn assert_probes_like(bound: &dyn DecisionModel, direct: &dyn DecisionModel, g: &CollabGraph) {
+        let q = Query::parse("db ml", g.vocab()).unwrap();
+        let ml = g.vocab().id("ml").unwrap();
+        let identity = PerturbedGraph::identity(g);
+        let delta = PerturbationSet::singleton(Perturbation::RemoveSkill {
+            person: PersonId(0),
+            skill: ml,
+        });
+        let perturbed = delta.apply_to_graph(g);
+        assert_eq!(bound.subject(), direct.subject());
+        assert_eq!(bound.probe(&identity, &q), direct.probe(&identity, &q));
+        assert_eq!(bound.probe(&perturbed, &q), direct.probe(&perturbed, &q));
+        assert_eq!(bound.model_fingerprint(), direct.model_fingerprint());
+        assert_eq!(bound.rank_cutoff(), direct.rank_cutoff());
+        // TF-IDF's plan answers the reference probe; it must be the full one.
+        let plan = bound.build_plan(g, &q).expect("TF-IDF plans");
+        assert_eq!(
+            bound.probe_with_plan(&plan, &identity, &q),
+            Some(direct.probe(&identity, &q))
+        );
+    }
+
     #[test]
     fn bound_models_probe_like_their_concrete_tasks() {
         let mut b = CollabGraphBuilder::new();
@@ -448,21 +474,34 @@ mod tests {
         let bob = b.add_person("bob", ["db"]);
         b.add_edge(ada, bob);
         let g = b.build();
-        let q = exes_graph::Query::parse("db ml", g.vocab()).unwrap();
 
         let mut reg = ModelRegistry::new();
-        let id = reg
+        let expert = reg
             .register(
                 "tfidf@1",
                 ModelSpec::expert_ranker(TfIdfRanker::default(), 1),
             )
             .unwrap();
-        let bound = reg.bind(id, ada);
+        let team = reg
+            .register(
+                "team",
+                ModelSpec::team_former(
+                    GreedyCoverTeamFormer::new(TfIdfRanker::default()),
+                    TfIdfRanker::default(),
+                    SeedPolicy::Fixed(bob),
+                ),
+            )
+            .unwrap();
         let ranker = TfIdfRanker::default();
-        let direct = ExpertRelevanceTask::new(&ranker, ada, 1);
-        assert_eq!(bound.subject_id(), ada);
-        let identity = exes_graph::PerturbationSet::new().apply_to_graph(&g);
-        assert_eq!(bound.probe_overlay(&identity, &q), direct.probe(&g, &q));
+        let former = GreedyCoverTeamFormer::new(TfIdfRanker::default());
+        for subject in [ada, bob] {
+            let direct = ExpertRelevanceTask::new(&ranker, subject, 1);
+            assert_probes_like(reg.bind(expert, subject).as_ref(), &direct, &g);
+            let direct = TeamMembershipTask::new(&former, &ranker, subject, Some(bob));
+            assert_probes_like(reg.bind(team, subject).as_ref(), &direct, &g);
+        }
+        assert_eq!(reg.bind(expert, ada).rank_cutoff(), Some(1));
+        assert_eq!(reg.bind(team, ada).rank_cutoff(), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! probe *is* the probe that would have been issued.
 
 use crate::config::ExesConfig;
-use crate::tasks::{ErasedDecisionModel, Probe};
+use crate::tasks::{DecisionModel, Probe};
 use exes_graph::{CollabGraph, PersonId, Perturbation, PerturbationSet, Query};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::any::Any;
@@ -135,33 +135,6 @@ impl Completeness {
     /// True when the result was cut short by a probe budget.
     pub fn is_budgeted(self) -> bool {
         matches!(self, Completeness::Budgeted { .. })
-    }
-}
-
-/// Pre-probe cost classification of one explanation request, derived purely
-/// from [`ProbeCache`] and plan-memo state — no black box is consulted.
-///
-/// The serving layer routes on this: `Warm` and `Incremental` requests go to
-/// the fast admission lane, `Cold` ones to the slow lane, so a cold beam
-/// search can never head-of-line-block warm traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CostEstimate {
-    /// The context's identity probe is memoised: this (graph, query, model,
-    /// subject) was explained before and most probes will be cache hits.
-    Warm,
-    /// No memoised probes for this subject, but the context's baseline plan
-    /// is memoised: probes skip the full-baseline build and use incremental
-    /// rescoring.
-    Incremental,
-    /// Neither probes nor a plan are memoised: expect a full baseline build
-    /// plus cold probes.
-    Cold,
-}
-
-impl CostEstimate {
-    /// True for the expensive class (no memoised state at all).
-    pub fn is_cold(self) -> bool {
-        matches!(self, CostEstimate::Cold)
     }
 }
 
@@ -380,13 +353,13 @@ impl ProbeCache {
         &self,
         graph: &CollabGraph,
         query: &Query,
-        model: &dyn ErasedDecisionModel,
+        model: &dyn DecisionModel,
         delta: &PerturbationSet,
     ) -> Option<Probe> {
         self.lookup_key(
             &(
-                Self::context(graph, query, model.fingerprint()),
-                model.subject_id(),
+                Self::context(graph, query, model.model_fingerprint()),
+                model.subject(),
                 delta.canonical_key(),
             ),
             true,
@@ -398,14 +371,14 @@ impl ProbeCache {
         &self,
         graph: &CollabGraph,
         query: &Query,
-        model: &dyn ErasedDecisionModel,
+        model: &dyn DecisionModel,
         delta: &PerturbationSet,
         probe: Probe,
     ) {
         self.insert_key(
             (
-                Self::context(graph, query, model.fingerprint()),
-                model.subject_id(),
+                Self::context(graph, query, model.model_fingerprint()),
+                model.subject(),
                 delta.canonical_key(),
             ),
             probe,
@@ -423,13 +396,13 @@ impl ProbeCache {
     /// single baseline evaluation. A committed graph epoch or a reconfigured
     /// model moves the fingerprint and misses into a fresh plan, exactly like
     /// probe entries.
-    pub fn plan_for<D: ErasedDecisionModel + ?Sized>(
+    pub fn plan_for<D: DecisionModel + ?Sized>(
         &self,
         graph: &CollabGraph,
         query: &Query,
         model: &D,
     ) -> Option<Arc<BaselinePlan>> {
-        let ctx = Self::context(graph, query, model.fingerprint());
+        let ctx = Self::context(graph, query, model.model_fingerprint());
         {
             let plans = self.plans.lock().expect("plan store poisoned");
             if let Some((_, plan)) = plans.iter().find(|(key, _)| *key == ctx) {
@@ -442,7 +415,7 @@ impl ProbeCache {
         // Build outside the lock: plan construction ranks the whole graph,
         // and concurrent builders for the same context produce identical
         // plans (probes are pure), so the race is benign.
-        let plan = Arc::new(model.plan(graph, query)?);
+        let plan = Arc::new(model.build_plan(graph, query)?);
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let mut plans = self.plans.lock().expect("plan store poisoned");
         if !plans.iter().any(|(key, _)| *key == ctx) {
@@ -454,35 +427,25 @@ impl ProbeCache {
         Some(plan)
     }
 
-    /// Classifies the expected cost of probing `model` in this (graph, query)
-    /// context, **without** touching the hit/miss counters — estimation is a
-    /// pre-admission peek, not a probe.
-    ///
-    /// `Warm` when the identity probe of the model's subject is memoised,
-    /// `Incremental` when (only) the context's baseline plan is, `Cold`
-    /// otherwise.
-    pub fn estimate<D: ErasedDecisionModel + ?Sized>(
+    /// Whether answering `model` in this (graph, query) context starts
+    /// cold: neither the subject's reference probe nor the context's
+    /// baseline plan is memoised. A peek before admission, not a probe: it
+    /// touches no hit/miss counter and no recency tick.
+    pub fn is_cold<D: DecisionModel + ?Sized>(
         &self,
         graph: &CollabGraph,
         query: &Query,
         model: &D,
-    ) -> CostEstimate {
-        let ctx = Self::context(graph, query, model.fingerprint());
-        let identity: CacheKey = (ctx, model.subject_id(), Vec::new());
-        if self.peek_key(&identity) {
-            return CostEstimate::Warm;
-        }
-        let planned = self
-            .plans
-            .lock()
-            .expect("plan store poisoned")
-            .iter()
-            .any(|(key, _)| *key == ctx);
-        if planned {
-            CostEstimate::Incremental
-        } else {
-            CostEstimate::Cold
-        }
+    ) -> bool {
+        let ctx = Self::context(graph, query, model.model_fingerprint());
+        let reference: CacheKey = (ctx, model.subject(), Vec::new());
+        !self.peek_key(&reference)
+            && !self
+                .plans
+                .lock()
+                .expect("plan store poisoned")
+                .iter()
+                .any(|(key, _)| *key == ctx)
     }
 
     /// Whether `key` is memoised, without bumping counters or recency ticks.
@@ -698,10 +661,9 @@ impl BatchStats {
 /// itself — which is what makes spreading probes across threads worthwhile,
 /// and skipping repeated probes through a [`ProbeCache`] worthwhile again.
 ///
-/// The model bound is `D: ErasedDecisionModel + ?Sized`: concrete tasks go
-/// through with static dispatch (every [`crate::tasks::DecisionModel`] is an
-/// [`ErasedDecisionModel`]), while the serving layer's boxed registry models
-/// probe through `ProbeBatch<'_, dyn ErasedDecisionModel>` — same engine,
+/// The model bound is `D: DecisionModel + ?Sized`: concrete tasks go
+/// through with static dispatch, while the serving layer's boxed registry
+/// models probe through `ProbeBatch<'_, dyn DecisionModel>` — same engine,
 /// same guarantees.
 pub struct ProbeBatch<'a, D: ?Sized> {
     task: &'a D,
@@ -726,7 +688,7 @@ impl<D: ?Sized> std::fmt::Debug for ProbeBatch<'_, D> {
     }
 }
 
-impl<'a, D: ErasedDecisionModel + ?Sized> ProbeBatch<'a, D> {
+impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
     /// Opens the session and fetches the context's baseline plan once:
     /// through `cache`'s plan memo ([`ProbeCache::plan_for`]) when a cache is
     /// given, built directly otherwise.
@@ -744,10 +706,10 @@ impl<'a, D: ErasedDecisionModel + ?Sized> ProbeBatch<'a, D> {
     ) -> Self {
         let (ctx, plan) = match cache {
             Some(cache) => (
-                ProbeCache::context(graph, query, task.fingerprint()),
+                ProbeCache::context(graph, query, task.model_fingerprint()),
                 cache.plan_for(graph, query, task),
             ),
-            None => (0, task.plan(graph, query).map(Arc::new)),
+            None => (0, task.build_plan(graph, query).map(Arc::new)),
         };
         ProbeBatch {
             task,
@@ -780,14 +742,11 @@ impl<'a, D: ErasedDecisionModel + ?Sized> ProbeBatch<'a, D> {
     fn eval(&self, set: &PerturbationSet) -> (Probe, bool) {
         let (view, perturbed_query) = set.apply(self.graph, self.query);
         if let Some(plan) = &self.plan {
-            if let Some(probe) = self
-                .task
-                .probe_overlay_planned(plan, &view, &perturbed_query)
-            {
+            if let Some(probe) = self.task.probe_with_plan(plan, &view, &perturbed_query) {
                 return (probe, true);
             }
         }
-        (self.task.probe_overlay(&view, &perturbed_query), false)
+        (self.task.probe(&view, &perturbed_query), false)
     }
 
     /// Scores `sets` in input order and counts every probe. The reference
@@ -813,7 +772,7 @@ impl<'a, D: ErasedDecisionModel + ?Sized> ProbeBatch<'a, D> {
         sets: &[PerturbationSet],
         max_probes: Option<usize>,
     ) -> (Vec<Probe>, BatchStats) {
-        let subject = self.task.subject_id();
+        let subject = self.task.subject();
         let mut stats = BatchStats::default();
         let mut out: Vec<Option<Probe>> = Vec::with_capacity(sets.len());
         // Cached keys are canonicalised exactly once; misses keep theirs for
@@ -874,7 +833,9 @@ mod tests {
     use super::*;
     use crate::tasks::{DecisionModel, ExpertRelevanceTask};
     use exes_expert_search::TfIdfRanker;
-    use exes_graph::{CollabGraph, CollabGraphBuilder, GraphView, PersonId, Perturbation};
+    use exes_graph::{
+        CollabGraph, CollabGraphBuilder, GraphView, PersonId, Perturbation, PerturbedGraph,
+    };
 
     fn graph() -> CollabGraph {
         let mut b = CollabGraphBuilder::new();
@@ -931,7 +892,7 @@ mod tests {
         // The reference probe is the empty set, answered from TF-IDF's plan.
         let engine = ProbeBatch::new(&task, &g, &q, true, None);
         let (probes, stats) = engine.score(&[PerturbationSet::new()], None);
-        assert_eq!(probes, [task.probe(&g, &q)]);
+        assert_eq!(probes, [task.probe(&PerturbedGraph::identity(&g), &q)]);
         assert_eq!((stats.probed, stats.incremental_rescores), (1, 1));
         assert_eq!(stats.cache_misses, 0);
     }
@@ -1055,7 +1016,7 @@ mod tests {
         let (warm, warm_stats) = engine.score(&reference, None);
         assert_eq!((warm_stats.probed, warm_stats.cache_hits), (0, 1));
         assert_eq!(cold, warm);
-        assert_eq!(cold, [task.probe(&g, &q)]);
+        assert_eq!(cold, [task.probe(&PerturbedGraph::identity(&g), &q)]);
     }
 
     #[test]
@@ -1165,14 +1126,14 @@ mod tests {
         let (concrete, _) = ProbeBatch::new(&task, &g, &q, false, Some(&cache)).score(&sets, None);
         // The boxed, type-erased view of the same task shares fingerprints
         // and results with the concrete one — warm from its cache entries.
-        let erased: &dyn crate::tasks::ErasedDecisionModel = &task;
-        let engine: ProbeBatch<'_, dyn crate::tasks::ErasedDecisionModel> =
-            ProbeBatch::new(erased, &g, &q, false, Some(&cache));
+        let dynamic: &dyn DecisionModel = &task;
+        let engine: ProbeBatch<'_, dyn DecisionModel> =
+            ProbeBatch::new(dynamic, &g, &q, false, Some(&cache));
         let (probes, stats) = engine.score(&sets, None);
         assert_eq!(probes, concrete);
-        assert_eq!(stats.probed, 0, "erased view must hit the concrete entries");
+        assert_eq!(stats.probed, 0, "the dyn view must hit concrete entries");
         let (reference, _) = engine.score(&[PerturbationSet::new()], None);
-        assert_eq!(reference, [task.probe(&g, &q)]);
+        assert_eq!(reference, [task.probe(&PerturbedGraph::identity(&g), &q)]);
     }
 
     #[test]
@@ -1255,24 +1216,32 @@ mod tests {
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let cache = ProbeCache::new(0);
         // Nothing memoised: cold, and the peek bumps no counters.
-        assert_eq!(cache.estimate(&g, &q, &task), CostEstimate::Cold);
-        assert!(CostEstimate::Cold.is_cold());
+        assert!(cache.is_cold(&g, &q, &task));
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        // A memoised plan upgrades the context to incremental.
+        // A memoised plan warms the whole context …
         let _ = cache.plan_for(&g, &q, &task).expect("plan built");
-        assert_eq!(cache.estimate(&g, &q, &task), CostEstimate::Incremental);
-        // A memoised identity probe upgrades the subject to warm …
-        let engine = ProbeBatch::new(&task, &g, &q, false, Some(&cache));
-        let _ = engine.score(&[PerturbationSet::new()], None);
-        assert_eq!(cache.estimate(&g, &q, &task), CostEstimate::Warm);
-        assert!(!CostEstimate::Warm.is_cold());
-        // … but only for that subject: another subject of the same context
-        // still classifies as incremental (the plan is shared, probes aren't).
+        assert!(!cache.is_cold(&g, &q, &task));
         let other = ExpertRelevanceTask::new(&ranker, PersonId(5), 3);
-        assert_eq!(cache.estimate(&g, &q, &other), CostEstimate::Incremental);
+        assert!(!cache.is_cold(&g, &q, &other));
+        // … and so does a memoised reference probe, with no plan at all.
+        cache.clear();
+        cache.insert(
+            &g,
+            &q,
+            &task,
+            &PerturbationSet::new(),
+            Probe {
+                positive: true,
+                signal: 1.0,
+            },
+        );
+        assert!(!cache.is_cold(&g, &q, &task));
+        assert!(cache.is_cold(&g, &q, &other), "probes are per subject");
         // A different query is a fresh, cold context.
         let q2 = Query::parse("s1", g.vocab()).unwrap();
-        assert_eq!(cache.estimate(&g, &q2, &task), CostEstimate::Cold);
+        assert!(cache.is_cold(&g, &q2, &task));
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        assert_eq!((cache.plan_hits(), cache.plan_misses()), (0, 0));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * a **model registry** ([`crate::model::ModelRegistry`]) hosts any number
 //!   of named decision models — any [`exes_expert_search::ExpertRanker`] at
 //!   any `k`, any [`exes_team::TeamFormer`] with its seed policy and signal
-//!   ranker — behind the sealed [`crate::tasks::ErasedDecisionModel`] erasure
-//!   layer; requests address models by [`ModelId`];
+//!   ranker — each bound per request as a boxed
+//!   [`crate::tasks::DecisionModel`]; requests address models by
+//!   [`ModelId`];
 //! * one [`ExplanationRequest`] enum covers **all five of the paper's
 //!   explanation families** — counterfactual skill edits, query
 //!   augmentations and collaboration edits, plus factual (SHAP)
@@ -50,7 +51,7 @@ use crate::counterfactual::CounterfactualResult;
 use crate::explainer::Exes;
 use crate::factual::FactualExplanation;
 use crate::model::{ModelId, ModelRegistry, ModelSpec, ModelSpecError};
-use crate::probe::{BatchStats, Completeness, CostEstimate, ProbeCache};
+use crate::probe::{BatchStats, Completeness, ProbeCache};
 use exes_graph::{CollabGraph, GraphSnapshot, GraphStore, GraphView, PersonId, Query, UpdateBatch};
 use rustc_hash::FxHashMap;
 use std::fmt;
@@ -654,25 +655,22 @@ impl ExesService {
         (responses, report)
     }
 
-    /// Classifies the expected cost of answering `request` against
-    /// `snapshot`, **without probing**: `Warm` when the subject's identity
-    /// probe is already memoised for this (epoch, query, model) context,
-    /// `Incremental` when (only) the context's baseline plan is, `Cold`
-    /// otherwise. Validation mirrors [`ExesService::explain`] — an unknown
-    /// model or out-of-range subject is a [`RequestError`], so admission
-    /// control can reject before queueing.
-    ///
-    /// Estimation is a pre-admission peek: it never issues a black-box probe
-    /// and never perturbs the cache's hit/miss counters or recency order.
-    pub fn estimate(
+    /// Whether answering `request` against `snapshot` starts cold: neither
+    /// the subject's reference probe nor the (epoch, query, model) context's
+    /// baseline plan is memoised ([`ProbeCache::is_cold`]). Validation
+    /// mirrors [`ExesService::explain`] — an unknown model or out-of-range
+    /// subject is a [`RequestError`], so admission control can reject before
+    /// queueing. A peek, not a probe: it never reaches the black box and
+    /// never moves the cache's counters or recency order.
+    pub fn is_cold(
         &self,
         snapshot: &GraphSnapshot,
         request: &ExplanationRequest,
-    ) -> Result<CostEstimate, RequestError> {
+    ) -> Result<bool, RequestError> {
         let graph = snapshot.graph();
         self.check(request, graph.num_people())?;
         let task = self.registry.bind(request.model, request.subject);
-        Ok(self.cache.estimate(graph, &request.query, task.as_ref()))
+        Ok(self.cache.is_cold(graph, &request.query, task.as_ref()))
     }
 
     /// Rejects a request this service cannot answer on a graph of
@@ -1214,15 +1212,15 @@ mod tests {
 
         // A fresh service knows nothing: cold, and the peek costs no lookups.
         let snapshot = service.snapshot();
-        let estimate = |request| service.estimate(&snapshot, request);
-        assert_eq!(estimate(first), Ok(CostEstimate::Cold));
+        let is_cold = |request| service.is_cold(&snapshot, request);
+        assert_eq!(is_cold(first), Ok(true));
         assert_eq!(service.probe_cache().hits(), 0);
         assert_eq!(service.probe_cache().misses(), 0);
 
         // After answering, the same request is warm; a different subject of
         // the same (query, model) context rides the memoised plan.
         let _ = service.explain(&snapshot, std::slice::from_ref(first));
-        assert_eq!(estimate(first), Ok(CostEstimate::Warm));
+        assert_eq!(is_cold(first), Ok(false));
         let sibling = ExplanationRequest::new(
             model,
             requests
@@ -1233,14 +1231,14 @@ mod tests {
             first.query.clone(),
             first.kind,
         );
-        assert_eq!(estimate(&sibling), Ok(CostEstimate::Incremental));
+        assert_eq!(is_cold(&sibling), Ok(false));
 
-        // Estimation is itself free: the classification answers above moved
+        // The peek is itself free: the classifications above moved
         // no hit/miss counters.
         let hits = service.probe_cache().hits();
         let misses = service.probe_cache().misses();
-        let _ = estimate(first);
-        let _ = estimate(&sibling);
+        let _ = is_cold(first);
+        let _ = is_cold(&sibling);
         assert_eq!(service.probe_cache().hits(), hits);
         assert_eq!(service.probe_cache().misses(), misses);
 
@@ -1251,7 +1249,7 @@ mod tests {
             first.query.clone(),
         );
         assert_eq!(
-            estimate(&foreign),
+            is_cold(&foreign),
             Err(RequestError::UnknownModel(ModelId(77)))
         );
         let ghost = ExplanationRequest::counterfactual_skills(
@@ -1260,7 +1258,7 @@ mod tests {
             first.query.clone(),
         );
         assert!(matches!(
-            estimate(&ghost),
+            is_cold(&ghost),
             Err(RequestError::SubjectOutOfRange { .. })
         ));
     }
@@ -1301,17 +1299,11 @@ mod tests {
             if model == planned {
                 assert!(answered.accounting().incremental_rescores > 0);
                 assert_eq!(report.plan_misses, 1);
-                assert_eq!(
-                    service.estimate(&snapshot, &sibling),
-                    Ok(CostEstimate::Incremental)
-                );
+                assert_eq!(service.is_cold(&snapshot, &sibling), Ok(false));
             } else {
                 assert_eq!(answered.accounting().incremental_rescores, 0);
                 assert_eq!(report.plan_misses, 0);
-                assert_eq!(
-                    service.estimate(&snapshot, &sibling),
-                    Ok(CostEstimate::Cold)
-                );
+                assert_eq!(service.is_cold(&snapshot, &sibling), Ok(true));
             }
         }
     }

@@ -1,24 +1,17 @@
 //! The binary decisions ExES explains: relevance status and team membership.
 //!
-//! Two traits live here. [`DecisionModel`] is the ergonomic, generic interface
-//! implementors write against: `probe` is generic over any [`GraphView`], so a
-//! model written once works on the base graph, perturbed overlays, and any
-//! future view type. That genericity makes the trait non-object-safe — a
-//! `Box<dyn DecisionModel>` cannot exist — which is fine for the single-model
-//! facade but not for a serving layer hosting *many* model configurations
-//! behind one door. [`ErasedDecisionModel`] is the sealed, object-safe twin
-//! that closes the gap: it probes the one graph variant the probe engine
-//! constructs, a [`PerturbedGraph`] overlay (the reference probe is the
-//! overlay of the empty perturbation set), plans on the base
-//! [`CollabGraph`], and is blanket-implemented for every [`DecisionModel`],
-//! so `Box<dyn ErasedDecisionModel>` is always one coercion away and the
-//! [`crate::model::ModelRegistry`] can store arbitrary rankers and team
-//! formers side by side.
+//! [`DecisionModel`] is the one interface to a black box. It is object-safe:
+//! `probe` takes the one graph variant the probe engine constructs, a
+//! [`PerturbedGraph`] overlay (the reference probe is the overlay of the
+//! empty perturbation set), and `build_plan` takes the base [`CollabGraph`].
+//! So the explanation stack serves a concrete task with static dispatch and
+//! a `Box<dyn DecisionModel>` from the [`crate::model::ModelRegistry`] with
+//! dynamic dispatch, through the same code.
 
 use crate::model::ModelSpecError;
 use crate::probe::BaselinePlan;
 use exes_expert_search::{ExpertRanker, RankerBaseline};
-use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query};
+use exes_graph::{CollabGraph, PersonId, PerturbedGraph, Query};
 use exes_team::{TeamBaseline, TeamFormer};
 use rustc_hash::FxHasher;
 use std::hash::{Hash, Hasher};
@@ -41,15 +34,16 @@ pub struct Probe {
 /// multiple threads concurrently (which is safe exactly because probing takes
 /// `&self` and must not mutate).
 ///
-/// Every `DecisionModel` automatically implements the object-safe
-/// [`ErasedDecisionModel`], so concrete tasks can be boxed into a
-/// [`crate::model::ModelRegistry`] without extra glue.
+/// The whole explanation stack ([`crate::probe::ProbeBatch`], beam search,
+/// the exhaustive baselines, factual SHAP) is generic over
+/// `D: DecisionModel + ?Sized`, so `&ConcreteTask` and
+/// `&dyn DecisionModel` probe through the same code path.
 pub trait DecisionModel: Sync {
     /// The person whose selection is being explained (`p_i`).
     fn subject(&self) -> PersonId;
 
-    /// Evaluates the black box on the given input.
-    fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe;
+    /// Evaluates the black box on a perturbed overlay of the graph.
+    fn probe(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe;
 
     /// The top-`k` cutoff anchoring the decision boundary in the model's
     /// rank signal, when the decision *is* a rank cutoff (`None` otherwise,
@@ -114,90 +108,6 @@ pub trait DecisionModel: Sync {
     }
 }
 
-mod sealed {
-    /// Seals [`super::ErasedDecisionModel`]: the only way to obtain an
-    /// implementation is through the blanket impl for [`super::DecisionModel`],
-    /// so the erased trait can never diverge from the generic one.
-    pub trait Sealed {}
-    impl<D: super::DecisionModel> Sealed for D {}
-}
-
-/// The object-safe erasure of [`DecisionModel`].
-///
-/// `DecisionModel::probe` is generic over `G: GraphView + ?Sized` and so
-/// cannot go in a vtable. This trait replaces the generic method with one
-/// for the concrete graph variant the probe engine constructs — the
-/// [`PerturbedGraph`] overlay, the unperturbed reference included — which
-/// *is* object-safe. It is **sealed**: every [`DecisionModel`] implements it
-/// automatically and nothing else can, so `&dyn ErasedDecisionModel` and
-/// `&ConcreteTask` are guaranteed to probe identically.
-///
-/// The whole explanation stack ([`crate::probe::ProbeBatch`], beam search,
-/// the exhaustive baselines, factual SHAP) is generic over
-/// `D: ErasedDecisionModel + ?Sized`, so it serves concrete tasks with static
-/// dispatch and boxed registry models with dynamic dispatch through the same
-/// code path.
-pub trait ErasedDecisionModel: sealed::Sealed + Sync {
-    /// The person whose selection is being explained
-    /// ([`DecisionModel::subject`]).
-    fn subject_id(&self) -> PersonId;
-
-    /// Evaluates the black box on a perturbed overlay.
-    fn probe_overlay(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe;
-
-    /// The model's cache-isolation fingerprint
-    /// ([`DecisionModel::model_fingerprint`]).
-    fn fingerprint(&self) -> u64;
-
-    /// The model's rank-cutoff boundary, if any
-    /// ([`DecisionModel::rank_cutoff`]).
-    fn cutoff(&self) -> Option<usize>;
-
-    /// Builds the incremental-rescoring baseline plan, if the model supports
-    /// one ([`DecisionModel::build_plan`]).
-    fn plan(&self, graph: &CollabGraph, query: &Query) -> Option<BaselinePlan>;
-
-    /// Answers one overlay probe from a plan, or declines
-    /// ([`DecisionModel::probe_with_plan`]).
-    fn probe_overlay_planned(
-        &self,
-        plan: &BaselinePlan,
-        graph: &PerturbedGraph<'_>,
-        query: &Query,
-    ) -> Option<Probe>;
-}
-
-impl<D: DecisionModel> ErasedDecisionModel for D {
-    fn subject_id(&self) -> PersonId {
-        self.subject()
-    }
-
-    fn probe_overlay(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe {
-        self.probe(graph, query)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.model_fingerprint()
-    }
-
-    fn cutoff(&self) -> Option<usize> {
-        self.rank_cutoff()
-    }
-
-    fn plan(&self, graph: &CollabGraph, query: &Query) -> Option<BaselinePlan> {
-        self.build_plan(graph, query)
-    }
-
-    fn probe_overlay_planned(
-        &self,
-        plan: &BaselinePlan,
-        graph: &PerturbedGraph<'_>,
-        query: &Query,
-    ) -> Option<Probe> {
-        self.probe_with_plan(plan, graph, query)
-    }
-}
-
 /// Expert-search relevance: is the subject ranked within the top-`k`?
 #[derive(Debug, Clone, Copy)]
 pub struct ExpertRelevanceTask<'a, R> {
@@ -243,7 +153,7 @@ impl<R: ExpertRanker + Sync> DecisionModel for ExpertRelevanceTask<'_, R> {
         self.subject
     }
 
-    fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe {
+    fn probe(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe {
         let rank = self.ranker.rank_of(graph, query, self.subject);
         Probe {
             positive: rank <= self.k,
@@ -340,7 +250,7 @@ impl<F: TeamFormer + Sync, R: ExpertRanker + Sync> DecisionModel for TeamMembers
         self.subject
     }
 
-    fn probe<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> Probe {
+    fn probe(&self, graph: &PerturbedGraph<'_>, query: &Query) -> Probe {
         let member = self.former.is_member(graph, query, self.seed, self.subject);
         let rank = self.signal_ranker.rank_of(graph, query, self.subject);
         Probe {
@@ -425,11 +335,12 @@ mod tests {
         let q = Query::parse("db ml", g.vocab()).unwrap();
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
-        let probe = task.probe(&g, &q);
+        let identity = PerturbedGraph::identity(&g);
+        let probe = task.probe(&identity, &q);
         assert!(probe.positive);
         assert_eq!(probe.signal, 1.0);
         let task2 = ExpertRelevanceTask::new(&ranker, PersonId(2), 1);
-        let probe2 = task2.probe(&g, &q);
+        let probe2 = task2.probe(&identity, &q);
         assert!(!probe2.positive);
         assert!(probe2.signal > 1.0);
         assert_eq!(task.k(), 1);
@@ -467,12 +378,13 @@ mod tests {
         let ranker = TfIdfRanker::default();
         let former = GreedyCoverTeamFormer::new(TfIdfRanker::default());
         let task = TeamMembershipTask::new(&former, &ranker, PersonId(2), Some(PersonId(0)));
-        let probe = task.probe(&g, &q);
+        let identity = PerturbedGraph::identity(&g);
+        let probe = task.probe(&identity, &q);
         assert!(probe.positive, "vision holder should be on the team");
         assert_eq!(task.seed(), Some(PersonId(0)));
 
         let not_needed = TeamMembershipTask::new(&former, &ranker, PersonId(1), Some(PersonId(0)));
-        assert!(!not_needed.probe(&g, &q).positive);
+        assert!(!not_needed.probe(&identity, &q).positive);
     }
 
     #[test]
@@ -512,26 +424,6 @@ mod tests {
             Some(ModelSpecError::ZeroK)
         );
         assert!(ExpertRelevanceTask::try_new(&ranker, PersonId(0), 3).is_ok());
-    }
-
-    #[test]
-    fn erased_probes_match_generic_probes() {
-        let g = toy();
-        let q = Query::parse("db ml", g.vocab()).unwrap();
-        let ranker = TfIdfRanker::default();
-        let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 1);
-        let erased: &dyn ErasedDecisionModel = &task;
-        assert_eq!(erased.subject_id(), DecisionModel::subject(&task));
-        let identity = PerturbationSet::new().apply_to_graph(&g);
-        assert_eq!(erased.probe_overlay(&identity, &q), task.probe(&g, &q));
-        let ml = g.vocab().id("ml").unwrap();
-        let delta = PerturbationSet::singleton(Perturbation::RemoveSkill {
-            person: PersonId(0),
-            skill: ml,
-        });
-        let view = delta.apply_to_graph(&g);
-        assert_eq!(erased.probe_overlay(&view, &q), task.probe(&view, &q));
-        assert_eq!(erased.fingerprint(), task.model_fingerprint());
     }
 
     #[test]

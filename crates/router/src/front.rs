@@ -61,15 +61,11 @@ pub struct RouterConfig {
     /// Bound on any single worker request (a cold explain batch computes for
     /// a while — keep this generous).
     pub io_timeout: Duration,
-    /// Idle pooled connections retained per worker.
-    pub pool_idle: usize,
     /// Health-prober sweep interval.
     pub health_interval: Duration,
     /// Consecutive failed probes before a worker is considered down.
     pub unhealthy_after: u32,
-    /// Commit replication attempts per worker per epoch.
-    pub commit_retries: u32,
-    /// Backoff between those attempts.
+    /// Backoff between a worker's commit replication attempts.
     pub retry_backoff: Duration,
     /// How long a gated explain holds for its sub-batch's worker to reach
     /// the requested epoch before failing over along the ring.
@@ -78,9 +74,14 @@ pub struct RouterConfig {
     pub gate_poll: Duration,
     /// Virtual nodes per worker on the sharding ring.
     pub vnodes: usize,
-    /// Commit bodies retained for catch-up replay.
-    pub replication_log: usize,
 }
+
+/// Idle pooled connections retained per worker.
+const POOL_IDLE: usize = 4;
+/// Commit replication attempts per worker per epoch.
+const COMMIT_RETRIES: u32 = 2;
+/// Commit bodies retained for catch-up replay.
+const REPLICATION_LOG: usize = 1024;
 
 impl Default for RouterConfig {
     fn default() -> Self {
@@ -93,15 +94,12 @@ impl Default for RouterConfig {
             request_budget: Duration::from_secs(30),
             connect_timeout: Duration::from_secs(1),
             io_timeout: Duration::from_secs(30),
-            pool_idle: 4,
             health_interval: Duration::from_millis(150),
             unhealthy_after: 3,
-            commit_retries: 2,
             retry_backoff: Duration::from_millis(50),
             gate_wait: Duration::from_secs(2),
             gate_poll: Duration::from_millis(10),
             vnodes: 64,
-            replication_log: 1024,
         }
     }
 }
@@ -205,7 +203,7 @@ pub fn start(workers: &[SocketAddr], config: RouterConfig) -> io::Result<RouterH
         config.vnodes,
         config.connect_timeout,
         config.io_timeout,
-        config.pool_idle,
+        POOL_IDLE,
     )?;
 
     // Boot sync: find the fleet's frontier.
@@ -227,8 +225,8 @@ pub fn start(workers: &[SocketAddr], config: RouterConfig) -> io::Result<RouterH
     let sequencer = Sequencer::new(
         committed,
         pool.len(),
-        config.replication_log,
-        config.commit_retries,
+        REPLICATION_LOG,
+        COMMIT_RETRIES,
         config.retry_backoff,
     );
     for (index, observation) in observations.into_iter().enumerate() {

@@ -44,14 +44,13 @@ pub struct Job {
     pub respond: mpsc::Sender<JobOutcome>,
 }
 
-/// Which admission lane a job rides: requests whose pre-admission cost
-/// estimate says the probe cache can mostly answer them (warm or
-/// incremental) take the fast lane; jobs containing any cold request take
-/// the slow lane, so one expensive cold search cannot sit in front of a
-/// hundred cache-warm lookups.
+/// Which admission lane a job rides: jobs whose every request finds a
+/// memoised reference probe or plan in the probe cache take the fast lane;
+/// jobs containing any cold request take the slow lane, so one expensive
+/// cold search cannot sit in front of a hundred cache-warm lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// Warm/incremental traffic: small queue latency is the SLO.
+    /// Warm traffic: small queue latency is the SLO.
     Fast,
     /// Cold traffic: throughput matters, tail latency is expected.
     Slow,

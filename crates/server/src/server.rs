@@ -15,11 +15,12 @@
 //!
 //! Two **batchers**, one per admission lane, drain their lane in
 //! micro-batches and run one `ExesService::explain` call per batch (see
-//! [`crate::queue`]). Requests are routed at admission by the service's
-//! pre-probe cost estimate — jobs whose requests the warm probe cache can
-//! mostly answer ride the **fast** lane, jobs containing any cold request
-//! ride the **slow** lane — so one expensive cold search never
-//! head-of-line-blocks a burst of cache-warm lookups.
+//! [`crate::queue`]). Requests are routed at admission by
+//! `ExesService::is_cold`, a peek at the probe cache — jobs whose every
+//! request finds a memoised reference probe or plan ride the **fast** lane,
+//! jobs containing any cold request ride the **slow** lane — so one
+//! expensive cold search never head-of-line-blocks a burst of cache-warm
+//! lookups.
 //!
 //! Shutdown ([`ServerHandle::shutdown`]) is graceful by construction: the
 //! lanes close first and each batcher answers everything already admitted
@@ -424,20 +425,16 @@ impl Endpoints for Inner {
             (Vec::new(), report, snapshot.clone())
         } else {
             let valid_len = valid.len();
-            // Route by pre-admission cost estimate. Estimation never probes
-            // the black box — it only interrogates the probe cache and plan
-            // memo — so this is cheap per request. A job containing any cold
-            // request rides the slow lane: its micro-batch will pay a cold
-            // search, and fast-lane traffic must not queue behind it.
-            // Requests whose estimate errors (unknown model, out-of-range
-            // subject) stay fast — the engine answers those without probing
-            // anything.
-            let any_cold = valid.iter().any(|request| {
-                matches!(
-                    self.service.estimate(&snapshot, request),
-                    Ok(estimate) if estimate.is_cold()
-                )
-            });
+            // Route by a pre-admission peek that never probes the black
+            // box — it only interrogates the probe cache and plan memo — so
+            // this is cheap per request. A job containing any cold request
+            // rides the slow lane: its micro-batch will pay a cold search,
+            // and fast-lane traffic must not queue behind it. Requests the
+            // peek rejects (unknown model, out-of-range subject) stay fast —
+            // the engine answers those without probing anything.
+            let any_cold = valid
+                .iter()
+                .any(|request| self.service.is_cold(&snapshot, request) == Ok(true));
             let lane = if any_cold { Lane::Slow } else { Lane::Fast };
             let (queue, lane_metrics) = self.lane(lane);
             let (respond, outcome) = mpsc::channel();

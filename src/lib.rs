@@ -50,10 +50,10 @@ pub use exes_team as team;
 /// Commonly used items, importable with `use exes::prelude::*`.
 pub mod prelude {
     pub use exes_core::{
-        counterfactual_precision, factual_precision_at_k, CounterfactualKind, DecisionModel,
-        ErasedDecisionModel, Exes, ExesConfig, ExesService, ExpertRelevanceTask, Explanation,
-        ExplanationKind, ExplanationRequest, FactualExplanation, Feature, ModelId, ModelRegistry,
-        ModelSpec, ModelSpecError, OutputMode, ProbeCache, RequestError, SeedPolicy, ServiceReport,
+        counterfactual_precision, factual_precision_at_k, CounterfactualKind, DecisionModel, Exes,
+        ExesConfig, ExesService, ExpertRelevanceTask, Explanation, ExplanationKind,
+        ExplanationRequest, FactualExplanation, Feature, ModelId, ModelRegistry, ModelSpec,
+        ModelSpecError, OutputMode, ProbeCache, RequestError, SeedPolicy, ServiceReport,
         TeamMembershipTask,
     };
     pub use exes_datasets::{
