@@ -286,13 +286,11 @@ mod tests {
         }
     }
 
-    /// Under a budget well below the unbounded 3,305 probes, the expansion
-    /// passes must leave the final pass enough probes to score the
-    /// impactful edges they found.
-    #[test]
-    fn budgeted_collaborations_keep_probes_for_the_final_pass() {
+    /// The expert's pruned collaborations under `budget` probes: asserts
+    /// the final pass found something, within budget, marked budgeted.
+    fn check_budgeted_collaborations(budget: usize) {
         let harness = HarnessConfig {
-            probe_budget: 2_000,
+            probe_budget: budget,
             ..tiny()
         };
         let scenario = Scenario::build(DatasetKind::Github, &harness);
@@ -304,8 +302,25 @@ mod tests {
                 .exes
                 .factual_collaborations(&task, &scenario.dataset.graph, query, true);
         assert!(explanation.size() >= 1, "the final pass found nothing");
-        assert!(explanation.accounting().probed <= 2_000);
+        assert!(explanation.accounting().probed <= budget);
         assert!(explanation.completeness().is_budgeted());
+    }
+
+    /// Under a budget well below the unbounded 3,305 probes, the expansion
+    /// passes must leave the final pass enough probes to score the
+    /// impactful edges they found.
+    #[test]
+    fn budgeted_collaborations_keep_probes_for_the_final_pass() {
+        check_budgeted_collaborations(2_000);
+    }
+
+    /// Under 20 probes the subject's own pass (11 incident edges) cannot
+    /// afford a permutation beside the final pass's reserve: the expansion
+    /// stops before it and the final pass scores those edges instead of an
+    /// empty set.
+    #[test]
+    fn a_tiny_budget_scores_the_subjects_edges_in_the_final_pass() {
+        check_budgeted_collaborations(20);
     }
 
     #[test]

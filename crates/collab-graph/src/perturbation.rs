@@ -1,6 +1,7 @@
 //! Feature perturbations: the atomic edits ExES explores when explaining.
 
 use crate::{CollabGraph, PersonId, PerturbedGraph, Query, SkillId};
+use std::borrow::Cow;
 
 /// An atomic edit to the input of an expert-search / team-formation system.
 ///
@@ -200,6 +201,29 @@ impl PerturbationSet {
         let mut key = self.items.clone();
         key.sort_unstable();
         key
+    }
+
+    /// The edits of this set that a model reading skills only through
+    /// `query`'s terms (who holds a term, and how many do) can observe:
+    /// every edge edit and every edit to a query skill. A set that edits the
+    /// query is returned whole, since an added or removed term changes which
+    /// skills such a model reads. Borrows `self` when nothing is dropped.
+    pub fn query_visible(&self, query: &Query) -> Cow<'_, PerturbationSet> {
+        let visible = |p: &Perturbation| match *p {
+            Perturbation::AddSkill { skill, .. } | Perturbation::RemoveSkill { skill, .. } => {
+                query.contains(skill)
+            }
+            _ => true,
+        };
+        if self.items.iter().any(Perturbation::is_query_perturbation)
+            || self.items.iter().all(visible)
+        {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(PerturbationSet {
+                items: self.items.iter().copied().filter(visible).collect(),
+            })
+        }
     }
 
     /// Iterates over the perturbations in insertion order.
@@ -451,6 +475,39 @@ mod tests {
             b: PersonId(3),
         };
         assert!(a < b);
+    }
+
+    #[test]
+    fn query_visible_drops_only_non_query_skill_edits() {
+        let g = toy();
+        let q = Query::parse("ml", g.vocab()).unwrap();
+        let (db, ml) = (g.vocab().id("db").unwrap(), g.vocab().id("ml").unwrap());
+        let query_skill = Perturbation::RemoveSkill {
+            person: PersonId(0),
+            skill: ml,
+        };
+        let other_skill = Perturbation::RemoveSkill {
+            person: PersonId(0),
+            skill: db,
+        };
+        let edge = Perturbation::AddEdge {
+            a: PersonId(0),
+            b: PersonId(2),
+        };
+        let mixed: PerturbationSet = [other_skill, query_skill, edge].into_iter().collect();
+        let visible = mixed.query_visible(&q);
+        assert!(matches!(visible, Cow::Owned(_)));
+        assert_eq!(
+            visible.iter().copied().collect::<Vec<_>>(),
+            [query_skill, edge]
+        );
+        // Nothing to drop: the set itself, borrowed.
+        let kept: PerturbationSet = [query_skill, edge].into_iter().collect();
+        assert!(matches!(kept.query_visible(&q), Cow::Borrowed(_)));
+        // A set that edits the query is never narrowed: the added term makes
+        // its skill edit visible.
+        let requeried = mixed.with(Perturbation::AddQueryTerm { skill: db });
+        assert!(matches!(requeried.query_visible(&q), Cow::Borrowed(_)));
     }
 
     #[test]

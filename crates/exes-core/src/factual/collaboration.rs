@@ -32,9 +32,11 @@ pub fn collaboration_features_exhaustive(graph: &CollabGraph) -> Vec<Feature> {
 /// explanation. Each expansion pass holds back one whole permutation of the
 /// final pass over the largest impactful set it can leave, so the final
 /// pass always has the probes to score what the expansion found; when the
-/// remainder cannot cover that reserve the expansion stops and the result
-/// is marked [`Completeness::Budgeted`] — best-so-far, never a silent
-/// truncation.
+/// remainder cannot cover that reserve plus one permutation of the pass
+/// itself, the expansion stops and the result is marked
+/// [`Completeness::Budgeted`] — best-so-far, never a silent truncation. An
+/// expansion stopped before anything turned impactful leaves the final pass
+/// the edges the stopped pass would have scored.
 pub fn explain_collaborations<D: DecisionModel + ?Sized>(
     engine: &ProbeBatch<'_, D>,
     cfg: &ExesConfig,
@@ -86,11 +88,17 @@ pub fn explain_collaborations<D: DecisionModel + ?Sized>(
         }
         // One permutation of the sampler over m features costs its two
         // anchor coalitions plus one per feature; the pass can leave at most
-        // `impactful.len() + incident.len()` impactful edges.
+        // `impactful.len() + incident.len()` impactful edges, and needs one
+        // permutation of its own to learn anything.
         let reserve = impactful.len() + incident.len() + 2;
         let allowance = match budget.remaining() {
-            Some(remaining) if remaining <= reserve => {
+            Some(remaining) if remaining < reserve + incident.len() + 2 => {
                 expansion_truncated = true;
+                // Nothing impactful yet: the final pass scores this pass's
+                // edges with the whole remainder instead of an empty set.
+                if impactful.is_empty() {
+                    impactful = incident;
+                }
                 break;
             }
             remaining => remaining.map(|remaining| remaining - reserve),

@@ -12,17 +12,19 @@
 //! both lean on that guarantee to stay deterministic.
 //!
 //! The same purity makes probes memoisable: [`ProbeCache`] is a sharded,
-//! bounded memo table keyed by the canonical (sorted) perturbation set, shared
-//! freely between parallel workers and across repeated explanation requests.
-//! Hand one to [`ProbeBatch::new`] and repeated probes become hash lookups —
-//! with results still byte-identical to uncached scoring, because a cached
-//! probe *is* the probe that would have been issued.
+//! bounded memo table keyed by the canonical (sorted) set of edits the model
+//! observes, shared freely between parallel workers and across repeated
+//! explanation requests. Hand one to [`ProbeBatch::new`] and repeated probes
+//! become hash lookups — with results still byte-identical to uncached
+//! scoring, because a cached probe *is* the probe that would have been
+//! issued.
 
 use crate::config::ExesConfig;
 use crate::tasks::{DecisionModel, Probe};
 use exes_graph::{CollabGraph, PersonId, Perturbation, PerturbationSet, Query};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::any::Any;
+use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -190,8 +192,26 @@ impl std::fmt::Debug for BaselinePlan {
 // ---------------------------------------------------------------------------
 
 /// A memo key: the probe context fingerprint, the subject being probed, and
-/// the canonical (sorted) perturbation set.
+/// the canonical (sorted) observed perturbation set.
 type CacheKey = (u64, PersonId, Vec<Perturbation>);
+
+/// The edits of `set` that `model`'s probe can see under the unperturbed
+/// `query`: the whole set, or its
+/// [`PerturbationSet::query_visible`] edits when the model does not observe
+/// skills outside the query
+/// ([`DecisionModel::observes_non_query_skills`]). A probe of the result
+/// equals a probe of `set`, so it is what gets keyed, planned and probed.
+fn observed<'s, D: DecisionModel + ?Sized>(
+    model: &D,
+    query: &Query,
+    set: &'s PerturbationSet,
+) -> Cow<'s, PerturbationSet> {
+    if model.observes_non_query_skills() {
+        Cow::Borrowed(set)
+    } else {
+        set.query_visible(query)
+    }
+}
 
 /// One shard of the memo table. `tick` is a shard-local logical clock bumped
 /// on every hit/insert; entries carry their last-touched tick so bulk eviction
@@ -204,9 +224,12 @@ struct Shard {
 
 /// A sharded, bounded memo table for black-box probes.
 ///
-/// Keys are canonical: the perturbation set is sorted by the derived
-/// [`Ord`] on [`Perturbation`] (via [`PerturbationSet::canonical_key`]), so
-/// insertion order never splits cache lines, and the key additionally carries
+/// Keys are canonical: the perturbation set is reduced to the edits the
+/// model observes (see [`crate::tasks::DecisionModel::observes_non_query_skills`])
+/// and sorted by the derived [`Ord`] on [`Perturbation`] (via
+/// [`PerturbationSet::canonical_key`]), so neither insertion order nor an
+/// edit the model cannot see splits cache lines, and the key additionally
+/// carries
 ///
 /// * the **subject** — a probe answers "is *this person* selected", so probes
 ///   of different subjects must never alias, and
@@ -295,6 +318,12 @@ impl ProbeCache {
         h.finish()
     }
 
+    /// The memo key of `model`'s probe on `observed` (a set already reduced
+    /// by [`observed`]) in the context `ctx`.
+    fn key<D: DecisionModel + ?Sized>(ctx: u64, model: &D, observed: &PerturbationSet) -> CacheKey {
+        (ctx, model.subject(), observed.canonical_key())
+    }
+
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
         let mut h = FxHasher::default();
         key.hash(&mut h);
@@ -347,8 +376,9 @@ impl ProbeCache {
     }
 
     /// Looks up the memoised probe for `delta` applied on behalf of the
-    /// model's subject in the given (graph, query, model) context. Bumps the
-    /// hit/miss counters.
+    /// model's subject in the given (graph, query, model) context, keyed as
+    /// [`ProbeBatch::score`] keys it: on the edits the model observes. Bumps
+    /// the hit/miss counters.
     pub fn lookup(
         &self,
         graph: &CollabGraph,
@@ -356,17 +386,11 @@ impl ProbeCache {
         model: &dyn DecisionModel,
         delta: &PerturbationSet,
     ) -> Option<Probe> {
-        self.lookup_key(
-            &(
-                Self::context(graph, query, model.model_fingerprint()),
-                model.subject(),
-                delta.canonical_key(),
-            ),
-            true,
-        )
+        let ctx = Self::context(graph, query, model.model_fingerprint());
+        self.lookup_key(&Self::key(ctx, model, &observed(model, query, delta)), true)
     }
 
-    /// Memoises a probe under the canonical key of `delta`.
+    /// Memoises a probe of `delta`, keyed as [`ProbeCache::lookup`] keys it.
     pub fn insert(
         &self,
         graph: &CollabGraph,
@@ -375,14 +399,8 @@ impl ProbeCache {
         delta: &PerturbationSet,
         probe: Probe,
     ) {
-        self.insert_key(
-            (
-                Self::context(graph, query, model.model_fingerprint()),
-                model.subject(),
-                delta.canonical_key(),
-            ),
-            probe,
-        );
+        let ctx = Self::context(graph, query, model.model_fingerprint());
+        self.insert_key(Self::key(ctx, model, &observed(model, query, delta)), probe);
     }
 
     /// Returns the memoised [`BaselinePlan`] for the `(graph, query, model)`
@@ -737,7 +755,7 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
         self.query
     }
 
-    /// Evaluates one candidate set, preferring the plan when there is one.
+    /// Evaluates one observed set, preferring the plan when there is one.
     /// Returns the probe and whether the plan answered it.
     fn eval(&self, set: &PerturbationSet) -> (Probe, bool) {
         let (view, perturbed_query) = set.apply(self.graph, self.query);
@@ -753,12 +771,18 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
     /// probe — the unperturbed input — is the empty set,
     /// `PerturbationSet::new()`.
     ///
-    /// A memoised set is answered by the cache; any other set by the model,
-    /// from the plan when it accepts the delta and by a full ranking when
-    /// not. The answers are byte-identical to uncached, sequential, full
-    /// scoring: a memoised probe is the value the black box returned for
-    /// that exact canonical key earlier (probes are pure), and misses are
-    /// scored in input order.
+    /// Each set is first reduced to the edits the model observes
+    /// ([`DecisionModel::observes_non_query_skills`]), and the reduced set is
+    /// what is keyed, planned and probed. A memoised set is answered by the
+    /// cache; any other set by the model, from the plan when it accepts the
+    /// delta and by a full ranking when not. The answers are byte-identical
+    /// to uncached, sequential, full scoring of the sets as given: the model
+    /// cannot tell a set from its reduction, a memoised probe is the value
+    /// the black box returned for that exact canonical key earlier (probes
+    /// are pure), and misses are scored in input order. Without a cache
+    /// every answered set is probed once; with one, a set is a hit when an
+    /// earlier call memoised its reduction (the sets of one call are all
+    /// looked up before any is probed).
     ///
     /// `max_probes` caps the black-box probes. The longest prefix of `sets`
     /// the cap allows is answered, so `probes.len()` is the number of sets
@@ -772,17 +796,18 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
         sets: &[PerturbationSet],
         max_probes: Option<usize>,
     ) -> (Vec<Probe>, BatchStats) {
-        let subject = self.task.subject();
         let mut stats = BatchStats::default();
         let mut out: Vec<Option<Probe>> = Vec::with_capacity(sets.len());
         // Cached keys are canonicalised exactly once; misses keep theirs for
-        // the insert below, and the sets themselves are scored by reference.
-        let mut misses: Vec<(usize, Option<CacheKey>)> = Vec::new();
+        // the insert below, and the observed sets are scored by reference
+        // unless the model's view dropped an edit.
+        let mut misses: Vec<(usize, Cow<'_, PerturbationSet>, Option<CacheKey>)> = Vec::new();
         for (i, set) in sets.iter().enumerate() {
             let affordable = max_probes.is_none_or(|limit| misses.len() < limit);
+            let set = observed(self.task, self.query, set);
             let (hit, key) = match self.cache {
                 Some(cache) => {
-                    let key = (self.ctx, subject, set.canonical_key());
+                    let key = ProbeCache::key(self.ctx, self.task, &set);
                     (cache.lookup_key(&key, affordable), Some(key))
                 }
                 None => (None, None),
@@ -793,7 +818,7 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
                     out.push(Some(probe));
                 }
                 None if affordable => {
-                    misses.push((i, key));
+                    misses.push((i, set, key));
                     out.push(None);
                 }
                 None => break,
@@ -803,13 +828,14 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
         if self.cache.is_some() {
             stats.cache_misses = misses.len();
         }
-        let eval = |&(i, _): &(usize, Option<CacheKey>)| self.eval(&sets[i]);
+        let eval =
+            |(_, set, _): &(usize, Cow<'_, PerturbationSet>, Option<CacheKey>)| self.eval(set);
         let evals: Vec<(Probe, bool)> = if self.parallel {
             exes_parallel::parallel_map(&misses, eval)
         } else {
             misses.iter().map(eval).collect()
         };
-        for ((i, key), (probe, incremental)) in misses.into_iter().zip(evals) {
+        for ((i, _, key), (probe, incremental)) in misses.into_iter().zip(evals) {
             if incremental {
                 stats.incremental_rescores += 1;
             } else {

@@ -76,6 +76,18 @@ pub trait DecisionModel: Sync {
         h.finish()
     }
 
+    /// Whether an edit to a skill outside the query can change this model's
+    /// probe. The default, `true`, observes every edit.
+    ///
+    /// A model answering `false` promises that, for an unperturbed query,
+    /// only the [`exes_graph::PerturbationSet::query_visible`] edits of a
+    /// set move its probe. [`crate::probe::ProbeBatch::score`] then keys,
+    /// plans and probes every such set on those edits alone, so sets that
+    /// differ only in unseen edits share one probe and one cache entry.
+    fn observes_non_query_skills(&self) -> bool {
+        true
+    }
+
     /// Builds the model's incremental-rescoring baseline for one
     /// `(graph, query)` context, if the model supports one.
     ///
@@ -174,6 +186,10 @@ impl<R: ExpertRanker + Sync> DecisionModel for ExpertRelevanceTask<'_, R> {
         h.finish()
     }
 
+    fn observes_non_query_skills(&self) -> bool {
+        self.ranker.observes_non_query_skills()
+    }
+
     fn build_plan(&self, graph: &CollabGraph, query: &Query) -> Option<BaselinePlan> {
         self.ranker
             .build_baseline(graph, query)
@@ -203,6 +219,10 @@ impl<R: ExpertRanker + Sync> DecisionModel for ExpertRelevanceTask<'_, R> {
 /// signal comes from an auxiliary expert ranker (`signal_ranker`): perturbations
 /// that improve the subject's expert rank are explored first. The *decision*
 /// itself always comes from the team former.
+///
+/// The task keeps the default [`DecisionModel::observes_non_query_skills`]:
+/// a former over TF-IDF, whose length norm reads every skill of a query-term
+/// holder, observes every edit.
 ///
 /// When the former and the signal ranker both build baselines (a
 /// [`exes_team::GreedyCoverTeamFormer`] over TF-IDF, with any planned signal

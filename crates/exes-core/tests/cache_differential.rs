@@ -1,6 +1,12 @@
 //! Differential tests for the probe memo cache: cached and uncached runs must
 //! return byte-identical explanations, and warm caches must measurably cut
 //! the number of black-box probes (asserted through the hit/miss counters).
+//!
+//! The fixture's propagation ranker does not observe skills outside the
+//! query, so a cached session keys each set on the edits it observes and a
+//! cold cache already answers sets that differ only in unseen edits: cold
+//! hits plus misses equal the uncached probes. TF-IDF observes every edit,
+//! so on TF-IDF a cold cache sees exactly the uncached workload.
 
 use exes_core::counterfactual::beam::beam_search;
 use exes_core::counterfactual::exhaustive::{all_skill_removals, exhaustive_search};
@@ -13,7 +19,7 @@ use exes_datasets::{
     DatasetConfig, QueryWorkload, SyntheticDataset, UpdateStream, UpdateStreamConfig,
 };
 use exes_embedding::{EmbeddingConfig, SkillEmbedding};
-use exes_expert_search::{ExpertRanker, PropagationRanker};
+use exes_expert_search::{ExpertRanker, PropagationRanker, TfIdfRanker};
 use exes_graph::{GraphView, PersonId, Perturbation, PerturbationSet, Query};
 use exes_linkpred::CommonNeighbors;
 use std::sync::Arc;
@@ -60,11 +66,11 @@ fn top_subject(f: &Fixture) -> PersonId {
     f.ranker.rank_all(&f.ds.graph, &f.query).top_k(1)[0]
 }
 
-type Task<'t> = ExpertRelevanceTask<'t, PropagationRanker>;
+type Task<'t, R> = ExpertRelevanceTask<'t, R>;
 
 /// `beam_search` or `exhaustive_search` over one task type.
-type Search<'t> = fn(
-    &ProbeBatch<'_, Task<'t>>,
+type Search<'t, R> = fn(
+    &ProbeBatch<'_, Task<'t, R>>,
     exes_core::Probe,
     &[Perturbation],
     CounterfactualKind,
@@ -73,11 +79,11 @@ type Search<'t> = fn(
 
 /// A counterfactual search over `candidates` in one probe session, as
 /// `Exes` runs it: the reference probe first, counted with the search.
-fn session_search<'t>(
+fn session_search<'t, R: ExpertRanker + Sync>(
     f: &Fixture,
-    task: &Task<'t>,
+    task: &Task<'t, R>,
     (candidates, cfg): (&[Perturbation], &ExesConfig),
-    search: Search<'t>,
+    search: Search<'t, R>,
     cache: Option<&ProbeCache>,
 ) -> CounterfactualResult {
     let engine = ProbeBatch::new(task, &f.ds.graph, &f.query, cfg.parallel_probes, cache);
@@ -103,19 +109,26 @@ fn cached_beam_search_is_byte_identical_and_warm_runs_probe_less() {
 
     let cache = ProbeCache::new(0);
     let cold = run(Some(&cache));
-    // Cold cache: every probe misses, so the black box sees exactly the
-    // uncached workload and the explanations are byte-identical.
+    // Cold cache: every set the uncached run probed is answered, by a miss
+    // or by the entry of a set with the same observed edits, and the
+    // explanations are byte-identical.
     assert_eq!(cold.explanations, uncached.explanations);
-    assert_eq!(cold.accounting.probed, uncached.accounting.probed);
+    assert_eq!(
+        cold.accounting.cache_hits + cold.accounting.cache_misses,
+        uncached.accounting.probed
+    );
     assert_eq!(cold.accounting.cache_misses, cold.accounting.probed);
-    assert_eq!(cold.accounting.cache_hits, 0);
+    assert!(cold.accounting.cache_hits > 0);
 
     let warm = run(Some(&cache));
     // Warm cache: identical explanations, but the search re-probes nothing —
-    // beam search never generates a duplicate candidate within one run, so
-    // every request is a hit and the black box is not consulted at all.
+    // every set the cold run answered is a hit and the black box is not
+    // consulted at all.
     assert_eq!(warm.explanations, uncached.explanations);
-    assert_eq!(warm.accounting.cache_hits, cold.accounting.cache_misses);
+    assert_eq!(
+        warm.accounting.cache_hits,
+        cold.accounting.cache_hits + cold.accounting.cache_misses
+    );
     assert_eq!(warm.accounting.probed, 0);
     assert!(warm.accounting.probed < cold.accounting.probed);
     assert_eq!(warm.probe_requests(), cold.probe_requests());
@@ -136,7 +149,11 @@ fn cached_exhaustive_search_is_byte_identical_and_warm_runs_probe_less() {
     let cold = run(Some(&cache));
     let warm = run(Some(&cache));
     assert_eq!(cold.explanations, uncached.explanations);
-    assert_eq!(cold.accounting.probed, uncached.accounting.probed);
+    assert_eq!(
+        cold.accounting.cache_hits + cold.accounting.cache_misses,
+        uncached.accounting.probed
+    );
+    assert!(cold.accounting.cache_hits > 0);
     assert_eq!(warm.explanations, uncached.explanations);
     assert_eq!(warm.accounting.probed, 0);
     assert!(warm.accounting.cache_hits > 0);
@@ -168,7 +185,12 @@ fn cached_shap_explanations_are_identical_and_warm_runs_probe_less() {
     // SHAP values are byte-identical across uncached, cold and warm runs.
     assert_eq!(uncached.shap_values().values(), cold.shap_values().values());
     assert_eq!(uncached.shap_values().values(), warm.shap_values().values());
-    assert_eq!(cold.accounting().probed, uncached.accounting().probed);
+    let cold_stats = cold.accounting();
+    assert_eq!(
+        cold_stats.cache_hits + cold_stats.cache_misses,
+        uncached.accounting().probed
+    );
+    assert!(cold_stats.cache_hits > 0);
     // The warm run answers its coalitions from the cache.
     assert!(warm.accounting().probed < cold.accounting().probed);
     assert!(warm.accounting().cache_hits > 0);
@@ -181,6 +203,58 @@ fn cached_shap_explanations_are_identical_and_warm_runs_probe_less() {
     let cf_uncached = uncached_exes.counterfactual_skills(&task, &f.ds.graph, &f.query);
     assert_eq!(cf.explanations, cf_uncached.explanations);
     assert!(cache.hits() >= before);
+}
+
+/// TF-IDF's length norm reads every skill of a query-term holder, so its
+/// sets are never reduced: a cold cache sees exactly the uncached workload
+/// of beam search, the exhaustive search and SHAP, and a warm one answers
+/// every probe the cold one made.
+#[test]
+fn a_cold_cache_sees_the_uncached_workload_of_a_model_that_observes_every_edit() {
+    let f = fixture();
+    let ranker = TfIdfRanker::default();
+    let subject = ranker.rank_all(&f.ds.graph, &f.query).top_k(1)[0];
+    let task = ExpertRelevanceTask::new(&ranker, subject, f.cfg.k);
+    let candidates = removal_candidates(&f, subject);
+    let run = |cache| session_search(&f, &task, (&candidates, &f.cfg), beam_search, cache);
+    let uncached = run(None);
+    let cache = ProbeCache::new(0);
+    let cold = run(Some(&cache));
+    assert_eq!(cold.explanations, uncached.explanations);
+    assert_eq!(cold.accounting.probed, uncached.accounting.probed);
+    assert_eq!(cold.accounting.cache_misses, cold.accounting.probed);
+    assert_eq!(cold.accounting.cache_hits, 0);
+    let warm = run(Some(&cache));
+    assert_eq!(warm.accounting.cache_hits, cold.accounting.cache_misses);
+    assert_eq!(warm.accounting.probed, 0);
+
+    let mut cfg = f.cfg.clone();
+    cfg.max_explanation_size = 2;
+    let candidates = all_skill_removals(&f.ds.graph);
+    let run = |cache| session_search(&f, &task, (&candidates, &cfg), exhaustive_search, cache);
+    let uncached = run(None);
+    let cold = run(Some(&ProbeCache::new(0)));
+    assert_eq!(cold.explanations, uncached.explanations);
+    assert_eq!(cold.accounting.probed, uncached.accounting.probed);
+    assert_eq!(cold.accounting.cache_misses, cold.accounting.probed);
+
+    let embedding = SkillEmbedding::train(
+        f.ds.corpus.token_bags(),
+        f.ds.graph.vocab().len(),
+        &EmbeddingConfig {
+            dim: 16,
+            ..Default::default()
+        },
+    );
+    let cfg = f.cfg.clone().with_output_mode(OutputMode::SmoothRank);
+    let uncached_exes = Exes::new(cfg.clone(), embedding.clone(), CommonNeighbors);
+    let cached_exes = Exes::new(cfg.clone(), embedding, CommonNeighbors)
+        .with_probe_cache(Arc::new(ProbeCache::for_config(&cfg)));
+    let uncached = uncached_exes.factual_skills(&task, &f.ds.graph, &f.query, true);
+    let cold = cached_exes.factual_skills(&task, &f.ds.graph, &f.query, true);
+    assert_eq!(uncached.shap_values().values(), cold.shap_values().values());
+    assert_eq!(cold.accounting().probed, uncached.accounting().probed);
+    assert_eq!(cold.accounting().cache_hits, 0);
 }
 
 /// Asserts two responses carry the same explanation (counters aside).

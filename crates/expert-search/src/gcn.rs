@@ -193,6 +193,12 @@ impl ExpertRanker for GcnRanker {
         }
     }
 
+    /// Skills reach the forward pass only through `features_into`: query
+    /// term membership and the query terms' IDFs.
+    fn observes_non_query_skills(&self) -> bool {
+        false
+    }
+
     fn rank_all<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> RankedList {
         with_scratch(&SCRATCH, |s| {
             self.forward_into(graph, query, s);

@@ -116,6 +116,12 @@ impl ExpertRanker for PersonalizedPageRank {
         state.write_u64(self.seed_mix.to_bits());
     }
 
+    /// Skills reach the walk only through `seed_vector`: query term
+    /// membership and the query terms' IDFs.
+    fn observes_non_query_skills(&self) -> bool {
+        false
+    }
+
     fn rank_all<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> RankedList {
         let scores = self.scores(graph, query);
         RankedList::from_scores(

@@ -278,6 +278,12 @@ impl ExpertRanker for PropagationRanker {
         state.write_u64(self.beta.to_bits());
     }
 
+    /// Skills reach the scores only through `base_pass`: query term
+    /// membership and the query terms' holder counts.
+    fn observes_non_query_skills(&self) -> bool {
+        false
+    }
+
     fn rank_all<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> RankedList {
         with_scratch(&SCRATCH, |s| {
             self.score_all(graph, query, s, |_| {});

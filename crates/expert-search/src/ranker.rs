@@ -166,6 +166,20 @@ pub trait ExpertRanker {
         let _ = state;
     }
 
+    /// Whether an edit to a skill outside the query can move this ranker's
+    /// scores. The default, `true`, observes every edit.
+    ///
+    /// A ranker that reads a person's skills only through the query terms —
+    /// who holds each term, and how many people do — returns `false`: for
+    /// an unperturbed query, adding or removing any other skill leaves every
+    /// score bitwise unchanged. The explainer then probes each perturbation
+    /// set on its [`exes_graph::PerturbationSet::query_visible`] edits, so
+    /// sets that differ only in unseen edits share one probe and one cache
+    /// entry.
+    fn observes_non_query_skills(&self) -> bool {
+        true
+    }
+
     /// Ranks every person in the graph for `query`.
     ///
     /// The default implementation scores each person independently via

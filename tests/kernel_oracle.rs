@@ -11,6 +11,11 @@
 //! moved both sides together; these tests can. TF-IDF's counted `rank_of` is
 //! checked against its own sorted ranking, and the team model's planned
 //! probes against forming the team and ranking on the perturbed graph.
+//!
+//! A ranker that declares it reads skills only through the query terms
+//! (`ExpertRanker::observes_non_query_skills`) is probed on each set's
+//! query-visible projection instead of the set: the full probes of the two
+//! must agree bitwise, and only declaring models may be projected.
 
 mod common;
 
@@ -621,4 +626,238 @@ fn planned_team_probes_match_the_full_path_on_github_400() {
         );
         assert!(answered > 500, "seed {seed:?}: {answered} planned probes");
     }
+}
+
+/// Seeded sets mixing query-skill, non-query-skill and edge edits.
+fn mixed_sets(graph: &CollabGraph, query: &Query, seed: u64) -> Vec<PerturbationSet> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0B5E);
+    let n = graph.num_people() as u32;
+    let others: Vec<SkillId> = graph
+        .vocab()
+        .ids()
+        .filter(|&s| !query.contains(s))
+        .collect();
+    let toggle = |person: PersonId, skill: SkillId| {
+        if graph.person_has_skill(person, skill) {
+            Perturbation::RemoveSkill { person, skill }
+        } else {
+            Perturbation::AddSkill { person, skill }
+        }
+    };
+    (0..12)
+        .map(|_| {
+            let mut set = PerturbationSet::new();
+            for _ in 0..rng.gen_range(2usize..7) {
+                let (a, b) = (PersonId(rng.gen_range(0..n)), PersonId(rng.gen_range(0..n)));
+                set.push(match rng.gen_range(0u32..3) {
+                    0 if !others.is_empty() => toggle(a, others[rng.gen_range(0..others.len())]),
+                    0 | 1 => toggle(a, query.skills()[rng.gen_range(0..query.len())]),
+                    _ if graph.has_edge(a, b) => Perturbation::RemoveEdge { a, b },
+                    _ => Perturbation::AddEdge { a, b },
+                });
+            }
+            set
+        })
+        .collect()
+}
+
+/// For a ranker that declares it does not observe skills outside the query,
+/// asserts that the full probe of every set equals the full probe of its
+/// projection, bitwise in scores and equal in ranks. Returns how many sets
+/// the projection changed (0 for a ranker that observes every edit).
+fn check_projection<R: ExpertRanker>(
+    ranker: &R,
+    graph: &CollabGraph,
+    query: &Query,
+    sets: &[PerturbationSet],
+    label: &str,
+) -> usize {
+    if ranker.observes_non_query_skills() {
+        return 0;
+    }
+    let mut projected = 0;
+    for set in sets {
+        let visible = set.query_visible(query);
+        if visible.len() == set.len() {
+            continue;
+        }
+        projected += 1;
+        let (full, seen) = (set.apply_to_graph(graph), visible.apply_to_graph(graph));
+        let bits = |list: &RankedList| -> Vec<(PersonId, u64)> {
+            list.entries()
+                .iter()
+                .map(|&(p, s)| (p, s.to_bits()))
+                .collect()
+        };
+        let ranking = ranker.rank_all(&full, query);
+        assert_eq!(
+            bits(&ranking),
+            bits(&ranker.rank_all(&seen, query)),
+            "{label}: scores of {set:?}"
+        );
+        let mut people = ranking.top_k(3);
+        people.extend(graph.people().step_by((graph.num_people() / 6).max(1)));
+        for p in people {
+            assert_eq!(
+                ranker.rank_of(&full, query, p),
+                ranker.rank_of(&seen, query, p),
+                "{label}: rank of {p} under {set:?}"
+            );
+        }
+    }
+    projected
+}
+
+#[test]
+fn projected_probes_match_the_full_set() {
+    let mut cases: Vec<(String, CollabGraph, Query)> = (0..24u64)
+        .map(|case| {
+            let (graph, query) = arbitrary_graph(case);
+            (format!("case {case}"), graph, query)
+        })
+        .collect();
+    let (graph, query) = github_400();
+    cases.push(("github_400".to_string(), graph, query));
+    let (tfidf, propagation, gcn, pagerank) = (
+        TfIdfRanker::default(),
+        PropagationRanker::default(),
+        GcnRanker::default(),
+        PersonalizedPageRank::default(),
+    );
+    let mut projected = [0; 4];
+    for (i, (name, graph, query)) in cases.iter().enumerate() {
+        let sets = mixed_sets(graph, query, i as u64);
+        projected[0] += check_projection(&tfidf, graph, query, &sets, &format!("tfidf, {name}"));
+        projected[1] += check_projection(
+            &propagation,
+            graph,
+            query,
+            &sets,
+            &format!("propagation, {name}"),
+        );
+        projected[2] += check_projection(&gcn, graph, query, &sets, &format!("gcn, {name}"));
+        projected[3] +=
+            check_projection(&pagerank, graph, query, &sets, &format!("pagerank, {name}"));
+    }
+    // TF-IDF observes every edit; the other three each saw many sets the
+    // projection changed.
+    assert_eq!(projected[0], 0);
+    for count in &projected[1..] {
+        assert!(*count > 100, "only {count} projected sets: {projected:?}");
+    }
+}
+
+/// Two sets differing in one non-query skill edit, scored through one cold
+/// cache: a model that declares the capability answers the second from the
+/// first's entry, TF-IDF and the team models probe both. A set that edits
+/// the query is never projected, even when its other edit touches a skill
+/// outside the unperturbed query. Every answer equals the model's own full
+/// probe of the set as given.
+#[test]
+fn only_declaring_models_are_projected_and_never_on_a_perturbed_query() {
+    use exes::core::{BatchStats, Probe, ProbeBatch};
+
+    let (graph, query) = github_400();
+    let term = query.skills()[0];
+    let holder = graph
+        .people()
+        .find(|&p| graph.person_has_skill(p, term) && graph.degree(p) > 0)
+        .expect("a holder of the first term");
+    let other = graph
+        .vocab()
+        .ids()
+        .find(|&s| !query.contains(s) && !graph.person_has_skill(holder, s))
+        .expect("a skill the holder lacks");
+    let base = PerturbationSet::singleton(Perturbation::RemoveSkill {
+        person: holder,
+        skill: term,
+    });
+    let unseen = base.with(Perturbation::AddSkill {
+        person: holder,
+        skill: other,
+    });
+    let requeried = PerturbationSet::singleton(Perturbation::AddQueryTerm { skill: other });
+    let requeried_skill = requeried.with(Perturbation::AddSkill {
+        person: holder,
+        skill: other,
+    });
+
+    let (tfidf, propagation, gcn, pagerank) = (
+        TfIdfRanker::default(),
+        PropagationRanker::default(),
+        GcnRanker::default(),
+        PersonalizedPageRank::default(),
+    );
+    let former = GreedyCoverTeamFormer::new(TfIdfRanker::default());
+    let models: Vec<(&str, Box<dyn DecisionModel + '_>, bool)> = vec![
+        (
+            "tfidf",
+            Box::new(ExpertRelevanceTask::new(&tfidf, holder, 10)),
+            false,
+        ),
+        (
+            "propagation",
+            Box::new(ExpertRelevanceTask::new(&propagation, holder, 10)),
+            true,
+        ),
+        (
+            "gcn",
+            Box::new(ExpertRelevanceTask::new(&gcn, holder, 10)),
+            true,
+        ),
+        (
+            "pagerank",
+            Box::new(ExpertRelevanceTask::new(&pagerank, holder, 10)),
+            true,
+        ),
+        (
+            "team",
+            Box::new(TeamMembershipTask::new(&former, &tfidf, holder, None)),
+            false,
+        ),
+        (
+            "seeded team",
+            Box::new(TeamMembershipTask::new(&former, &gcn, holder, Some(holder))),
+            false,
+        ),
+    ];
+    let mut requery_moved = false;
+    for (name, model, projects) in &models {
+        let model = model.as_ref();
+        assert_eq!(model.observes_non_query_skills(), !projects, "{name}");
+        let full = |set: &PerturbationSet| {
+            let (view, perturbed) = set.apply(&graph, &query);
+            model.probe(&view, &perturbed)
+        };
+        let cache = ProbeCache::new(0);
+        let engine = ProbeBatch::new(model, &graph, &query, false, Some(&cache));
+        // One call per set: a call looks all its sets up before probing any.
+        let score_each = |sets: [&PerturbationSet; 2]| {
+            let mut stats = BatchStats::default();
+            let probes: Vec<Probe> = sets
+                .into_iter()
+                .map(|set| {
+                    let (probes, call) = engine.score(std::slice::from_ref(set), None);
+                    stats.merge(&call);
+                    assert_eq!(probes, [full(set)], "{name}: {set:?}");
+                    probes[0]
+                })
+                .collect();
+            (probes, stats)
+        };
+        let (_, stats) = score_each([&base, &unseen]);
+        let shared = usize::from(*projects);
+        assert_eq!(
+            (stats.cache_misses, stats.cache_hits),
+            (2 - shared, shared),
+            "{name}"
+        );
+        let (probes, stats) = score_each([&requeried, &requeried_skill]);
+        assert_eq!((stats.cache_misses, stats.cache_hits), (2, 0), "{name}");
+        requery_moved |= probes[0] != probes[1];
+    }
+    assert!(
+        requery_moved,
+        "the added term's skill edit moved no probe: the requeried case proves nothing"
+    );
 }

@@ -380,12 +380,15 @@ fn store_fingerprints_are_unique_per_epoch() {
 
 /// Probe-cache keys are canonical: a memoised probe is found again no matter
 /// in what order the same perturbations were inserted into the set — and the
-/// canonical key itself is insertion-order independent.
+/// canonical key itself is insertion-order independent. Keys cover only the
+/// edits the model observes: a propagation set and its query-visible
+/// projection share one entry, while a TF-IDF set and its projection do not.
 #[test]
 fn probe_cache_keys_are_insertion_order_independent() {
     use exes::core::probe::ProbeCache;
     use exes::core::{DecisionModel, ExpertRelevanceTask};
 
+    let mut projected = 0;
     for case in 0..CASES {
         let (graph, query) = arbitrary_graph(case);
         let mut rng = StdRng::seed_from_u64(case ^ 0xCAC4E);
@@ -426,7 +429,33 @@ fn probe_cache_keys_are_insertion_order_independent() {
             None,
             "case {case}: per-model fingerprints must isolate cache entries"
         );
+
+        let visible = delta.query_visible(&query);
+        if visible.len() == delta.len() {
+            continue;
+        }
+        projected += 1;
+        assert_eq!(
+            cache.lookup(&graph, &query, &task, &visible),
+            Some(probe),
+            "case {case}: propagation's projection must hit the set's entry"
+        );
+        let tfidf = TfIdfRanker::default();
+        let tfidf_task = ExpertRelevanceTask::new(&tfidf, subject, 2);
+        cache.insert(
+            &graph,
+            &query,
+            &tfidf_task,
+            &delta,
+            tfidf_task.probe(&view, &pq),
+        );
+        assert_eq!(
+            cache.lookup(&graph, &query, &tfidf_task, &visible),
+            None,
+            "case {case}: TF-IDF observes every edit, so its projection is another key"
+        );
     }
+    assert!(projected > 0, "no case dropped an unseen edit");
 }
 
 /// A deterministic mid-size collaboration network: large enough that the
