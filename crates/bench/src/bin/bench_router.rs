@@ -127,7 +127,6 @@ fn worker(w: &Workload, cache_capacity: Option<usize>) -> SocketAddr {
         service,
         ServerConfig {
             workers: CLIENTS,
-            batch_window: Duration::from_millis(1),
             queue_depth: 1 << 16,
             ..Default::default()
         },

@@ -10,7 +10,7 @@ pub use skill::{explain_skills, skill_features_exhaustive, skill_features_pruned
 
 use crate::config::{ExesConfig, OutputMode};
 use crate::features::Feature;
-use crate::probe::{BatchStats, Completeness, ProbeBatch};
+use crate::probe::{BatchStats, Completeness, ProbeBatch, PROBE_CHUNK};
 use crate::tasks::DecisionModel;
 use exes_graph::{CollabGraph, PerturbationSet};
 use exes_shap::{shapley, CachingModel, MaskedModel, SampledShap, ShapValues};
@@ -188,12 +188,12 @@ fn attribute<D: DecisionModel + ?Sized>(
 /// probes with the counterfactual searches of the same (graph, query,
 /// subject). The all-present coalition is the session's reference probe.
 ///
-/// Only a batch of at least `exes_parallel::MIN_PARALLEL_ITEMS` coalitions
-/// can spread across threads. Exact enumeration hands over such batches.
-/// The permutation sampler does not: it calls `evaluate` once per
-/// coalition, a one-element batch that runs on the calling thread.
-/// [`shapley`] samples above [`exes_shap::EXACT_MAX_FEATURES`] features,
-/// which neighbourhood-skill and collaboration feature sets usually exceed.
+/// Both estimators behind [`shapley`] hand their coalitions over in batches:
+/// exact enumeration up to 2,048 coalitions at a time, the permutation
+/// sampler every affordable pass's walk at once. A batch is scored through
+/// [`ProbeBatch::score`] [`PROBE_CHUNK`] coalitions at a time: each chunk's
+/// misses spread over threads when they are costly enough, and a repeat of
+/// a reduced coalition is probed once.
 struct FeatureMaskModel<'a, D: ?Sized> {
     engine: &'a ProbeBatch<'a, D>,
     features: &'a [Feature],
@@ -264,16 +264,20 @@ impl<D: DecisionModel + ?Sized> MaskedModel for FeatureMaskModel<'_, D> {
         self.evaluate_batch(std::slice::from_ref(&mask.to_vec()))[0]
     }
 
+    /// Scores the masks [`PROBE_CHUNK`] at a time, so the perturbation sets
+    /// in flight stay small; a repeat across chunks is a cache hit as it is
+    /// within one, so the probes and accounting do not depend on the chunks.
     fn evaluate_batch(&self, masks: &[Vec<bool>]) -> Vec<f64> {
-        let deltas: Vec<PerturbationSet> = masks.iter().map(|m| self.delta_for(m)).collect();
-        let (probes, stats) = self.engine.score(&deltas, None);
         let mut accounting = self.accounting.get();
-        accounting.merge(&stats);
+        let mut values = Vec::with_capacity(masks.len());
+        for chunk in masks.chunks(PROBE_CHUNK) {
+            let deltas: Vec<PerturbationSet> = chunk.iter().map(|m| self.delta_for(m)).collect();
+            let (probes, stats) = self.engine.score(&deltas, None);
+            accounting.merge(&stats);
+            values.extend(probes.into_iter().map(|probe| self.scalarise(probe)));
+        }
         self.accounting.set(accounting);
-        probes
-            .into_iter()
-            .map(|probe| self.scalarise(probe))
-            .collect()
+        values
     }
 }
 

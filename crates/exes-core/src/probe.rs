@@ -29,9 +29,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of candidate sets scored per batch by the search loops. Bounds how
-/// much work is in flight between early-exit tests (explanation count
-/// reached, minimality pruning, probe budget spent).
+/// Number of perturbation sets scored per batch by the search loops and the
+/// factual mask model. Bounds how much work is in flight between early-exit
+/// tests (explanation count reached, minimality pruning, probe budget
+/// spent), and how many sets a batch holds in memory at once.
 pub const PROBE_CHUNK: usize = 128;
 
 // ---------------------------------------------------------------------------
@@ -780,9 +781,11 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
     /// cannot tell a set from its reduction, a memoised probe is the value
     /// the black box returned for that exact canonical key earlier (probes
     /// are pure), and misses are scored in input order. Without a cache
-    /// every answered set is probed once; with one, a set is a hit when an
-    /// earlier call memoised its reduction (the sets of one call are all
-    /// looked up before any is probed).
+    /// every answered set is probed once. With one, a set is a hit when an
+    /// earlier call memoised its reduction, or when an earlier set of this
+    /// call is being probed for the same reduction: that set's probe answers
+    /// it. So the probes and stats equal those of scoring the sets one call
+    /// at a time.
     ///
     /// `max_probes` caps the black-box probes. The longest prefix of `sets`
     /// the cap allows is answered, so `probes.len()` is the number of sets
@@ -802,23 +805,37 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
         // the insert below, and the observed sets are scored by reference
         // unless the model's view dropped an edit.
         let mut misses: Vec<(usize, Cow<'_, PerturbationSet>, Option<CacheKey>)> = Vec::new();
+        // The miss probing each key of this call, and the later sets it
+        // answers: `(position in sets, position in misses)`.
+        let mut pending: FxHashMap<CacheKey, usize> = FxHashMap::default();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         for (i, set) in sets.iter().enumerate() {
             let affordable = max_probes.is_none_or(|limit| misses.len() < limit);
             let set = observed(self.task, self.query, set);
-            let (hit, key) = match self.cache {
-                Some(cache) => {
-                    let key = ProbeCache::key(self.ctx, self.task, &set);
-                    (cache.lookup_key(&key, affordable), Some(key))
+            let Some(cache) = self.cache else {
+                if !affordable {
+                    break;
                 }
-                None => (None, None),
+                misses.push((i, set, None));
+                out.push(None);
+                continue;
             };
-            match hit {
+            let key = ProbeCache::key(self.ctx, self.task, &set);
+            if let Some(&miss) = pending.get(&key) {
+                cache.hits.fetch_add(1, Ordering::Relaxed);
+                stats.cache_hits += 1;
+                repeats.push((i, miss));
+                out.push(None);
+                continue;
+            }
+            match cache.lookup_key(&key, affordable) {
                 Some(probe) => {
                     stats.cache_hits += 1;
                     out.push(Some(probe));
                 }
                 None if affordable => {
-                    misses.push((i, set, key));
+                    pending.insert(key.clone(), misses.len());
+                    misses.push((i, set, Some(key)));
                     out.push(None);
                 }
                 None => break,
@@ -835,7 +852,7 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
         } else {
             misses.iter().map(eval).collect()
         };
-        for ((i, _, key), (probe, incremental)) in misses.into_iter().zip(evals) {
+        for ((i, _, key), &(probe, incremental)) in misses.into_iter().zip(&evals) {
             if incremental {
                 stats.incremental_rescores += 1;
             } else {
@@ -845,6 +862,9 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
                 cache.insert_key(key, probe);
             }
             out[i] = Some(probe);
+        }
+        for (i, miss) in repeats {
+            out[i] = Some(evals[miss].0);
         }
         let probes = out
             .into_iter()
@@ -858,10 +878,12 @@ impl<'a, D: DecisionModel + ?Sized> ProbeBatch<'a, D> {
 mod tests {
     use super::*;
     use crate::tasks::{DecisionModel, ExpertRelevanceTask};
-    use exes_expert_search::TfIdfRanker;
+    use exes_expert_search::{PropagationRanker, TfIdfRanker};
     use exes_graph::{
         CollabGraph, CollabGraphBuilder, GraphView, PersonId, Perturbation, PerturbedGraph,
     };
+    use std::collections::HashSet;
+    use std::time::{Duration, Instant};
 
     fn graph() -> CollabGraph {
         let mut b = CollabGraphBuilder::new();
@@ -894,19 +916,87 @@ mod tests {
         let ranker = TfIdfRanker::default();
         let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
         let sets = candidate_sets(&g);
-        assert!(sets.len() > exes_parallel::MIN_PARALLEL_ITEMS);
         let parallel = ProbeBatch::new(&task, &g, &q, true, None).score(&sets, None);
         let sequential = ProbeBatch::new(&task, &g, &q, false, None).score(&sets, None);
         assert_eq!(parallel, sequential);
-        // Drive the probe closure through real worker threads regardless of
-        // the host's core count (the engine itself sizes its pool from the
-        // hardware, which may be a single core on CI).
+        // A map spreads only items costly enough to repay a thread, and these
+        // TF-IDF probes take microseconds: stretch each to 200 µs and give
+        // the map four threads, so the probe closure runs on real worker
+        // threads whatever the host's core count.
+        let threads = Mutex::new(HashSet::new());
         let eval = |set: &PerturbationSet| {
+            let start = Instant::now();
             let (view, pq) = set.apply(&g, &q);
-            task.probe(&view, &pq)
+            let probe = task.probe(&view, &pq);
+            threads.lock().unwrap().insert(std::thread::current().id());
+            while start.elapsed() < Duration::from_micros(200) {
+                std::hint::spin_loop();
+            }
+            probe
         };
         let threaded = exes_parallel::parallel_map_with_threads(&sets, 4, eval);
         assert_eq!(threaded, sequential.0);
+        assert!(threads.into_inner().unwrap().len() > 1);
+    }
+
+    #[test]
+    fn a_reduced_repeat_in_one_call_is_answered_by_its_first_probe() {
+        let g = graph();
+        let q = Query::parse("common s0", g.vocab()).unwrap();
+        let ranker = PropagationRanker::default();
+        let task = ExpertRelevanceTask::new(&ranker, PersonId(0), 3);
+        let common = g.vocab().id("common").unwrap();
+        let s1 = g.vocab().id("s1").unwrap();
+        let a = PerturbationSet::singleton(Perturbation::RemoveSkill {
+            person: PersonId(1),
+            skill: common,
+        });
+        // `a` plus a non-query skill edit propagation cannot see.
+        let mut a_prime = a.clone();
+        a_prime.push(Perturbation::RemoveSkill {
+            person: PersonId(1),
+            skill: s1,
+        });
+        assert_eq!(a_prime.query_visible(&q).as_ref(), &a);
+        let b = PerturbationSet::singleton(Perturbation::RemoveEdge {
+            a: PersonId(0),
+            b: PersonId(1),
+        });
+        let sets = [a, a_prime, b];
+
+        let cache = ProbeCache::new(0);
+        let (probes, stats) =
+            ProbeBatch::new(&task, &g, &q, false, Some(&cache)).score(&sets, None);
+        assert_eq!((stats.probed, stats.cache_hits), (2, 1));
+        // Exactly what three one-set calls through a cold cache give.
+        let one_cache = ProbeCache::new(0);
+        let one = ProbeBatch::new(&task, &g, &q, false, Some(&one_cache));
+        let mut one_probes = Vec::new();
+        let mut one_stats = BatchStats::default();
+        for set in &sets {
+            let (probe, stats) = one.score(std::slice::from_ref(set), None);
+            one_probes.extend(probe);
+            one_stats.merge(&stats);
+        }
+        assert_eq!(
+            (probes.as_slice(), stats),
+            (one_probes.as_slice(), one_stats)
+        );
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (one_cache.hits(), one_cache.misses())
+        );
+        // Without a cache every set is probed, to the same answers.
+        let (uncached, uncached_stats) =
+            ProbeBatch::new(&task, &g, &q, false, None).score(&sets, None);
+        assert_eq!((uncached, uncached_stats.probed), (probes.clone(), 3));
+        // A repeat is free under a budget too: one probe answers `a` and
+        // `a_prime`, and `b` is refused.
+        let cache = ProbeCache::new(0);
+        let (cut, cut_stats) =
+            ProbeBatch::new(&task, &g, &q, false, Some(&cache)).score(&sets, Some(1));
+        assert_eq!(cut, probes[..2]);
+        assert_eq!((cut_stats.probed, cut_stats.cache_hits), (1, 1));
     }
 
     #[test]

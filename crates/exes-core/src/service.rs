@@ -33,7 +33,8 @@
 //! * requests are **grouped by query** (cheaply — queries are [`Arc`]-shared,
 //!   so regrouping a batch never clones or re-hashes a term vector that was
 //!   already seen), **identical requests are deduplicated**, and distinct
-//!   requests are **sharded across the `exes-parallel` pool**;
+//!   requests — and, within each, its probe batches — are **spread over the
+//!   cores by `exes-parallel`**;
 //! * responses are **deterministic and position-stable**: response `i`
 //!   answers request `i`, byte-identical to running that request alone
 //!   through [`Exes::explain`], because probes are pure functions and the
@@ -389,11 +390,11 @@ impl ServiceReport {
 /// The service owns everything it needs — explainer clone, model registry,
 /// store handle, probe cache — so it has no graph lifetime parameter: it can
 /// be moved into threads, stored in application state, and kept alive across
-/// arbitrarily many commits. Parallelism comes from sharding *requests*
-/// across the `exes-parallel` pool (per-probe parallelism is disabled
-/// internally to avoid nested pools); single requests can still be answered
-/// through the plain [`Exes`] facade when intra-request parallelism is
-/// preferable.
+/// arbitrarily many commits. A batch's distinct requests are mapped with
+/// `exes_parallel::parallel_map`, and each request's probes are too when
+/// `ExesConfig::parallel_probes` is set (the default): a lone request
+/// spreads its costly probe batches over every core, while a batch whose
+/// requests have spread over the cores probes each request inline.
 ///
 /// The persistent probe cache is sound to share across queries, batches,
 /// epochs **and registered models** because every key carries the (graph
@@ -445,10 +446,8 @@ impl ExesService {
     /// live store every request in this service targets. The model registry
     /// starts empty: add configurations with [`ExesService::register`].
     pub fn new(exes: &Exes, store: Arc<GraphStore>) -> Self {
-        let mut exes = exes.clone();
-        exes.config_mut().parallel_probes = false;
         let cache = Arc::new(ProbeCache::for_config(exes.config()));
-        let exes = exes.with_probe_cache(Arc::clone(&cache));
+        let exes = exes.clone().with_probe_cache(Arc::clone(&cache));
         ExesService {
             exes,
             registry: ModelRegistry::new(),
@@ -492,7 +491,7 @@ impl ExesService {
         &self.registry
     }
 
-    /// The service's (request-sharded) configuration.
+    /// The service's configuration.
     pub fn config(&self) -> &ExesConfig {
         self.exes.config()
     }
@@ -1089,7 +1088,17 @@ mod tests {
         assert!(responses.is_empty());
         assert_eq!(report, ServiceReport::default());
         assert_eq!(report.hit_rate(), 0.0);
-        assert!(!service.config().parallel_probes);
+        // The service probes with the configured parallelism, either way.
+        assert_eq!(
+            service.config().parallel_probes,
+            f.exes.config().parallel_probes
+        );
+        for parallel in [false, true] {
+            let mut exes = f.exes.clone();
+            exes.config_mut().parallel_probes = parallel;
+            let service = ExesService::from_graph(&exes, f.ds.graph.clone());
+            assert_eq!(service.config().parallel_probes, parallel);
+        }
 
         assert_eq!(
             service

@@ -82,6 +82,15 @@ impl RankedList {
         }
     }
 
+    /// Wraps entries already in rank order.
+    pub(crate) fn from_ranked(entries: Vec<(PersonId, f64)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| rank_order(&w[0], &w[1]).is_lt()));
+        RankedList {
+            entries,
+            index: OnceLock::new(),
+        }
+    }
+
     /// The entries in rank order.
     pub fn entries(&self) -> &[(PersonId, f64)] {
         &self.entries

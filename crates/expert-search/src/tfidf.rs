@@ -4,7 +4,7 @@ use crate::incremental::{
     affected_cap, corrected_rank, person_indexed_scores, skill_delta_effect, BaselineKind,
     RankerBaseline, TermStats,
 };
-use crate::ranker::{orders_before, smoothed_idf, ExpertRanker};
+use crate::ranker::{idf_from_count, orders_before, rank_order, smoothed_idf, ExpertRanker};
 use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query, SkillId};
 
 /// Ranks experts by the IDF-weighted overlap between their own skills and the
@@ -41,11 +41,17 @@ impl TfIdfRanker {
                 score += idf;
             }
         }
+        self.length_normalised(graph, p, score)
+    }
+
+    /// `p`'s summed IDF `score` under the length normalisation.
+    fn length_normalised<G: GraphView + ?Sized>(&self, graph: &G, p: PersonId, score: f64) -> f64 {
         if score > 0.0 {
             let len = graph.person_skills(p).len() as f64;
-            score /= (1.0 + len).powf(self.length_norm);
+            score / (1.0 + len).powf(self.length_norm)
+        } else {
+            score
         }
-        score
     }
 }
 
@@ -71,15 +77,56 @@ impl ExpertRanker for TfIdfRanker {
         state.write_u64(self.length_norm.to_bits());
     }
 
+    /// One pass over people counts each query term's holders and records
+    /// the terms each person holds; the IDFs follow from the counts, and the
+    /// scores of the people holding a term from the IDFs, summed in query
+    /// order as [`ExpertRanker::score`] sums them. Everyone else scores
+    /// exactly `+0.0`. TF-IDF scores are never negative, so only the other
+    /// scores are sorted, and the zero-score people, generated in id order,
+    /// close the list where a full sort would put them.
     fn rank_all<G: GraphView + ?Sized>(&self, graph: &G, query: &Query) -> crate::RankedList {
-        // Precompute the IDF of each query term once per ranking call instead of
-        // once per (person, term) pair.
-        let idfs = query_idfs(graph, query);
-        let scores = graph
-            .people_ids()
-            .map(|p| (p, self.score_with(graph, query.skills(), &idfs, p)))
-            .collect();
-        crate::RankedList::from_scores(scores)
+        let terms = query.skills();
+        let mut holders = vec![0usize; terms.len()];
+        // The positions in `terms` of every held term, person by person, and
+        // each term holder with the end of its positions.
+        let mut held: Vec<usize> = Vec::new();
+        let mut term_holders: Vec<(PersonId, usize)> = Vec::new();
+        for p in graph.people_ids() {
+            let before = held.len();
+            for (t, &s) in terms.iter().enumerate() {
+                if graph.person_has_skill(p, s) {
+                    holders[t] += 1;
+                    held.push(t);
+                }
+            }
+            if held.len() > before {
+                term_holders.push((p, held.len()));
+            }
+        }
+        let n = graph.num_people();
+        let idfs: Vec<f64> = holders.iter().map(|&h| idf_from_count(n, h)).collect();
+        let mut ranked = Vec::with_capacity(term_holders.len());
+        let mut zeros = Vec::with_capacity(n - term_holders.len());
+        let (mut start, mut next_id) = (0, 0);
+        for &(p, end) in &term_holders {
+            zeros.extend((next_id..p.index()).map(|i| (PersonId::from_index(i), 0.0)));
+            next_id = p.index() + 1;
+            let mut score = 0.0;
+            for &t in &held[start..end] {
+                score += idfs[t];
+            }
+            start = end;
+            let score = self.length_normalised(graph, p, score);
+            if score.to_bits() == 0 {
+                zeros.push((p, score));
+            } else {
+                ranked.push((p, score));
+            }
+        }
+        zeros.extend((next_id..n).map(|i| (PersonId::from_index(i), 0.0)));
+        ranked.sort_by(rank_order);
+        ranked.extend(zeros);
+        crate::RankedList::from_ranked(ranked)
     }
 
     /// Counts the people ordering before `person`: O(n), no sort.

@@ -115,7 +115,6 @@ const SLOW_BUILD_TIMEOUT: Duration = Duration::from_secs(300);
 
 fn worker_config() -> ServerConfig {
     ServerConfig {
-        batch_window: Duration::from_millis(1),
         read_timeout: SLOW_BUILD_TIMEOUT,
         ..Default::default()
     }

@@ -30,14 +30,16 @@
 //! Connections never run a search themselves. Parsed requests enter one of
 //! two **bounded admission queues** ([`queue::AdmissionQueue`]): a fast lane
 //! for cache-warm work and a slow lane for cold. Each lane's batcher thread
-//! drains up to `max_batch` requests — or whatever arrived within
-//! `batch_window` of the first — into a single
-//! [`exes_core::ExesService::explain`] call. That is what makes
-//! concurrent duplicate-heavy traffic cheap: requests from *different*
-//! connections land in one engine batch, where cross-user dedup answers
-//! repeats by cloning and the shared probe cache replays warm epochs with
-//! zero black-box probes. When the queue is full the server **sheds load**
-//! (HTTP 503 + `Retry-After`) instead of buffering without bound.
+//! takes whatever is queued when it wakes, up to `max_batch` requests, into
+//! a single [`exes_core::ExesService::explain`] call, and never waits for
+//! more: a lone request is answered at once, with every core free for its
+//! probes. Requests that arrive while a batch computes queue up for the
+//! next one, and that is what makes concurrent duplicate-heavy traffic
+//! cheap: requests from *different* connections land in one engine batch,
+//! where cross-user dedup answers repeats by cloning and the shared probe
+//! cache replays warm epochs with zero black-box probes. When the queue is
+//! full the server **sheds load** (HTTP 503 + `Retry-After: 1`) instead of
+//! buffering without bound.
 //!
 //! ## Robustness guarantees
 //!

@@ -14,11 +14,9 @@
 //! * `--seed N`         dataset seed (default 7)
 //! * `--workers N`      connection workers (default 4)
 //! * `--queue-depth N`  admission-queue capacity in requests (default 1024)
-//! * `--max-batch N`    micro-batch target size (default 64)
-//! * `--batch-window-ms N`  straggler window per micro-batch (default 2)
+//! * `--max-batch N`    most requests per micro-batch (default 64)
 //! * `--slow-queue-depth N`  slow-lane capacity in requests (default 256)
-//! * `--slow-max-batch N`    slow-lane micro-batch target size (default 16)
-//! * `--slow-batch-window-ms N`  slow-lane straggler window (default 4)
+//! * `--slow-max-batch N`    most requests per slow-lane micro-batch (default 16)
 //! * `--k N`            top-k cutoff of the registered expert models (default 10)
 //! * `--probe-budget N` black-box probe budget per explanation, 0 = unbounded
 //!   (default 0); budget-exhausted results are marked `"completeness":{...}`
@@ -50,10 +48,8 @@ struct Args {
     workers: usize,
     queue_depth: usize,
     max_batch: usize,
-    batch_window_ms: u64,
     slow_queue_depth: usize,
     slow_max_batch: usize,
-    slow_batch_window_ms: u64,
     k: usize,
     probe_budget: usize,
     data_dir: Option<String>,
@@ -68,10 +64,8 @@ fn parse_args() -> Args {
         workers: 4,
         queue_depth: 1024,
         max_batch: 64,
-        batch_window_ms: 2,
         slow_queue_depth: 256,
         slow_max_batch: 16,
-        slow_batch_window_ms: 4,
         k: 10,
         probe_budget: 0,
         data_dir: None,
@@ -94,9 +88,6 @@ fn parse_args() -> Args {
             "--max-batch" => {
                 args.max_batch = value("count").parse().expect("--max-batch: not a count")
             }
-            "--batch-window-ms" => {
-                args.batch_window_ms = value("ms").parse().expect("--batch-window-ms: not ms")
-            }
             "--slow-queue-depth" => {
                 args.slow_queue_depth = value("count")
                     .parse()
@@ -106,10 +97,6 @@ fn parse_args() -> Args {
                 args.slow_max_batch = value("count")
                     .parse()
                     .expect("--slow-max-batch: not a count")
-            }
-            "--slow-batch-window-ms" => {
-                args.slow_batch_window_ms =
-                    value("ms").parse().expect("--slow-batch-window-ms: not ms")
             }
             "--k" => args.k = value("k").parse().expect("--k: not a number"),
             "--probe-budget" => {
@@ -214,10 +201,8 @@ fn main() {
         workers: args.workers,
         queue_depth: args.queue_depth,
         max_batch: args.max_batch,
-        batch_window: Duration::from_millis(args.batch_window_ms),
         slow_queue_depth: args.slow_queue_depth,
         slow_max_batch: args.slow_max_batch,
-        slow_batch_window: Duration::from_millis(args.slow_batch_window_ms),
         ..Default::default()
     };
     // Report the graph actually being served — after recovery it can be many

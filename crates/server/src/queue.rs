@@ -2,9 +2,11 @@
 //!
 //! This is the heart of the serving story: connections do not call the
 //! explanation engine directly — they enqueue parsed requests as a [`Job`]
-//! and the queue's batcher thread drains it in **micro-batches** (up to
-//! `max_batch` requests, or whatever arrived within `batch_window` of the
-//! first one) into one [`exes_core::ExesService::explain`] call. Concurrent
+//! and the queue's batcher thread drains it in **micro-batches** (whatever
+//! is queued when it wakes, up to `max_batch` requests) into one
+//! [`exes_core::ExesService::explain`] call. A lone request is answered
+//! without waiting for company; requests that arrive while a batch computes
+//! ride the next one together. Concurrent
 //! users asking about the same query therefore land in the *same* engine
 //! batch, where the service's cross-request dedup and shared probe cache
 //! eliminate their duplicate probes — machinery that only pays off if the
@@ -22,7 +24,6 @@ use exes_graph::GraphSnapshot;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// What the batcher sends back for one job: the job's slice of the
 /// micro-batch results (position-stable), the report of the micro-batch it
@@ -140,60 +141,33 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Blocks for the next micro-batch: waits for a first job, then keeps
-    /// collecting until `max_batch` requests are assembled or `batch_window`
-    /// has elapsed since the first job was taken. Returns `None` only when
-    /// the queue is closed **and** drained — every admitted job is handed to
-    /// the batcher exactly once, so graceful shutdown answers all in-flight
-    /// work.
-    pub fn next_batch(&self, max_batch: usize, batch_window: Duration) -> Option<Vec<Job>> {
+    /// Blocks for the next micro-batch: waits for a first job, then takes
+    /// whatever else is queued, up to `max_batch` requests, without waiting
+    /// for more. Jobs that arrive while the batch computes are queued for
+    /// the next one, so under load batches grow on their own. Returns `None`
+    /// only when the queue is closed **and** drained — every admitted job is
+    /// handed to the batcher exactly once, so graceful shutdown answers all
+    /// in-flight work.
+    pub fn next_batch(&self, max_batch: usize) -> Option<Vec<Job>> {
         let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if !state.jobs.is_empty() {
-                break;
-            }
+        while state.jobs.is_empty() {
             if state.closed {
                 return None;
             }
             state = self.arrived.wait(state).expect("queue poisoned");
         }
-
         let mut batch = Vec::new();
         let mut collected = 0usize;
-        let first = state.jobs.pop_front().expect("non-empty by loop above");
-        collected += first.requests.len();
-        batch.push(first);
-        let deadline = Instant::now() + batch_window;
-        loop {
-            while collected < max_batch.max(1) {
-                match state.jobs.pop_front() {
-                    Some(job) => {
-                        collected += job.requests.len();
-                        batch.push(job);
-                    }
-                    None => break,
+        while collected < max_batch.max(1) {
+            match state.jobs.pop_front() {
+                Some(job) => {
+                    collected += job.requests.len();
+                    batch.push(job);
                 }
+                None => break,
             }
-            if collected >= max_batch.max(1) || state.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            // A wait that runs out ends the batch at the deadline check
-            // above, after taking any job that arrived meanwhile.
-            state = self
-                .arrived
-                .wait_timeout(state, deadline - now)
-                .expect("queue poisoned")
-                .0;
         }
-        state.queued_requests -= batch
-            .iter()
-            .map(|j| j.requests.len())
-            .sum::<usize>()
-            .min(state.queued_requests);
+        state.queued_requests -= collected.min(state.queued_requests);
         drop(state);
         Some(batch)
     }
@@ -257,7 +231,7 @@ mod tests {
         assert_eq!(queue.push(c).unwrap_err(), PushError::Full);
 
         // Draining frees capacity again.
-        let batch = queue.next_batch(16, Duration::ZERO).unwrap();
+        let batch = queue.next_batch(16).unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(queue.depth(), 0);
         let (d, _rd) = job(3);
@@ -271,7 +245,7 @@ mod tests {
         queue.push(big).unwrap();
         let (next, _r2) = job(1);
         assert_eq!(queue.push(next).unwrap_err(), PushError::Full);
-        assert_eq!(queue.next_batch(1, Duration::ZERO).unwrap().len(), 1);
+        assert_eq!(queue.next_batch(1).unwrap().len(), 1);
         assert_eq!(queue.depth(), 0);
     }
 
@@ -284,31 +258,38 @@ mod tests {
             queue.push(j).unwrap();
         }
         // 5 jobs × 2 requests, max_batch 6 → first batch takes 3 jobs.
-        let batch = queue.next_batch(6, Duration::ZERO).unwrap();
+        let batch = queue.next_batch(6).unwrap();
         assert_eq!(batch.len(), 3);
-        let batch = queue.next_batch(6, Duration::ZERO).unwrap();
+        let batch = queue.next_batch(6).unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(queue.depth(), 0);
     }
 
     #[test]
-    fn the_window_waits_for_stragglers() {
+    fn a_lone_job_is_handed_over_without_waiting() {
         let queue = Arc::new(AdmissionQueue::new(100));
+        let (first, _r1) = job(1);
+        queue.push(first).unwrap();
+        let (pushed, taken) = mpsc::channel();
         let producer = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
-                let (first, r1) = job(1);
-                queue.push(first).unwrap();
-                std::thread::sleep(Duration::from_millis(20));
+                // Push the second job only once the first is handed over,
+                // and 200 ms later still.
+                taken.recv().unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(200));
                 let (second, r2) = job(1);
                 queue.push(second).unwrap();
-                (r1, r2)
+                r2
             })
         };
-        // A generous window: both jobs land in one micro-batch even though
-        // the second arrives ~20ms after the first.
-        let batch = queue.next_batch(10, Duration::from_millis(500)).unwrap();
-        assert_eq!(batch.len(), 2);
+        let started = std::time::Instant::now();
+        let batch = queue.next_batch(10).unwrap();
+        assert_eq!(batch.len(), 1);
+        assert!(started.elapsed() < std::time::Duration::from_millis(200));
+        pushed.send(()).unwrap();
+        // The late job is the next batch, on its own.
+        assert_eq!(queue.next_batch(10).unwrap().len(), 1);
         producer.join().unwrap();
     }
 
@@ -321,14 +302,8 @@ mod tests {
         let (b, _rb) = job(1);
         assert_eq!(queue.push(b).unwrap_err(), PushError::Closed);
         // The admitted job is still handed out, then the queue ends.
-        assert_eq!(
-            queue
-                .next_batch(4, Duration::from_millis(50))
-                .unwrap()
-                .len(),
-            1
-        );
-        assert!(queue.next_batch(4, Duration::from_millis(50)).is_none());
+        assert_eq!(queue.next_batch(4).unwrap().len(), 1);
+        assert!(queue.next_batch(4).is_none());
     }
 
     #[test]

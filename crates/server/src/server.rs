@@ -3,9 +3,9 @@
 //!
 //! Connections are served by the skeleton in [`crate::serve`]; this module
 //! supplies its four endpoint bodies and the engine side behind them. CPU
-//! parallelism comes from the `exes-parallel` pool *inside*
-//! [`ExesService::explain`], which shards each micro-batch's unique requests
-//! across cores.
+//! parallelism comes from `exes-parallel` *inside*
+//! [`ExesService::explain`], which spreads a micro-batch's unique requests,
+//! or a lone request's probe batches, across cores.
 //!
 //! Connection workers run no searches themselves, but a worker does block on
 //! its own job's outcome (synchronous HTTP), so the pool saturates at
@@ -56,11 +56,8 @@ pub struct ServerConfig {
     /// Most connections allowed to wait for a worker; beyond it the acceptor
     /// drops new sockets instead of buffering them without bound.
     pub max_pending_connections: usize,
-    /// Target micro-batch size, in requests.
+    /// Most requests one micro-batch takes from the fast lane.
     pub max_batch: usize,
-    /// How long the batcher waits for stragglers after the first request of
-    /// a micro-batch arrives.
-    pub batch_window: Duration,
     /// Largest accepted request body, in bytes (413 beyond it).
     pub max_body_bytes: usize,
     /// Socket read timeout: bounds how long an idle keep-alive connection
@@ -76,14 +73,10 @@ pub struct ServerConfig {
     /// the fast lane: queueing many cold searches just converts memory into
     /// latency, and a shed cold request retries against a warmer cache.
     pub slow_queue_depth: usize,
-    /// Slow-lane micro-batch target size. Smaller than the fast lane's:
-    /// cold requests dominate engine time, so giant batches only stretch
-    /// the lane's own tail.
+    /// Most requests one micro-batch takes from the slow lane. Smaller than
+    /// the fast lane's: cold requests dominate engine time, so giant batches
+    /// only stretch the lane's own tail.
     pub slow_max_batch: usize,
-    /// Slow-lane straggler window. Longer than the fast lane's: cold
-    /// batches compute for milliseconds anyway, so waiting a little harder
-    /// for merge-able traffic is nearly free.
-    pub slow_batch_window: Duration,
 }
 
 impl Default for ServerConfig {
@@ -94,13 +87,11 @@ impl Default for ServerConfig {
             queue_depth: 1024,
             max_pending_connections: 1024,
             max_batch: 64,
-            batch_window: Duration::from_millis(2),
             max_body_bytes: 1 << 20,
             read_timeout: Duration::from_secs(10),
             request_budget: Duration::from_secs(30),
             slow_queue_depth: 256,
             slow_max_batch: 16,
-            slow_batch_window: Duration::from_millis(4),
         }
     }
 }
@@ -286,8 +277,8 @@ fn start_with(
 /// The micro-batching engine loop for one lane: one [`ExesService::explain`] per
 /// drained micro-batch, results split back per job in admission order. Each
 /// lane runs its own copy of this loop on its own thread, with its own batch
-/// size and straggler window — that independence is the whole point: a slow
-/// cold batch in one lane never delays the other lane's drain.
+/// size — that independence is the whole point: a slow cold batch in one
+/// lane never delays the other lane's drain.
 ///
 /// The engine call is isolated with `catch_unwind`: if a batch panics (an
 /// engine invariant bug, a poisoned cache shard), its jobs' senders are
@@ -296,8 +287,11 @@ fn start_with(
 /// worker forever and deadlock shutdown.
 fn batch_loop(inner: &Inner, lane: Lane) {
     let (queue, _) = inner.lane(lane);
-    let (max_batch, batch_window) = lane_drain_params(&inner.config, lane);
-    while let Some(jobs) = queue.next_batch(max_batch, batch_window) {
+    let max_batch = match lane {
+        Lane::Fast => inner.config.max_batch,
+        Lane::Slow => inner.config.slow_max_batch,
+    };
+    while let Some(jobs) = queue.next_batch(max_batch) {
         let merged: Vec<_> = jobs
             .iter()
             .flat_map(|job| job.requests.iter().cloned())
@@ -326,25 +320,9 @@ fn batch_loop(inner: &Inner, lane: Lane) {
     }
 }
 
-/// The drain parameters — micro-batch size and straggler window — of a lane.
-fn lane_drain_params(config: &ServerConfig, lane: Lane) -> (usize, Duration) {
-    match lane {
-        Lane::Fast => (config.max_batch, config.batch_window),
-        Lane::Slow => (config.slow_max_batch, config.slow_batch_window),
-    }
-}
-
-/// The `Retry-After` seconds for a 503 shed from a lane currently holding
-/// `depth` queued requests: the lane drains roughly one `max_batch`-sized
-/// micro-batch per `batch_window`, so `ceil(depth / max_batch) × window` is
-/// a floor on when capacity reappears. Clamped to `[1, 30]` — never tell a
-/// client "retry immediately" while the queue is full, and never park it for
-/// minutes on an estimate built from a straggler window.
-fn retry_after_secs(depth: usize, max_batch: usize, batch_window: Duration) -> u64 {
-    let batches = depth.div_ceil(max_batch.max(1)).max(1);
-    let secs = (batches as f64 * batch_window.as_secs_f64()).ceil() as u64;
-    secs.clamp(1, 30)
-}
+/// The `Retry-After` seconds of a 503 from a full or draining lane: a short
+/// back-off, not a promise of when capacity returns.
+const RETRY_AFTER_SECS: u64 = 1;
 
 impl Endpoints for Inner {
     fn healthz(&self) -> Response {
@@ -451,16 +429,14 @@ impl Endpoints for Inner {
                     lane_metrics
                         .shed_requests
                         .fetch_add(valid_len as u64, Ordering::Relaxed);
-                    let (max_batch, window) = lane_drain_params(&self.config, lane);
-                    let retry = retry_after_secs(queue.depth(), max_batch, window);
                     return Ok((
                         503,
-                        vec![("Retry-After", retry.to_string())],
+                        vec![("Retry-After", RETRY_AFTER_SECS.to_string())],
                         WireError::new(
                             "overloaded",
                             format!(
                                 "{} admission lane is full (capacity {} requests); \
-                                 retry in ~{retry}s",
+                                 retry in ~{RETRY_AFTER_SECS}s",
                                 lane.tag(),
                                 queue.capacity()
                             ),
@@ -471,7 +447,7 @@ impl Endpoints for Inner {
                 Err(PushError::Closed) => {
                     return Ok((
                         503,
-                        vec![("Retry-After", "1".to_string())],
+                        vec![("Retry-After", RETRY_AFTER_SECS.to_string())],
                         WireError::new("shutting_down", "server is draining; retry elsewhere")
                             .to_json(),
                     ));
@@ -567,37 +543,5 @@ impl Endpoints for Inner {
                 (status, Vec::new(), error.to_json())
             }
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retry_after_tracks_the_drain_rate_of_each_lane() {
-        let config = ServerConfig {
-            max_batch: 64,
-            batch_window: Duration::from_millis(2),
-            slow_max_batch: 4,
-            slow_batch_window: Duration::from_secs(1),
-            ..Default::default()
-        };
-        // Fast lane: 128 queued / 64 per batch × 2ms ≈ 4ms — floors to the
-        // 1-second minimum so full queues never advertise instant retry.
-        let (fast_batch, fast_window) = lane_drain_params(&config, Lane::Fast);
-        assert_eq!((fast_batch, fast_window), (64, Duration::from_millis(2)));
-        assert_eq!(retry_after_secs(128, fast_batch, fast_window), 1);
-        // Slow lane: 12 queued / 4 per batch × 1s = 3 batches ≈ 3s.
-        let (slow_batch, slow_window) = lane_drain_params(&config, Lane::Slow);
-        assert_eq!((slow_batch, slow_window), (4, Duration::from_secs(1)));
-        assert_eq!(retry_after_secs(12, slow_batch, slow_window), 3);
-        // Partial batches round up: 13 queued needs a 4th drain cycle.
-        assert_eq!(retry_after_secs(13, slow_batch, slow_window), 4);
-        // A pathological backlog is capped at 30s, an empty one floors at 1s.
-        assert_eq!(retry_after_secs(100_000, slow_batch, slow_window), 30);
-        assert_eq!(retry_after_secs(0, slow_batch, slow_window), 1);
-        // A zero max_batch cannot divide by zero.
-        assert_eq!(retry_after_secs(5, 0, Duration::from_secs(2)), 10);
     }
 }

@@ -116,13 +116,6 @@ fn start(f: &Fixture, config: ServerConfig) -> ServerHandle {
     exes_server::start(service(f), config).expect("bind loopback")
 }
 
-fn quick_config() -> ServerConfig {
-    ServerConfig {
-        batch_window: Duration::from_millis(1),
-        ..Default::default()
-    }
-}
-
 /// The wire body asking for all six kinds for each subject.
 fn six_kind_body(f: &Fixture) -> String {
     let mut requests = Vec::new();
@@ -177,7 +170,7 @@ fn strip_accounting(text: &str) -> String {
 #[test]
 fn all_six_kinds_roundtrip_byte_equivalent_to_in_process_results() {
     let f = fixture();
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let mut client = HttpClient::connect(handle.addr()).unwrap();
 
     let body = six_kind_body(&f);
@@ -234,7 +227,7 @@ fn all_six_kinds_roundtrip_byte_equivalent_to_in_process_results() {
 #[test]
 fn duplicate_heavy_wire_traffic_is_deduplicated_server_side() {
     let f = fixture();
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let mut client = HttpClient::connect(handle.addr()).unwrap();
 
     // The same request 8 times in one wire batch: one computation, 7 clones.
@@ -270,7 +263,7 @@ fn duplicate_heavy_wire_traffic_is_deduplicated_server_side() {
 #[test]
 fn commit_then_explain_serves_the_new_epoch() {
     let f = fixture();
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let mut client = HttpClient::connect(handle.addr()).unwrap();
 
     let health = client.get("/healthz").unwrap();
@@ -383,7 +376,7 @@ fn wire_kind(tag: &str) -> ExplanationKind {
 #[test]
 fn semantic_problems_fail_per_request_not_per_batch() {
     let f = fixture();
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let mut client = HttpClient::connect(handle.addr()).unwrap();
     let terms: Vec<String> = f
         .query_text
@@ -451,7 +444,7 @@ fn malformed_wire_input_never_kills_a_worker() {
             // promises 50 bytes and sends 9) resolves quickly instead of
             // holding its worker for the default 10s.
             read_timeout: Duration::from_millis(250),
-            ..quick_config()
+            ..Default::default()
         },
     );
 
@@ -553,10 +546,8 @@ fn overload_sheds_with_503_and_the_queue_stays_bounded() {
             workers: 8,
             queue_depth: 1,
             max_batch: 1,
-            batch_window: Duration::ZERO,
             slow_queue_depth: 1,
             slow_max_batch: 1,
-            slow_batch_window: Duration::ZERO,
             ..Default::default()
         },
     );
@@ -620,10 +611,8 @@ fn overload_shed_response_carries_retry_after() {
             workers: 4,
             queue_depth: 1,
             max_batch: 1,
-            batch_window: Duration::ZERO,
             slow_queue_depth: 1,
             slow_max_batch: 1,
-            slow_batch_window: Duration::ZERO,
             ..Default::default()
         },
     );
@@ -659,7 +648,7 @@ fn dual_lanes_route_cold_then_warm_and_report_per_lane_metrics() {
     let f = fixture();
     // A cold batch rides the slow lane, a cache-warm repeat rides the fast
     // lane.
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let addr = handle.addr();
     let mut client = HttpClient::connect(addr).unwrap();
     let body = six_kind_body(&f);
@@ -717,7 +706,7 @@ fn dual_lanes_route_cold_then_warm_and_report_per_lane_metrics() {
 #[test]
 fn graceful_shutdown_drains_and_joins() {
     let f = fixture();
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let addr = handle.addr();
     let mut client = HttpClient::connect(addr).unwrap();
     let response = client.post("/explain", &six_kind_body(&f)).unwrap();
@@ -741,7 +730,7 @@ fn graceful_shutdown_drains_and_joins() {
 #[test]
 fn metrics_observe_served_traffic() {
     let f = fixture();
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let mut client = HttpClient::connect(handle.addr()).unwrap();
 
     let body = six_kind_body(&f);
@@ -772,7 +761,7 @@ fn metrics_observe_served_traffic() {
 #[test]
 fn client_pool_reuses_connections_across_concurrent_callers() {
     let f = fixture();
-    let handle = start(&f, quick_config());
+    let handle = start(&f, ServerConfig::default());
     let pool = exes_server::client::ClientPool::with_limits(
         handle.addr(),
         Some(Duration::from_secs(2)),
@@ -826,7 +815,7 @@ fn warm_restart_recovers_state_and_answers_repeat_batch_with_zero_probes() {
         Arc::new(DurableStore::open(&dir, durability, || f.ds.graph.clone()).expect("first boot"));
     let handle = exes_server::start_durable(
         service_over(&f, Arc::clone(durable.store())),
-        quick_config(),
+        ServerConfig::default(),
         Arc::clone(&durable),
     )
     .expect("bind loopback");
@@ -903,7 +892,7 @@ fn warm_restart_recovers_state_and_answers_repeat_batch_with_zero_probes() {
     );
     let handle = exes_server::start_durable(
         service_over(&f, Arc::clone(durable.store())),
-        quick_config(),
+        ServerConfig::default(),
         Arc::clone(&durable),
     )
     .expect("bind loopback");

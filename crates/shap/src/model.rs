@@ -112,25 +112,37 @@ impl<M: MaskedModel> MaskedModel for CachingModel<M> {
     /// the batch) to the wrapped model's own `evaluate_batch`, so an inner
     /// parallel implementation sees each distinct coalition exactly once.
     fn evaluate_batch(&self, masks: &[Vec<bool>]) -> Vec<f64> {
+        // Each mask's memoised value, or its position among the misses.
+        let mut slots: Vec<Result<f64, usize>> = Vec::with_capacity(masks.len());
         let mut misses: Vec<Vec<bool>> = Vec::new();
         {
             let cache = self.cache.lock().expect("cache poisoned");
-            let mut seen: FxHashMap<&[bool], ()> = FxHashMap::default();
+            let mut seen: FxHashMap<&[bool], usize> = FxHashMap::default();
             for mask in masks {
-                if !cache.contains_key(mask) && seen.insert(mask.as_slice(), ()).is_none() {
-                    misses.push(mask.clone());
-                }
+                slots.push(match cache.get(mask) {
+                    Some(&v) => Ok(v),
+                    None => Err(*seen.entry(mask).or_insert_with(|| {
+                        misses.push(mask.clone());
+                        misses.len() - 1
+                    })),
+                });
             }
         }
-        if !misses.is_empty() {
-            let outputs = self.inner.evaluate_batch(&misses);
-            let mut cache = self.cache.lock().expect("cache poisoned");
-            for (mask, v) in misses.into_iter().zip(outputs) {
-                cache.insert(mask, v);
-            }
+        if misses.is_empty() {
+            return slots
+                .into_iter()
+                .map(|slot| slot.unwrap_or_default())
+                .collect();
         }
-        let cache = self.cache.lock().expect("cache poisoned");
-        masks.iter().map(|m| cache[m]).collect()
+        let outputs = self.inner.evaluate_batch(&misses);
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        for (mask, &v) in misses.into_iter().zip(&outputs) {
+            cache.insert(mask, v);
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|miss| outputs[miss]))
+            .collect()
     }
 }
 

@@ -9,6 +9,13 @@ use rand::SeedableRng;
 /// The z-score of a two-sided 95% normal confidence interval.
 const Z_95: f64 = 1.96;
 
+/// Most mask cells (coalitions × features) handed to one
+/// [`MaskedModel::evaluate_batch`] call. A pass over `m` features asks `m`
+/// coalitions of `m` cells, so 32 passes over up to 90 features fit one
+/// call, and a wider feature set's passes go over several calls, keeping a
+/// batch's masks and perturbation sets to a few megabytes.
+const WALK_CELLS: usize = 1 << 18;
+
 /// A Shapley estimate with uncertainty and budget accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledShap {
@@ -34,7 +41,11 @@ pub struct SampledShap {
 /// evaluation budget.
 ///
 /// Runs up to `permutations` random-order passes, charging `M` evaluations
-/// per pass plus two upfront (`base_value` + `full_value`). Each pass is a
+/// per pass plus two upfront (`base_value` + `full_value`). The passes'
+/// coalitions are handed to [`MaskedModel::evaluate_batch`] together, in
+/// pass order (a very wide feature set's passes over a few calls, to bound
+/// memory), so a model that probes in parallel sees them at once. Each pass
+/// is a
 /// telescoping sum, so the efficiency axiom (`Σφ = f(full) − f(∅)`) holds
 /// *exactly* for any number of completed passes; only per-feature variance
 /// shrinks with more samples. Sampling stops *between* permutations, never
@@ -86,31 +97,40 @@ pub fn permutation_shapley<M: MaskedModel>(
     let base_value = model.base_value();
     let full_value = model.full_value();
     evaluations += 2;
+    // Every pass costs `m` evaluations, so the budget alone fixes how many
+    // complete; the RNG fixes every pass's walk before any value is known.
+    let completed = max_evaluations.map_or(permutations, |max| permutations.min((max - 2) / m));
+    let passes_per_batch = (WALK_CELLS / m.saturating_mul(m)).max(1);
 
     let mut sums = vec![0.0; m];
     let mut sum_squares = vec![0.0; m];
     let mut order: Vec<usize> = (0..m).collect();
-    let mut mask = vec![false; m];
-    let mut completed = 0usize;
-    for _ in 0..permutations {
-        if !fits(evaluations, m) {
-            break;
+    let mut passes = 0usize;
+    while passes < completed {
+        let batch = passes_per_batch.min(completed - passes);
+        let mut orders: Vec<Vec<usize>> = Vec::with_capacity(batch);
+        let mut walks: Vec<Vec<bool>> = Vec::with_capacity(batch * m);
+        for _ in 0..batch {
+            order.shuffle(&mut rng);
+            let mut mask = vec![false; m];
+            for &feature in &order {
+                mask[feature] = true;
+                walks.push(mask.clone());
+            }
+            orders.push(order.clone());
         }
-        order.shuffle(&mut rng);
-        for slot in mask.iter_mut() {
-            *slot = false;
+        let values = model.evaluate_batch(&walks);
+        for (order, walk) in orders.iter().zip(values.chunks_exact(m)) {
+            let mut previous = base_value;
+            for (&feature, &current) in order.iter().zip(walk) {
+                sums[feature] += current - previous;
+                sum_squares[feature] += (current - previous) * (current - previous);
+                previous = current;
+            }
         }
-        let mut previous = base_value;
-        for &feature in &order {
-            mask[feature] = true;
-            let current = model.evaluate(&mask);
-            sums[feature] += current - previous;
-            sum_squares[feature] += (current - previous) * (current - previous);
-            previous = current;
-        }
-        evaluations += m;
-        completed += 1;
+        passes += batch;
     }
+    evaluations += completed * m;
 
     let values: Vec<f64> = if completed == 0 {
         vec![0.0; m]
@@ -142,6 +162,7 @@ pub fn permutation_shapley<M: MaskedModel>(
 mod tests {
     use super::*;
     use crate::{exact_shapley, shapley, CachingModel, FnModel, ShapConfig};
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn interacting_model() -> FnModel<impl Fn(&[bool]) -> f64> {
@@ -372,6 +393,93 @@ mod tests {
             assert!(spent <= budget, "budget {budget}: spent {spent}");
             assert_eq!(sampled.evaluations, spent);
         }
+    }
+
+    /// A model that records every coalition it is asked, in order, and the
+    /// size of every batch.
+    struct Recording<M> {
+        inner: M,
+        asked: RefCell<Vec<Vec<bool>>>,
+        batches: RefCell<Vec<usize>>,
+    }
+
+    impl<M: MaskedModel> MaskedModel for Recording<M> {
+        fn num_features(&self) -> usize {
+            self.inner.num_features()
+        }
+
+        fn evaluate(&self, mask: &[bool]) -> f64 {
+            self.asked.borrow_mut().push(mask.to_vec());
+            self.inner.evaluate(mask)
+        }
+
+        fn evaluate_batch(&self, masks: &[Vec<bool>]) -> Vec<f64> {
+            self.batches.borrow_mut().push(masks.len());
+            masks.iter().map(|mask| self.evaluate(mask)).collect()
+        }
+    }
+
+    /// The coalitions the sampler asked one at a time before it batched its
+    /// passes: the two anchors, then each affordable pass's walk.
+    fn asked_one_at_a_time(
+        m: usize,
+        permutations: usize,
+        seed: u64,
+        max: Option<usize>,
+    ) -> Vec<Vec<bool>> {
+        let mut asked = vec![vec![false; m], vec![true; m]];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut order: Vec<usize> = (0..m).collect();
+        for _ in 0..permutations {
+            if max.is_some_and(|max| asked.len() + m > max) {
+                break;
+            }
+            order.shuffle(&mut rng);
+            let mut mask = vec![false; m];
+            for &feature in &order {
+                mask[feature] = true;
+                asked.push(mask.clone());
+            }
+        }
+        asked
+    }
+
+    #[test]
+    fn batched_passes_ask_the_one_at_a_time_coalitions() {
+        for (permutations, seed, max) in [(64, 0x5A4B, None), (10, 9, Some(19)), (8, 3, Some(41))] {
+            let model = Recording {
+                inner: wide_model(),
+                asked: RefCell::default(),
+                batches: RefCell::default(),
+            };
+            let sampled = permutation_shapley(&model, permutations, seed, max);
+            let expected = asked_one_at_a_time(12, permutations, seed, max);
+            assert_eq!(
+                *model.asked.borrow(),
+                expected,
+                "{permutations} passes, budget {max:?}"
+            );
+            assert_eq!(sampled.evaluations, expected.len());
+            // All passes in one batch.
+            assert_eq!(
+                *model.batches.borrow(),
+                [12 * sampled.permutations_completed]
+            );
+        }
+        // More passes than one batch may hold: whole passes per batch, in
+        // the same order.
+        let per_batch = WALK_CELLS / (12 * 12);
+        let model = Recording {
+            inner: wide_model(),
+            asked: RefCell::default(),
+            batches: RefCell::default(),
+        };
+        permutation_shapley(&model, per_batch + 3, 1, None);
+        assert_eq!(
+            *model.asked.borrow(),
+            asked_one_at_a_time(12, per_batch + 3, 1, None)
+        );
+        assert_eq!(*model.batches.borrow(), [12 * per_batch, 12 * 3]);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use exes::prelude::*;
 use exes::server::json;
-use std::time::Duration;
 
 fn main() {
     // --- A small collaboration network ------------------------------------
@@ -47,14 +46,8 @@ fn main() {
             ModelSpec::expert_ranker(PropagationRanker::default(), 1),
         )
         .expect("valid spec");
-    let handle = exes::server::start(
-        service,
-        ServerConfig {
-            batch_window: Duration::from_millis(1),
-            ..Default::default()
-        },
-    )
-    .expect("bind a loopback port");
+    let handle =
+        exes::server::start(service, ServerConfig::default()).expect("bind a loopback port");
     println!("serving on http://{}", handle.addr());
 
     let mut client = HttpClient::connect(handle.addr()).expect("connect");

@@ -11,7 +11,8 @@
 //! accounting included, so cache-less probe counts are pinned too) and
 //! hashed with the vendored Fx hasher. A cold `ExesService` must then give
 //! the same answers once the accounting, which a shared cache changes, is
-//! removed.
+//! removed — probing sequentially, and probing in parallel as a served
+//! service does by default, with the same accounting either way.
 
 use exes::prelude::*;
 use exes::server::wire::{explanation_json, kind_tag};
@@ -175,11 +176,11 @@ fn facade_answers_match_their_frozen_digests() {
     );
 }
 
-#[test]
-fn a_cold_service_answers_like_the_facade() {
-    let answers = facade_answers();
-    let s = &answers.scenario;
-    let mut service = ExesService::from_graph(&s.exes, s.graph.clone());
+/// A cold service over the scenario's graph with the four models
+/// registered, and the 24 requests of the facade answers, in order.
+fn cold_service(exes: &Exes) -> (ExesService, Vec<ExplanationRequest>) {
+    let s = &facade_answers().scenario;
+    let mut service = ExesService::from_graph(exes, s.graph.clone());
     let specs = [
         ModelSpec::expert_ranker(TfIdfRanker::default(), K),
         ModelSpec::expert_ranker(PropagationRanker::default(), K),
@@ -202,6 +203,14 @@ fn a_cold_service_answers_like_the_facade() {
             ));
         }
     }
+    (service, requests)
+}
+
+#[test]
+fn a_cold_service_answers_like_the_facade() {
+    let answers = facade_answers();
+    let s = &answers.scenario;
+    let (service, requests) = cold_service(&s.exes);
     let (results, report) = service.explain(&service.snapshot(), &requests);
     assert_eq!(report.failed_requests, 0);
     for ((request, result), expected) in requests.iter().zip(&results).zip(&answers.json) {
@@ -212,4 +221,41 @@ fn a_cold_service_answers_like_the_facade() {
             "{request:?}"
         );
     }
+}
+
+/// The served default probes in parallel. Asked one request per call, as a
+/// lone client asks, a cold parallel service gives the facade's answers and
+/// exactly the accounting of a cold sequential one: parallelism moves no
+/// probe between the cache, the plan and the full path.
+#[test]
+fn a_parallel_cold_service_answers_like_the_sequential_one() {
+    let answers = facade_answers();
+    let s = &answers.scenario;
+    let one_call_each = |parallel: bool| -> Vec<String> {
+        let mut exes = s.exes.clone();
+        exes.config_mut().parallel_probes = parallel;
+        let (service, requests) = cold_service(&exes);
+        assert_eq!(service.config().parallel_probes, parallel);
+        requests
+            .iter()
+            .map(|request| {
+                let (results, _) =
+                    service.explain(&service.snapshot(), std::slice::from_ref(request));
+                explanation_json(results[0].as_ref().expect("valid request"), &s.graph)
+            })
+            .collect()
+    };
+    let sequential = one_call_each(false);
+    let parallel = one_call_each(true);
+    let pairs = MODELS
+        .into_iter()
+        .flat_map(|m| KINDS.map(|k| (m, kind_tag(k))));
+    for ((served, expected), (model, kind)) in parallel.iter().zip(&answers.json).zip(pairs) {
+        assert_eq!(
+            strip_accounting(served),
+            strip_accounting(expected),
+            "{model} {kind}"
+        );
+    }
+    assert_eq!(parallel, sequential);
 }

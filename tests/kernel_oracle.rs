@@ -8,9 +8,11 @@
 //! on the full path, and on propagation's planned (baseline-backed) path,
 //! both localized and dense. The incremental differentials elsewhere compare
 //! the library against itself, so they could not catch a kernel change that
-//! moved both sides together; these tests can. TF-IDF's counted `rank_of` is
-//! checked against its own sorted ranking, and the team model's planned
-//! probes against forming the team and ranking on the perturbed graph.
+//! moved both sides together; these tests can. `reference_tfidf` scores
+//! TF-IDF one person at a time, each IDF from its own pass over people, and
+//! its ranking is a full sort: the library's one-pass `rank_all` and counted
+//! `rank_of` are checked against it, and the team model's planned probes
+//! against forming the team and ranking on the perturbed graph.
 //!
 //! A ranker that declares it reads skills only through the query terms
 //! (`ExpertRanker::observes_non_query_skills`) is probed on each set's
@@ -45,6 +47,31 @@ fn mean(iter: impl Iterator<Item = f64>) -> f64 {
     } else {
         sum / n as f64
     }
+}
+
+/// Person-indexed scores of `TfIdfRanker::default()`, one person at a time.
+fn reference_tfidf<G: GraphView + ?Sized>(graph: &G, query: &Query) -> Vec<f64> {
+    let length_norm = TfIdfRanker::default().length_norm;
+    let idfs: Vec<f64> = query
+        .skills()
+        .iter()
+        .map(|&s| smoothed_idf(graph, s))
+        .collect();
+    graph
+        .people_ids()
+        .map(|p| {
+            let mut score = 0.0;
+            for (&s, &idf) in query.skills().iter().zip(&idfs) {
+                if graph.person_has_skill(p, s) {
+                    score += idf;
+                }
+            }
+            if score > 0.0 {
+                score /= (1.0 + graph.person_skills(p).len() as f64).powf(length_norm);
+            }
+            score
+        })
+        .collect()
 }
 
 /// Person-indexed propagation scores, one person at a time.
@@ -348,11 +375,7 @@ fn full_paths_match_the_frozen_reference() {
                     &format!("gcn, {name}, base graph"),
                 );
             }
-            // TF-IDF's counted rank_of against its own sorted ranking.
-            let mut reference = vec![0.0; graph.num_people()];
-            for &(p, s) in tfidf.rank_all(&view, query).entries() {
-                reference[p.index()] = s;
-            }
+            let reference = reference_tfidf(&view, query);
             check_full_path(
                 &tfidf,
                 &view,
