@@ -55,13 +55,19 @@ pub(crate) enum BaselineKind {
     /// TF-IDF: per-term document statistics.
     TfIdf(TermStats),
     /// Expertise propagation: term statistics, the person-indexed base
-    /// (0-hop) relevance the neighbourhood averages draw from, and every
-    /// person's strict two-hop set.
+    /// (0-hop) relevance the neighbourhood averages draw from, every
+    /// person's one-hop part and strict two-hop set, and a bound on base
+    /// relevance.
     Propagation {
         /// Per-term document statistics.
         terms: TermStats,
         /// Person-indexed base relevance scores.
         base: Vec<f64>,
+        /// Person-indexed `base(p) + α·mean over N(p) of base`: bitwise the
+        /// left operand of the kernel's final sum.
+        one_hop: Vec<f64>,
+        /// At least every entry of `base`.
+        max_base: f64,
         /// Strict two-hop rows of the snapshot.
         two_hop: TwoHopRows,
     },
@@ -207,10 +213,8 @@ pub(crate) fn skill_delta_effect(
 ///
 /// `changed` holds the post-delta scores of every person the delta affected
 /// (it may or may not include the subject; anyone absent keeps their baseline
-/// score). The new rank is `1 +` the number of people ordering before the
-/// subject's new key; that count starts from a binary search over the
-/// baseline order and is patched per affected person, so the result is
-/// *exactly* what a full re-sort of the new score vector would report.
+/// score). The result is *exactly* what a full re-sort of the new score
+/// vector would report.
 pub(crate) fn corrected_rank(
     baseline: &RankerBaseline,
     subject: PersonId,
@@ -222,20 +226,42 @@ pub(crate) fn corrected_rank(
         .map(|&(_, s)| s)
         .unwrap_or_else(|| baseline.scores[subject.index()]);
     let key = (subject, new_subject_score);
+    rank_from_sides(
+        baseline,
+        key,
+        changed
+            .iter()
+            .filter(|&&(p, _)| p != subject)
+            .map(|&(p, s)| (p, orders_before((p, s), key))),
+    )
+}
+
+/// The 1-based rank of the subject's post-delta entry `key`, given for every
+/// other person the delta affected whether their post-delta entry orders
+/// before `key` (anyone absent keeps their baseline score).
+///
+/// The new rank is `1 +` the number of people ordering before `key`; that
+/// count starts from a binary search over the baseline order and is patched
+/// per affected person, so only their side of `key` is needed, never their
+/// score.
+pub(crate) fn rank_from_sides(
+    baseline: &RankerBaseline,
+    key: (PersonId, f64),
+    sides: impl IntoIterator<Item = (PersonId, bool)>,
+) -> usize {
+    let subject = key.0;
     let entries = baseline.ranked.entries();
     let mut before = entries.partition_point(|&e| orders_before(e, key)) as isize;
     // The subject's own baseline entry must not count against it.
     if orders_before((subject, baseline.scores[subject.index()]), key) {
         before -= 1;
     }
-    for &(p, new_score) in changed {
-        if p == subject {
-            continue;
-        }
+    for (p, ahead) in sides {
+        debug_assert_ne!(p, subject, "the subject is the key, not a side");
         if orders_before((p, baseline.scores[p.index()]), key) {
             before -= 1;
         }
-        if orders_before((p, new_score), key) {
+        if ahead {
             before += 1;
         }
     }

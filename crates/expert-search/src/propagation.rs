@@ -7,11 +7,27 @@
 //! and a strict-two-hop mean. The two-hop set is read out of a bitset in
 //! ascending person id, the order both means are summed in, so every path
 //! produces bitwise the same scores.
+//!
+//! A score is summed as `one_hop + β·two_hop_mean`, and the baseline keeps
+//! every person's `one_hop` part. A planned probe only needs the subject's
+//! rank, so it rescores exactly the subject, the endpoints of flipped edges
+//! and everyone within one hop of a moved base relevance. Anyone else it may
+//! move keeps their stored `one_hop`, and their two-hop mean lies between 0
+//! and a bound on every base relevance after the delta, widened by the
+//! rounding of a mean of at most `n` terms. When the score interval this
+//! gives falls wholly before or after the subject's entry (scores by
+//! `total_cmp`, ties by id), that person's side is counted without touching
+//! their row; ambiguous people, ties included, are rescored exactly. The
+//! rank is bitwise the full re-rank's, and whether a probe declines (more
+//! rows to rebuild than half the graph) is settled before any bound is used.
 
 use crate::incremental::{
-    affected_cap, corrected_rank, shifted_idfs, BaselineKind, RankerBaseline, TermStats, TwoHopRows,
+    affected_cap, rank_from_sides, shifted_idfs, BaselineKind, RankerBaseline, TermStats,
+    TwoHopRows,
 };
-use crate::ranker::{counted_rank, idf_from_count, person_scores, with_scratch, ExpertRanker};
+use crate::ranker::{
+    counted_rank, idf_from_count, orders_before, person_scores, with_scratch, ExpertRanker,
+};
 use crate::RankedList;
 use exes_graph::{CollabGraph, GraphView, PersonId, PerturbedGraph, Query};
 use std::cell::Cell;
@@ -55,8 +71,9 @@ thread_local! {
 struct Scratch {
     /// Person-indexed base relevance of the graph being scored.
     base: Vec<f64>,
-    /// Person-indexed scores.
+    /// Person-indexed scores, and their one-hop parts.
     scores: Vec<f64>,
+    one_hop: Vec<f64>,
     /// Which query terms each person holds: one bit per term, in words of
     /// 64, each person's words adjacent.
     held: Vec<u64>,
@@ -66,14 +83,12 @@ struct Scratch {
     /// A strict two-hop set being built, and its ascending read-out.
     set: IdSet,
     row: Vec<PersonId>,
-    /// Planned path: per-person flags, the people whose two-hop rows must be
-    /// rebuilt, whose base relevance moved, whose score may move, and their
-    /// new scores.
+    /// Planned path: per-person flags, and the people whose two-hop rows
+    /// must be rebuilt, whose base relevance moved and whose score may move.
     marks: Marks,
     rebuild: Vec<PersonId>,
     rebased: Vec<PersonId>,
     affected: Vec<PersonId>,
-    changed: Vec<(PersonId, f64)>,
 }
 
 impl PropagationRanker {
@@ -86,13 +101,26 @@ impl PropagationRanker {
         neighbors: &[PersonId],
         two_hop: &[PersonId],
     ) -> f64 {
-        let one_hop = mean(neighbors.iter().map(|&x| base[x.index()]));
-        let two_hop = mean(two_hop.iter().map(|&m| base[m.index()]));
-        base[p.index()] + self.alpha * one_hop + self.beta * two_hop
+        self.total(
+            self.one_hop(base, p, neighbors),
+            two_hop_mean(base, two_hop),
+        )
     }
 
-    /// Scores every person of `graph` into `s.scores`, handing each person's
-    /// strict two-hop row to `each_row` in person order.
+    /// `base(p) + α·mean(base over neighbours)`: the left operand of
+    /// [`Self::total`].
+    fn one_hop(&self, base: &[f64], p: PersonId, neighbors: &[PersonId]) -> f64 {
+        base[p.index()] + self.alpha * mean(neighbors.iter().map(|&x| base[x.index()]))
+    }
+
+    /// A score from its one-hop part and its two-hop mean.
+    fn total(&self, one_hop: f64, two_hop_mean: f64) -> f64 {
+        one_hop + self.beta * two_hop_mean
+    }
+
+    /// Scores every person of `graph` into `s.scores`, their one-hop parts
+    /// into `s.one_hop`, handing each person's strict two-hop row to
+    /// `each_row` in person order.
     fn score_all<G: GraphView + ?Sized>(
         &self,
         graph: &G,
@@ -103,20 +131,70 @@ impl PropagationRanker {
         base_pass(graph, query, s);
         s.set.reserve(graph.num_people());
         s.scores.clear();
+        s.one_hop.clear();
         for p in graph.people_ids() {
             two_hop_row(graph, p, &mut s.set, &mut s.row);
             each_row(&s.row);
+            let one_hop = self.one_hop(&s.base, p, graph.neighbors(p));
+            s.one_hop.push(one_hop);
             s.scores
-                .push(self.combine(&s.base, p, graph.neighbors(p), &s.row));
+                .push(self.total(one_hop, two_hop_mean(&s.base, &s.row)));
+        }
+    }
+
+    /// Which side of the subject's post-delta entry `key` candidate `p`
+    /// lands on (`true`: before it), decided from its unmoved one-hop part
+    /// alone, or `None` when the bound cannot tell.
+    ///
+    /// `p`'s computed score is `total(one_hop, m)` for its two-hop mean `m`
+    /// in `[0, bound]`, and `total` is monotone in `m`: rising for a
+    /// non-negative `beta`, falling for a negative one. So the score lies
+    /// between the two ends, and `p`'s side is decided when its best entry
+    /// still orders after `key` or its worst entry still orders before it.
+    /// Non-finite ends decide nothing.
+    fn bounded_side(
+        &self,
+        p: PersonId,
+        one_hop: f64,
+        bound: f64,
+        key: (PersonId, f64),
+    ) -> Option<bool> {
+        let (empty, full) = (self.total(one_hop, 0.0), self.total(one_hop, bound));
+        let (least, most) = if self.beta.is_sign_negative() {
+            (full, empty)
+        } else {
+            (empty, full)
+        };
+        if !(least.is_finite() && most.is_finite()) {
+            None
+        } else if orders_before((p, least), key) {
+            Some(true)
+        } else if orders_before(key, (p, most)) {
+            Some(false)
+        } else {
+            None
         }
     }
 
     /// The planned rescore: patches the baseline's base relevances with the
-    /// view's skill delta, rebuilds the two-hop rows a flipped edge changes,
-    /// and rescores the people whose score can move — corrected against the
-    /// baseline order when they fit under the localization cap, or everyone,
-    /// counted, when a shifted IDF moves too many base relevances. `None`
-    /// only when the rows to rebuild exceed the cap.
+    /// view's skill delta, computes the subject's new score, and counts who
+    /// orders before it. `None` only when the rows to rebuild exceed the
+    /// cap, which is checked before anything is rescored or bounded.
+    ///
+    /// Only people within two hops of a moved base relevance, or whose
+    /// two-hop row a flipped edge changes, can move; the rest keep their
+    /// baseline entries. When the movers fit under the localization cap,
+    /// their sides of the subject correct the baseline order:
+    /// - flipped-edge endpoints and people within one hop of a moved base
+    ///   relevance are rescored exactly, rebuilding their rows on the view;
+    /// - everyone else's one-hop part is the stored one, and their two-hop
+    ///   mean lies in `[0, bound]`, where `bound` covers every base
+    ///   relevance after the delta plus the rounding of a mean of at most
+    ///   `n` terms ([`mean_bound`]). [`Self::bounded_side`] places them from
+    ///   that interval, and only those it cannot place are rescored.
+    ///
+    /// When a shifted IDF moves base relevances past the cap, everyone is
+    /// rescored from the stored rows and counted.
     fn planned_rank(
         &self,
         baseline: &RankerBaseline,
@@ -127,6 +205,8 @@ impl PropagationRanker {
         let BaselineKind::Propagation {
             terms,
             base,
+            one_hop,
+            max_base,
             two_hop,
         } = &baseline.kind
         else {
@@ -143,7 +223,6 @@ impl PropagationRanker {
             rebuild,
             rebased,
             affected,
-            changed,
             ..
         } = s;
         let n = view.num_people();
@@ -152,10 +231,12 @@ impl PropagationRanker {
         set.reserve(n);
 
         // Two-hop rows change for a flipped edge's endpoints and their
-        // neighbours, before and after the flip.
+        // neighbours, before and after the flip. The endpoints' one-hop
+        // parts move too.
         rebuild.clear();
         for (a, b) in view.edge_additions().chain(view.edge_removals()) {
             for p in [a, b] {
+                marks.insert(EXACT, p);
                 if marks.insert(REBUILD, p) {
                     rebuild.push(p);
                 }
@@ -194,6 +275,7 @@ impl PropagationRanker {
         patched.clear();
         patched.extend_from_slice(base);
         rebased.clear();
+        let mut top_base = *max_base;
         for &p in affected.iter() {
             let moved: f64 = baseline
                 .query
@@ -204,13 +286,15 @@ impl PropagationRanker {
                 .sum();
             if moved.to_bits() != base[p.index()].to_bits() {
                 patched[p.index()] = moved;
+                top_base = top_base.max(moved);
                 rebased.push(p);
             }
         }
 
         // Scores that can move: the two-hop ball of every moved base
-        // relevance, plus every rebuilt row. The walk stops once it passes
-        // the cap.
+        // relevance, plus every rebuilt row. Its first two layers — within
+        // one hop of a moved base — have moved one-hop parts. The walk stops
+        // once it passes the cap.
         affected.clear();
         for &p in rebased.iter() {
             if marks.insert(AFFECTED, p) {
@@ -218,7 +302,7 @@ impl PropagationRanker {
             }
         }
         let mut start = 0;
-        for _ in 0..2 {
+        for layer in 0..2 {
             let end = affected.len();
             for i in start..end {
                 if affected.len() > cap {
@@ -228,6 +312,11 @@ impl PropagationRanker {
                     if marks.insert(AFFECTED, nb) {
                         affected.push(nb);
                     }
+                }
+            }
+            if layer == 0 {
+                for &p in affected.iter() {
+                    marks.insert(EXACT, p);
                 }
             }
             start = end;
@@ -248,9 +337,23 @@ impl PropagationRanker {
             self.combine(patched, p, view.neighbors(p), second)
         };
         if affected.len() <= cap {
-            changed.clear();
-            changed.extend(affected.iter().map(|&p| (p, rescore(p))));
-            Some(corrected_rank(baseline, person, changed))
+            let subject_score = if marks.contains(AFFECTED, person) {
+                rescore(person)
+            } else {
+                baseline.scores[person.index()]
+            };
+            let key = (person, subject_score);
+            let bound = mean_bound(top_base, n);
+            let sides = affected.iter().filter(|&&p| p != person).map(|&p| {
+                let side = if marks.contains(EXACT, p) {
+                    None
+                } else {
+                    self.bounded_side(p, one_hop[p.index()], bound, key)
+                };
+                let side = side.unwrap_or_else(|| orders_before((p, rescore(p)), key));
+                (p, side)
+            });
+            Some(rank_from_sides(baseline, key, sides))
         } else {
             scores.clear();
             scores.extend(view.people_ids().map(&mut rescore));
@@ -300,9 +403,9 @@ impl ExpertRanker for PropagationRanker {
 
     fn build_baseline(&self, graph: &CollabGraph, query: &Query) -> Option<RankerBaseline> {
         let mut two_hop = TwoHopRows::new();
-        let (scores, base) = with_scratch(&SCRATCH, |s| {
+        let (scores, base, one_hop) = with_scratch(&SCRATCH, |s| {
             self.score_all(graph, query, s, |row| two_hop.push_row(row));
-            (s.scores.clone(), s.base.clone())
+            (s.scores.clone(), s.base.clone(), s.one_hop.clone())
         });
         Some(RankerBaseline {
             query: query.skills().to_vec(),
@@ -310,7 +413,9 @@ impl ExpertRanker for PropagationRanker {
             scores,
             kind: BaselineKind::Propagation {
                 terms: TermStats::collect(graph, query),
+                max_base: base.iter().copied().fold(0.0, f64::max),
                 base,
+                one_hop,
                 two_hop,
             },
         })
@@ -320,9 +425,11 @@ impl ExpertRanker for PropagationRanker {
     /// relevance of their ≤2-hop neighbourhood, and neighbour lists at most
     /// one hop out. So a moved base relevance dirties its 2-hop ball, while a
     /// flipped edge only re-aggregates its endpoints and their direct
-    /// neighbours — rescoring that union reproduces a full re-rank bitwise.
-    /// Declines only for a perturbed query, or a flipped edge whose rows to
-    /// rebuild exceed the localization cap.
+    /// neighbours. Of that union, only the people a score bound cannot place
+    /// on one side of the subject are rescored (see the module docs), and
+    /// the rank is bitwise a full re-rank's. Declines only for a perturbed
+    /// query, or a flipped edge whose rows to rebuild exceed the localization
+    /// cap (half the graph).
     fn incremental_rank_of(
         &self,
         baseline: &RankerBaseline,
@@ -408,6 +515,24 @@ fn union_neighbors<'a>(
     now.iter().chain(before).copied()
 }
 
+/// The mean base relevance over a two-hop row, summed in the row's order.
+fn two_hop_mean(base: &[f64], row: &[PersonId]) -> f64 {
+    mean(row.iter().map(|&m| base[m.index()]))
+}
+
+/// At least the computed [`mean`] of any at most `n` values in `[0, max]`.
+///
+/// Summing `k` non-negative terms one at a time gives at most
+/// `k·max·(1 + γ_(k-1))`, with `γ_j = j·u / (1 − j·u)` and `u = 2^-53`
+/// (Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2); the
+/// division rounds once more, and `(1 + γ_(k-1))(1 + u) ≤ 1 + γ_k ≤ 1 + 2k·u`.
+/// The factor `1 + 4n·u` (exact for any graph that fits in memory) keeps
+/// at least `1 + 2n·u` after the product rounds. Base relevances are sums
+/// of IDFs, each at least 1, so none is negative.
+fn mean_bound(max: f64, n: usize) -> f64 {
+    max * (1.0 + 2.0 * n as f64 * f64::EPSILON)
+}
+
 fn mean(iter: impl Iterator<Item = f64>) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
@@ -484,12 +609,15 @@ const REBUILD: usize = 0;
 const SEEN: usize = 1;
 /// [`Marks`] flag: the person's score may move.
 const AFFECTED: usize = 2;
+/// [`Marks`] flag: the person's one-hop part may move, so no bound places
+/// them.
+const EXACT: usize = 3;
 
 /// Per-person flags that clear in O(1) between probes: a flag is set while
 /// its stamp equals the current generation.
 #[derive(Default)]
 struct Marks {
-    stamps: Vec<[u32; 3]>,
+    stamps: Vec<[u32; 4]>,
     generation: u32,
 }
 
@@ -498,7 +626,7 @@ impl Marks {
     fn begin(&mut self, n: usize) {
         if self.stamps.len() != n || self.generation == u32::MAX {
             self.stamps.clear();
-            self.stamps.resize(n, [0; 3]);
+            self.stamps.resize(n, [0; 4]);
             self.generation = 0;
         }
         self.generation += 1;
@@ -602,64 +730,215 @@ mod tests {
         assert!(after > before);
     }
 
+    /// Asserts that every person's planned rank on each of `sets` is the
+    /// full re-rank's, under the default weights, no two-hop term and a
+    /// negative two-hop weight.
+    fn assert_planned_ranks_exact(g: &CollabGraph, q: &Query, sets: &[PerturbationSet]) {
+        let default = PropagationRanker::default();
+        let weights = [
+            default,
+            PropagationRanker {
+                beta: 0.0,
+                ..default
+            },
+            PropagationRanker {
+                beta: -default.beta,
+                ..default
+            },
+        ];
+        for r in weights {
+            let baseline = r.build_baseline(g, q).unwrap();
+            for set in sets {
+                let view = set.apply_to_graph(g);
+                for p in g.people() {
+                    assert_eq!(
+                        r.incremental_rank_of(&baseline, &view, q, p),
+                        Some(r.rank_of(&view, q, p)),
+                        "beta {} delta {set:?} person {p}",
+                        r.beta
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn incremental_rank_matches_full_rerank_exactly() {
-        // A graph big enough that the 2-hop ball of a singleton delta — and
-        // of the holder set of an IDF-moved term — stays under the n/2
-        // localization cap: two 5-person chains plus loners, "ml" held only
-        // by the two chain heads.
+        // A graph big enough that the 2-hop ball of each delta — and of the
+        // holder set of an IDF-moved term — stays under the n/2 localization
+        // cap: a hub with ten spokes, each spoke with a tail, two 5-person
+        // chains and loners; "ml" held by a tail, the chain heads and a
+        // loner.
         let mut b = CollabGraphBuilder::new();
-        let people: Vec<PersonId> = (0..20)
+        let people: Vec<PersonId> = (0..48)
             .map(|i| {
+                let ml = [13, 21, 26, 40].contains(&i);
                 b.add_person(
                     &format!("p{i}"),
-                    if i % 10 == 0 {
-                        vec!["ml"]
-                    } else {
-                        vec!["other"]
-                    },
+                    if ml { vec!["ml"] } else { vec!["other"] },
                 )
             })
             .collect();
+        for i in 1..=10 {
+            b.add_edge(people[0], people[i]);
+            b.add_edge(people[i], people[10 + i]);
+        }
         for i in 0..4 {
-            b.add_edge(people[i], people[i + 1]);
-            b.add_edge(people[10 + i], people[11 + i]);
+            b.add_edge(people[21 + i], people[22 + i]);
+            b.add_edge(people[26 + i], people[27 + i]);
         }
         let g = b.build();
         let q = Query::parse("ml", g.vocab()).unwrap();
-        let r = PropagationRanker::default();
-        let baseline = r.build_baseline(&g, &q).unwrap();
         let ml = g.vocab().id("ml").unwrap();
         let other = g.vocab().id("other").unwrap();
-        let deltas = vec![
-            Perturbation::AddEdge {
-                a: people[15],
-                b: people[0],
-            },
-            Perturbation::RemoveEdge {
-                a: people[1],
-                b: people[2],
-            },
-            Perturbation::AddSkill {
-                person: people[4],
+        let edge = |add: bool, a: usize, b: usize| {
+            let (a, b) = (people[a], people[b]);
+            if add {
+                Perturbation::AddEdge { a, b }
+            } else {
+                Perturbation::RemoveEdge { a, b }
+            }
+        };
+        let set = |edits: &[Perturbation]| {
+            let mut set = PerturbationSet::new();
+            for &e in edits {
+                set.push(e);
+            }
+            set
+        };
+        let hub_loses = |k: usize| set(&(1..=k).map(|i| edge(false, 0, i)).collect::<Vec<_>>());
+        let sets = vec![
+            set(&[edge(true, 25, 0)]),
+            set(&[edge(false, 22, 23)]),
+            set(&[Perturbation::AddSkill {
+                person: people[24],
                 skill: ml,
-            },
-            Perturbation::RemoveSkill {
-                person: people[3],
+            }]),
+            set(&[Perturbation::RemoveSkill {
+                person: people[21],
                 skill: ml,
-            },
-            Perturbation::AddSkill {
+            }]),
+            set(&[Perturbation::AddSkill {
                 person: people[0],
                 skill: other,
-            },
+            }]),
+            // "ml" changes hands: no IDF moves, two base relevances do.
+            set(&[
+                Perturbation::RemoveSkill {
+                    person: people[21],
+                    skill: ml,
+                },
+                Perturbation::AddSkill {
+                    person: people[12],
+                    skill: ml,
+                },
+            ]),
+            hub_loses(2),
+            hub_loses(4),
+            hub_loses(8),
+            set(&[
+                edge(false, 0, 1),
+                edge(false, 22, 23),
+                edge(true, 25, 31),
+                edge(true, 12, 40),
+            ]),
         ];
-        for d in deltas {
-            let view = PerturbationSet::singleton(d).apply_to_graph(&g);
-            for &p in &people {
-                let inc = r.incremental_rank_of(&baseline, &view, &q, p);
-                assert_eq!(inc, Some(r.rank_of(&view, &q, p)), "delta {d:?} person {p}");
+        assert_planned_ranks_exact(&g, &q, &sets);
+    }
+
+    #[test]
+    fn incremental_rank_breaks_exact_ties_by_id() {
+        // Everyone holds "ml", so every base relevance is 1 and every
+        // two-hop mean is 0 or exactly 1, the top of its bound: paths of
+        // four, pairs and loners tie in large groups, and a cut path's outer
+        // people join the pairs' score exactly.
+        let mut b = CollabGraphBuilder::new();
+        let mut people = Vec::new();
+        for _ in 0..4 {
+            let block: Vec<PersonId> = (0..7)
+                .map(|i| b.add_person(&format!("p{}", people.len() + i), ["ml"]))
+                .collect();
+            for i in 0..3 {
+                b.add_edge(block[i], block[i + 1]);
             }
+            b.add_edge(block[4], block[5]);
+            people.extend(block);
         }
+        let g = b.build();
+        let q = Query::parse("ml", g.vocab()).unwrap();
+        let mut cut = PerturbationSet::singleton(Perturbation::RemoveEdge {
+            a: people[8],
+            b: people[9],
+        });
+        let middle_cut = cut.clone();
+        cut.push(Perturbation::AddEdge {
+            a: people[3],
+            b: people[25],
+        });
+        assert_planned_ranks_exact(&g, &q, &[middle_cut, cut]);
+    }
+
+    /// Two twin fans `far – link – holders of "ml"`, then `extra` isolated
+    /// people (the first `lone_holders` of them holding "ml"); the first
+    /// link also has a spare non-holder neighbour. Each far end's two-hop
+    /// row is its link's other neighbours, so without the spare the twins'
+    /// far ends tie exactly. Returns the graph, the first link and the spare.
+    fn twin_fans(
+        holders: usize,
+        extra: usize,
+        lone_holders: usize,
+    ) -> (CollabGraph, PersonId, PersonId) {
+        let mut b = CollabGraphBuilder::new();
+        let mut named = 0;
+        let mut person = |b: &mut CollabGraphBuilder, skill: &str| {
+            named += 1;
+            b.add_person(&format!("p{named}"), [skill])
+        };
+        let mut links = Vec::new();
+        for _ in 0..2 {
+            let far = person(&mut b, "other");
+            let link = person(&mut b, "other");
+            b.add_edge(far, link);
+            for _ in 0..holders {
+                let h = person(&mut b, "ml");
+                b.add_edge(link, h);
+            }
+            links.push(link);
+        }
+        let spare = person(&mut b, "other");
+        b.add_edge(links[0], spare);
+        for i in 0..extra {
+            person(&mut b, if i < lone_holders { "ml" } else { "other" });
+        }
+        (b.build(), links[0], spare)
+    }
+
+    #[test]
+    fn the_bound_covers_mean_rounding_and_raised_base_relevances() {
+        // Cutting the spare leaves the first far end a two-hop row of six
+        // equal holders, whose mean rounds above their base relevance at 26
+        // people (12 holders): only the bound's margin keeps it tied with
+        // its twin.
+        let (g, link, spare) = twin_fans(6, 9, 0);
+        assert_eq!(g.num_people(), 26);
+        let q = Query::parse("ml", g.vocab()).unwrap();
+        let cut = PerturbationSet::singleton(Perturbation::RemoveEdge { a: link, b: spare });
+        assert_planned_ranks_exact(&g, &q, &[cut]);
+
+        // With the spare cut, a lone holder dropping "ml" raises its IDF,
+        // and with it each fan holder's base relevance above every baseline
+        // one: the bound must follow, or the far ends' new tie is misplaced.
+        let (g, link, spare) = twin_fans(1, 9, 1);
+        let q = Query::parse("ml", g.vocab()).unwrap();
+        let ml = g.vocab().id("ml").unwrap();
+        let lone = PersonId::from_index(7);
+        assert!(g.person_has_skill(lone, ml));
+        let mut drop = PerturbationSet::singleton(Perturbation::RemoveEdge { a: link, b: spare });
+        drop.push(Perturbation::RemoveSkill {
+            person: lone,
+            skill: ml,
+        });
+        assert_planned_ranks_exact(&g, &q, &[drop]);
     }
 
     #[test]

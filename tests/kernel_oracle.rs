@@ -398,49 +398,187 @@ fn full_paths_match_the_frozen_reference() {
     }
 }
 
+/// Overlays of several edits, the shapes of coalitions: the hub of
+/// [`overlays`] losing 2, 4 and 8 of its edges (a factual-collaboration
+/// coalition), a mix of edge additions and removals among the least
+/// connected people, and the first query term changing hands between two of
+/// them, so base relevances move but no IDF does.
+fn coalition_overlays(graph: &CollabGraph, query: &Query) -> Vec<(&'static str, PerturbationSet)> {
+    let hub = graph
+        .people()
+        .max_by_key(|&p| (graph.degree(p), std::cmp::Reverse(p)))
+        .expect("graphs have people");
+    let mut out = Vec::new();
+    for (lost, name) in [
+        (2, "hub loses 2 edges"),
+        (4, "hub loses 4 edges"),
+        (8, "hub loses 8 edges"),
+    ] {
+        if let Some(lost) = graph.neighbors(hub).get(..lost) {
+            let mut set = PerturbationSet::new();
+            for &b in lost {
+                set.push(Perturbation::RemoveEdge { a: hub, b });
+            }
+            out.push((name, set));
+        }
+    }
+    let mut quiet: Vec<PersonId> = graph.people().collect();
+    quiet.sort_by_key(|&p| (graph.degree(p), p));
+    let mut mixed = PerturbationSet::new();
+    for &a in &quiet {
+        if mixed.len() == 2 {
+            break;
+        }
+        if let Some(&b) = graph.neighbors(a).first() {
+            mixed.push(Perturbation::RemoveEdge { a, b });
+        }
+    }
+    for pair in quiet.chunks_exact(2).take(2) {
+        if pair[0] != pair[1] && !graph.has_edge(pair[0], pair[1]) {
+            mixed.push(Perturbation::AddEdge {
+                a: pair[0],
+                b: pair[1],
+            });
+        }
+    }
+    if !mixed.is_empty() {
+        out.push(("mixed edge additions and removals", mixed));
+    }
+    let term = query.skills()[0];
+    let giver = quiet.iter().find(|&&p| graph.person_has_skill(p, term));
+    let taker = quiet.iter().find(|&&p| !graph.person_has_skill(p, term));
+    if let (Some(&giver), Some(&taker)) = (giver, taker) {
+        let mut swap = PerturbationSet::singleton(Perturbation::RemoveSkill {
+            person: giver,
+            skill: term,
+        });
+        swap.push(Perturbation::AddSkill {
+            person: taker,
+            skill: term,
+        });
+        out.push(("query term changes hands", swap));
+    }
+    out
+}
+
+/// 42 people who all hold the one query term, so every base relevance is
+/// equal and every two-hop mean is either 0 or exactly the largest base
+/// relevance, where the bound sits before its rounding margin. Paths of four, pairs and loners interleave in id order, so
+/// the many exact score ties are broken by ids on both sides of any subject.
+fn tie_graph() -> (CollabGraph, Query) {
+    let mut b = CollabGraphBuilder::new();
+    let mut next = 0;
+    let mut add = |b: &mut CollabGraphBuilder| {
+        next += 1;
+        b.add_person(&format!("p{next}"), ["ml"])
+    };
+    for _ in 0..6 {
+        let path: Vec<PersonId> = (0..4).map(|_| add(&mut b)).collect();
+        for w in path.windows(2) {
+            b.add_edge(w[0], w[1]);
+        }
+        let (x, y) = (add(&mut b), add(&mut b));
+        b.add_edge(x, y);
+        add(&mut b);
+    }
+    let graph = b.build();
+    let query = Query::parse("ml", graph.vocab()).unwrap();
+    (graph, query)
+}
+
+/// Edge edits on [`tie_graph`] that leave a path's inner people with an
+/// emptied, kept or grown two-hop row while their one-hop parts stay put.
+fn tie_overlays() -> Vec<(&'static str, PerturbationSet)> {
+    let p = PersonId::from_index;
+    let remove = |a, b| Perturbation::RemoveEdge { a: p(a), b: p(b) };
+    let add = |a, b| Perturbation::AddEdge { a: p(a), b: p(b) };
+    let set = |edits: Vec<Perturbation>| {
+        let mut set = PerturbationSet::new();
+        for e in edits {
+            set.push(e);
+        }
+        set
+    };
+    vec![
+        ("a path's middle edge removed", set(vec![remove(8, 9)])),
+        ("a path's end edge removed", set(vec![remove(14, 15)])),
+        ("a path end joined to a pair", set(vec![add(3, 4)])),
+        ("a loner joined to a path end", set(vec![add(20, 21)])),
+        (
+            "two paths cut and two pairs joined",
+            set(vec![remove(1, 2), remove(22, 23), add(4, 11), add(25, 31)]),
+        ),
+    ]
+}
+
+/// The propagation weights the planned path is checked under: the default,
+/// no two-hop term (every bound a point), and a negative two-hop weight
+/// (bounds reversed).
+fn propagation_weights() -> [PropagationRanker; 3] {
+    let default = PropagationRanker::default();
+    [
+        default,
+        PropagationRanker {
+            beta: 0.0,
+            ..default
+        },
+        PropagationRanker {
+            beta: -default.beta,
+            ..default
+        },
+    ]
+}
+
+/// Planned propagation ranks against the frozen reference, under three
+/// two-hop weights, on [`overlays`] and [`coalition_overlays`] of the
+/// arbitrary graphs, `github_400` and [`tie_graph`] (plus
+/// [`tie_overlays`]). On the github and tie graphs every overlay must take a
+/// planned path.
 #[test]
 fn planned_propagation_ranks_match_the_frozen_reference() {
-    let ranker = PropagationRanker::default();
-    let mut cases: Vec<(String, CollabGraph, Query)> = (0..24u64)
+    type Overlays = Vec<(&'static str, PerturbationSet)>;
+    // (name, graph, query, extra overlays, whether every overlay must plan)
+    let mut cases: Vec<(String, CollabGraph, Query, Overlays, bool)> = (0..24u64)
         .map(|case| {
             let (graph, query) = arbitrary_graph(case);
-            (format!("case {case}"), graph, query)
+            (format!("case {case}"), graph, query, Vec::new(), false)
         })
         .collect();
     let (graph, query) = github_400();
-    cases.push(("github_400".to_string(), graph, query));
-    for (name, graph, query) in &cases {
-        let baseline = ranker.build_baseline(graph, query).expect("plan-capable");
-        let people = subjects(graph, &reference_propagation(&ranker, graph, query));
-        for (overlay, set) in overlays(graph, query) {
-            let view = set.apply_to_graph(graph);
-            let reference = ranked(&reference_propagation(&ranker, &view, query));
-            for &p in &people {
-                if let Some(rank) = ranker.incremental_rank_of(&baseline, &view, query, p) {
-                    assert_eq!(
-                        Some(rank),
-                        reference.rank_of(p),
-                        "{name}, {overlay}: planned rank of {p}"
+    cases.push(("github_400".to_string(), graph, query, Vec::new(), true));
+    let (graph, query) = tie_graph();
+    cases.push(("ties".to_string(), graph, query, tie_overlays(), true));
+    for ranker in propagation_weights() {
+        for (name, graph, query, extra, all_planned) in &cases {
+            let baseline = ranker.build_baseline(graph, query).expect("plan-capable");
+            // Everyone on a small graph; a spread of subjects on a large one.
+            let people: Vec<PersonId> = if graph.num_people() <= 64 {
+                graph.people().collect()
+            } else {
+                subjects(graph, &reference_propagation(&ranker, graph, query))
+            };
+            let mut sets = overlays(graph, query);
+            sets.extend(coalition_overlays(graph, query));
+            sets.extend(extra.iter().cloned());
+            for (overlay, set) in sets {
+                let view = set.apply_to_graph(graph);
+                let reference = ranked(&reference_propagation(&ranker, &view, query));
+                let label = format!("{name}, beta {}, {overlay}", ranker.beta);
+                for &p in &people {
+                    let planned = ranker.incremental_rank_of(&baseline, &view, query, p);
+                    assert!(
+                        planned.is_some() || !all_planned,
+                        "{label}: the planned path must answer for {p}"
                     );
+                    if let Some(rank) = planned {
+                        assert_eq!(
+                            Some(rank),
+                            reference.rank_of(p),
+                            "{label}: planned rank of {p}"
+                        );
+                    }
                 }
             }
-        }
-    }
-
-    // On the github graph, every overlay must take a planned path: the IDF
-    // shift rescoring everyone (dense), the others only the rows they move
-    // (localized).
-    let (_, graph, query) = cases.pop().expect("the github case");
-    let baseline = ranker.build_baseline(&graph, &query).unwrap();
-    for (overlay, set) in overlays(&graph, &query) {
-        let view = set.apply_to_graph(&graph);
-        for p in graph.people().step_by(5) {
-            assert!(
-                ranker
-                    .incremental_rank_of(&baseline, &view, &query, p)
-                    .is_some(),
-                "{overlay}: the planned path must answer for {p}"
-            );
         }
     }
 }
